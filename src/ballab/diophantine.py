@@ -10,10 +10,15 @@ the difference forms):
 
 plus single-sequence scans for terms of the shape p**s * x**b and the
 product form B_N * C_M = 2**p * x**q.  Every search is an exact bounded
-verification: values are evaluated with big integers, power detection uses
-the maximal-exponent decomposition (optionally pre-filtered by a residue
-sieve that never discards a true power), and a deliberately dumb oracle
-re-solves small instances for equivalence testing.
+verification: values are evaluated with big integers, and a deliberately
+dumb oracle re-solves small instances for equivalence testing.
+
+Power detection is one test, _maybe_decompose, giving the maximal-exponent
+decomposition.  Its restriction of the candidate exponents by small-prime
+valuations is an exact proof and always runs; SearchConfig.sieve_enabled
+(off with the CLI's --no-sieve, and still reported in the JSON config)
+switches only the modular residue sieve, which never discards a true power
+either, so results do not depend on it.
 
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
@@ -30,7 +35,6 @@ from .bigmath import (
     PowerDecomposition,
     integer_kth_root,
     is_prime,
-    perfect_power_decompose,
     primes_up_to,
     strip_prime,
 )
@@ -224,18 +228,64 @@ def _coprime_ok(bn: int, bm: int, cfg: SearchConfig) -> bool:
     return math.gcd(bn, bm) == 1
 
 
+# Primes stripped by trial division before any root is taken.  What is left
+# has only prime factors >= 211, so a p-th root of it is >= 211.
+_SMALL_PRIMES = primes_up_to(199)
+
+
+def _root_exponent_cap(rest: int) -> int:
+    """Largest p that can have 211**p <= rest: p < bits / log2(211), and log2(211) > 7.7."""
+    return (10 * rest.bit_length() - 1) // 77
+
+
 def _maybe_decompose(value: int, sieve_enabled: bool) -> PowerDecomposition | None:
-    """Decompose value >= 2, or None when the sieve proves it is no perfect power."""
-    if sieve_enabled:
-        # a power with base >= 2 must be a p-th power for some prime
-        # p <= log2(value); if the sieve rules out every such p, skip the
-        # exact decomposition entirely
-        for p in primes_up_to(value.bit_length() - 1):
-            if power_residue_sieve(value, p):
+    """Maximal decomposition of value >= 2, or None when value is no perfect power.
+
+    If value = x**q, then q divides the valuation of value at every prime.
+    The valuations at the primes <= 199 are folded into their gcd g: a single
+    valuation of 1 rejects value outright, and otherwise only the primes
+    dividing g (every prime when g = 0) remain candidate exponents for what
+    is left.  This restriction is exact and always runs; sieve_enabled only
+    adds the modular residue sieve ahead of each exact root.
+    """
+    g = 0
+    small = []
+    rest = value
+    for ell in _SMALL_PRIMES:
+        if rest % ell == 0:
+            rest //= ell
+            e = 1
+            while rest % ell == 0:
+                rest //= ell
+                e += 1
+            g = math.gcd(g, e)
+            if g == 1:
+                return None
+            small.append((ell, e))
+    if rest == 1:
+        exponent = g
+    else:
+        # Ascending primes, each retried until it fails: once rest is not a
+        # p-th power, none of its roots is, so no prime needs a second pass.
+        exponent = 1
+        cap = _root_exponent_cap(rest)
+        for p in primes_up_to(cap):
+            if p > cap:
                 break
-        else:
-            return None
-    return perfect_power_decompose(value)
+            while g % p == 0:
+                if sieve_enabled and not power_residue_sieve(rest, p):
+                    break
+                r = integer_kth_root(rest, p)
+                if r ** p != rest:
+                    break
+                rest, exponent, g = r, exponent * p, g // p
+                cap = _root_exponent_cap(rest)
+    if exponent == 1:
+        return None
+    base = rest
+    for ell, e in small:
+        base *= ell ** (e // exponent)
+    return PowerDecomposition(base=base, exponent=exponent)
 
 
 def _admissible_exponents(decomp: PowerDecomposition, min_exponent: int) -> list[int]:

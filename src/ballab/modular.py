@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bigmath import is_prime
+from .bigmath import primes_up_to
 from .sequences import RECURRENCE, SequenceKind
 
 _Mat = tuple[int, int, int, int]  # row-major 2x2
@@ -157,13 +157,12 @@ def default_sieve_moduli(q: int, count: int = 8) -> tuple[int, ...]:
     """
     if q < 2:
         raise ValueError("exponent must be >= 2")
-    found = []
-    p = 2
-    while len(found) < count:
-        p += 1
-        if p % q == 1 and is_prime(p):
-            found.append(p)
-    return tuple(found)
+    limit = 64
+    while True:
+        found = [p for p in primes_up_to(limit) if p % q == 1]
+        if len(found) >= count:
+            return tuple(found[:count])
+        limit *= 2
 
 
 def power_residue_sieve(value: int, q: int, trial_moduli: tuple[int, ...] | None = None) -> bool:

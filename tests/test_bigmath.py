@@ -153,6 +153,19 @@ class TestPerfectPowerDecompose:
             assert (perfect_power_decompose(n).base,
                     perfect_power_decompose(n).exponent) == brute_power_decompose(n)
 
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        values = [rng.randrange(2, 10 ** 30) for _ in range(300)]
+        for _ in range(300):
+            x, k = rng.randrange(2, 10 ** 6), rng.randrange(2, 20)
+            values += [x ** k, x ** k + 1, x ** k * rng.choice((2, 3, 211, 10 ** 9 + 7))]
+        values += [2 ** 60, 3 ** 40 * 5 ** 20, 6 ** 35, (2 ** 61 - 1) ** 3, 210 ** 12 * 211 ** 6]
+        for n in values:
+            d = perfect_power_decompose(n)
+            expected = sympy.perfect_power(n)
+            assert ((d.base, d.exponent) if d.exponent > 1 else False) == expected, n
+
 
 class TestStripPrime:
     def test_values(self):

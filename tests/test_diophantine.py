@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from ballab import diophantine
+from ballab.bigmath import perfect_power_decompose, primes_up_to
 from ballab.cli import canonical_json
 from ballab.diophantine import (
     EquationTag,
@@ -11,6 +13,7 @@ from ballab.diophantine import (
     SearchConfig,
     SolutionRecord,
     _exact_kth_root_signed,
+    _maybe_decompose,
     check_fermat_sum_structure,
     oracle_search,
     scan_cube_power_structure,
@@ -21,6 +24,7 @@ from ballab.diophantine import (
     search_square_diff,
     search_sum_power,
 )
+from ballab.modular import power_residue_sieve
 from ballab.sequences import SequenceKind
 
 
@@ -209,6 +213,60 @@ class TestSearchMechanics:
                            for s in lo_recs)
             else:
                 assert r.solution_tuple() in {s.solution_tuple() for s in lo_recs}
+
+
+def reference_power_test(value):
+    """The searches' earlier power test, kept as the reference.
+
+    The residue sieve over every prime exponent up to log2(value), then the
+    unsieved maximal decomposition; (base, exponent), or None for a value
+    that is no perfect power.
+    """
+    for p in primes_up_to(value.bit_length() - 1):
+        if power_residue_sieve(value, p):
+            break
+    else:
+        return None
+    d = perfect_power_decompose(value)
+    return (d.base, d.exponent) if d.exponent > 1 else None
+
+
+def _cube_cfg(max_index):
+    return SearchConfig(max_index=max_index, min_exponent=3, coprimality_required=True,
+                        coprime_zero_exempt=False)
+
+
+POWER_TEST_SEARCHES = {
+    "sum-power-any-150": lambda: search_sum_power(SearchConfig(max_index=150)),
+    "square-diff-100": lambda: search_square_diff(
+        SearchConfig(max_index=100, coprimality_required=True)),
+    "cube-sum-plus-100": lambda: search_cube_sum(_cube_cfg(100), "+"),
+    "cube-sum-minus-100": lambda: search_cube_sum(_cube_cfg(100), "-"),
+    "product-form-100": lambda: search_product_form(SearchConfig(max_index=100)),
+    **{f"special-form-{kind.value}-{p}-600":
+       (lambda kind=kind, p=p: search_special_form(kind, p, SearchConfig(max_index=600)))
+       for kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING) for p in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("search", POWER_TEST_SEARCHES.values(), ids=POWER_TEST_SEARCHES.keys())
+def test_power_test_matches_sieve_then_decompose(monkeypatch, search):
+    """Every value a search hands to the power test gets the reference's answer."""
+    seen = []
+
+    def recording_power_test(value, sieve_enabled):
+        seen.append(value)
+        return _maybe_decompose(value, sieve_enabled)
+
+    monkeypatch.setattr(diophantine, "_maybe_decompose", recording_power_test)
+    search()
+    assert seen
+    for value in seen:
+        expected = reference_power_test(value)
+        for sieve_enabled in (True, False):
+            d = _maybe_decompose(value, sieve_enabled)
+            assert (None if d is None else (d.base, d.exponent)) == expected, \
+                (value, sieve_enabled)
 
 
 class TestOracle:
