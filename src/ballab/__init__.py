@@ -23,14 +23,11 @@ from .diophantine import (
     search_sum_power,
 )
 from .modular import PeriodResult, period, power_residue_sieve, residue_class_mod9, two_adic_law
-from .quadring import ALPHA, QuadInt, binet_extract, qmul, qpow
+from .quadring import ALPHA, QuadInt, binet_extract, qpow
 from .sequences import (
     SeqTerm,
     SequenceKind,
     balancer,
-    diff_identity,
-    product_identity,
-    sum_identity,
     term,
     term_range,
 )
@@ -49,15 +46,12 @@ __all__ = [
     "SolutionRecord",
     "balancer",
     "binet_extract",
-    "diff_identity",
     "gcd",
     "integer_kth_root",
     "oracle_search",
     "perfect_power_decompose",
     "period",
     "power_residue_sieve",
-    "product_identity",
-    "qmul",
     "qpow",
     "residue_class_mod9",
     "search_cube_sum",
@@ -66,7 +60,6 @@ __all__ = [
     "search_square_diff",
     "search_sum_power",
     "strip_prime",
-    "sum_identity",
     "term",
     "term_range",
     "two_adic_law",

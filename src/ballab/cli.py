@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale on first use; importing it here keeps that
+# cost in the CLI's import instead of inside main()
+import locale  # noqa: F401
 import os
 import sys
 import time
@@ -21,7 +24,6 @@ from .diophantine import (
     COPRIME_ZERO_EXEMPT_NOTE,
     Parity,
     SearchConfig,
-    SolutionRecord,
     search_cube_sum,
     search_product_form,
     search_special_form,
@@ -88,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--coprime-zero-exempt", action=argparse.BooleanOptionalAction,
                           default=None)
     p_search.add_argument("--no-sieve", action="store_true")
-    p_search.add_argument("--workers", type=int, default=None)
+    p_search.add_argument("--workers", type=int, default=None,
+                          help="accepted for compatibility; has no effect (searches run serially)")
     p_search.add_argument("--kind", choices=("balancing", "lucas-balancing"), default=None,
                           help="sequence for special-form")
     p_search.add_argument("--prime", type=int, default=None, help="prime for special-form")
@@ -97,14 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bal.add_argument("--value", type=int, required=True)
 
     return parser
-
-
-def _env_workers(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("BALLAB_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"BALLAB_WORKERS must be an integer, got {raw!r}")
 
 
 def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -180,15 +175,6 @@ def _cmd_balancer(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 # search command
 
 
-def _solution_view(record: SolutionRecord) -> dict:
-    view: dict = {"n": record.n, "m": record.m, "x": str(record.x)}
-    if record.exponent is not None:
-        view["q"] = record.exponent
-    else:
-        view["q_family_min"] = record.family_min_exponent
-    return view
-
-
 def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | None:
     """Expected-vs-found comparison for the equations with published answers.
 
@@ -200,7 +186,6 @@ def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | Non
                 or cfg.coprimality_required or cfg.max_index < 3):
             return None
         expected = [{"n": 3, "m": 1, "x": "6", "q": 2}]
-        found = [_solution_view(r) for r in records]
     elif equation == "square-diff":
         if (cfg.parity_filter is not Parity.ANY or not cfg.coprimality_required
                 or not cfg.coprime_zero_exempt or cfg.min_exponent != 2
@@ -208,21 +193,23 @@ def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | Non
             return None
         expected = [{"n": 1, "m": 0, "x": "1", "q_family_min": 2},
                     {"n": 2, "m": 0, "x": "6", "q": 2}]
-        found = [_solution_view(r) for r in records]
     elif equation in ("cube-sum-plus", "cube-sum-minus"):
         if (cfg.parity_filter is not Parity.ANY or not cfg.coprimality_required
                 or cfg.coprime_zero_exempt or cfg.min_exponent != 3
                 or cfg.max_index < 1):
             return None
         expected = [{"n": 1, "m": 0, "x": "1", "q_family_min": 3}]
-        found = [_solution_view(r) for r in records]
     elif equation == "product-form":
         if cfg.min_exponent != 2 or cfg.max_index < 2:
             return None
         expected = [{"n": 2, "m": 1, "two_exponent": 1, "x": "3", "q": 2}]
-        found = [r.to_dict() for r in records]
     else:
         return None
+    # the summary's config already carries the equation and the bounds
+    found = [r.to_dict() for r in records]
+    for view in found:
+        view.pop("equation", None)
+        view.pop("bounds", None)
     return {
         "expected": expected,
         "found": found,
@@ -260,10 +247,6 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         # cube equations use the literal gcd test; the exemption exists for
         # the square-difference solution list (see COPRIME_ZERO_EXEMPT_NOTE)
         zero_exempt = not is_cube
-    workers = args.workers if args.workers is not None else _env_workers(parser)
-    if workers < 1:
-        parser.error("--workers must be >= 1")
-
     if eq == "special-form":
         if args.kind is None:
             parser.error("special-form requires --kind")
@@ -285,13 +268,13 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     )
 
     if eq == "sum-power":
-        records = search_sum_power(cfg, workers=workers)
+        records = search_sum_power(cfg)
     elif eq == "square-diff":
-        records = search_square_diff(cfg, workers=workers)
+        records = search_square_diff(cfg)
     elif is_cube:
-        records = search_cube_sum(cfg, "+" if eq == "cube-sum-plus" else "-", workers=workers)
+        records = search_cube_sum(cfg, "+" if eq == "cube-sum-plus" else "-")
     elif eq == "product-form":
-        records = search_product_form(cfg, workers=workers)
+        records = search_product_form(cfg)
     else:
         records = search_special_form(_KINDS[args.kind], prime, cfg)
 
@@ -301,7 +284,6 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     claims = _claims_block(eq, cfg, records)
     config = cfg.to_dict()
     config["equation"] = eq
-    config["workers"] = workers
     if eq == "special-form":
         config["kind"] = args.kind
         config["prime"] = prime

@@ -27,7 +27,6 @@ family (all q >= the configured minimum) instead of infinitely many tuples.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -150,10 +149,6 @@ class SpecialFormRecord:
     exponent: int | None
     family_min_exponent: int | None
 
-    def sort_key(self) -> tuple[int, int]:
-        b = self.exponent if self.exponent is not None else self.family_min_exponent
-        return (self.n, b)
-
     def verify(self) -> bool:
         value = term(self.kind, self.n)
         lead = self.prime ** self.prime_exponent
@@ -180,9 +175,6 @@ class ProductFormRecord:
     two_exponent: int
     x: int
     exponent: int
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.n, self.m, self.exponent)
 
     def verify(self) -> bool:
         value = term(SequenceKind.BALANCING, self.n) * term(SequenceKind.LUCAS_BALANCING, self.m)
@@ -294,14 +286,22 @@ def _admissible_exponents(decomp: PowerDecomposition, min_exponent: int) -> list
     return [q for q in range(min_exponent, e + 1) if e % q == 0]
 
 
-def _solve_rows(tag: EquationTag, cfg: SearchConfig, rows: list[int]) -> list[SolutionRecord]:
+def _verified(records: list) -> list:
+    """records, once each has re-evaluated its equation with direct arithmetic."""
+    for rec in records:
+        if not rec.verify():
+            raise ArithmeticError(f"emitted record fails re-verification: {rec}")
+    return records
+
+
+def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
     b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
     c = None
     if tag is EquationTag.SUM_POWER:
         c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
     include_diagonal = tag is EquationTag.SUM_POWER
     out: list[SolutionRecord] = []
-    for n in rows:
+    for n in range(cfg.max_index + 1):
         top = n + 1 if include_diagonal else n
         for m in range(top):
             if not _parity_ok(cfg.parity_filter, n, m):
@@ -325,56 +325,33 @@ def _solve_rows(tag: EquationTag, cfg: SearchConfig, rows: list[int]) -> list[So
             for q in _admissible_exponents(decomp, cfg.min_exponent):
                 out.append(SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
                                           family_min_exponent=None, bounds=cfg))
-    return out
-
-
-def _solve_rows_task(args: tuple[EquationTag, SearchConfig, list[int]]) -> list[SolutionRecord]:
-    return _solve_rows(*args)
-
-
-def _partition(rows: list[int], workers: int) -> list[list[int]]:
-    # round-robin keeps per-chunk cost even: large n rows are the expensive ones
-    return [rows[i::workers] for i in range(workers)]
-
-
-def _run_pair_search(tag: EquationTag, cfg: SearchConfig, workers: int) -> list[SolutionRecord]:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    rows = list(range(cfg.max_index + 1))
-    if workers == 1:
-        records = _solve_rows(tag, cfg, rows)
-    else:
-        tasks = [(tag, cfg, chunk) for chunk in _partition(rows, workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [r for part in pool.map(_solve_rows_task, tasks) for r in part]
-    records.sort(key=SolutionRecord.sort_key)
-    for rec in records:
-        if not rec.verify():
-            raise ArithmeticError(f"emitted record fails re-verification: {rec}")
-    return records
+    return _verified(out)
 
 
 # ---------------------------------------------------------------------------
 # public searchers
+#
+# Each one scans its indices in ascending order and the exponents of a hit in
+# ascending order, so records come out sorted with no sort step.
 
 
-def search_sum_power(cfg: SearchConfig, workers: int = 1) -> list[SolutionRecord]:
+def search_sum_power(cfg: SearchConfig) -> list[SolutionRecord]:
     """All hits of B_n + B_m = x**q over 0 <= m <= n <= max_index.
 
     The parity filter selects the index classes to scan; only the same-parity
     class has a known complete solution list, so other modes are exploratory.
     """
-    return _run_pair_search(EquationTag.SUM_POWER, cfg, workers)
+    return _run_pair_search(EquationTag.SUM_POWER, cfg)
 
 
-def search_square_diff(cfg: SearchConfig, workers: int = 1) -> list[SolutionRecord]:
+def search_square_diff(cfg: SearchConfig) -> list[SolutionRecord]:
     """All hits of B_n**2 - B_m**2 = x**q over n > m >= 0 with coprime terms."""
     if not cfg.coprimality_required:
         raise ValueError("the square-difference equation carries the coprimality hypothesis")
-    return _run_pair_search(EquationTag.SQUARE_DIFF, cfg, workers)
+    return _run_pair_search(EquationTag.SQUARE_DIFF, cfg)
 
 
-def search_cube_sum(cfg: SearchConfig, sign: str, workers: int = 1) -> list[SolutionRecord]:
+def search_cube_sum(cfg: SearchConfig, sign: str) -> list[SolutionRecord]:
     """All hits of B_n**3 +/- B_m**3 = x**q over n > m >= 0 with coprime terms."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -383,7 +360,7 @@ def search_cube_sum(cfg: SearchConfig, sign: str, workers: int = 1) -> list[Solu
     if not cfg.coprimality_required:
         raise ValueError("the cube equation carries the coprimality hypothesis")
     tag = EquationTag.CUBE_SUM_PLUS if sign == "+" else EquationTag.CUBE_SUM_MINUS
-    return _run_pair_search(tag, cfg, workers)
+    return _run_pair_search(tag, cfg)
 
 
 def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[SpecialFormRecord]:
@@ -411,17 +388,15 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
         for b in _admissible_exponents(decomp, cfg.min_exponent):
             out.append(SpecialFormRecord(kind, p, n, s, x=decomp.root_for(b),
                                          exponent=b, family_min_exponent=None))
-    for rec in out:
-        if not rec.verify():
-            raise ArithmeticError(f"emitted record fails re-verification: {rec}")
-    return out
+    return _verified(out)
 
 
-def _solve_product_rows(cfg: SearchConfig, rows: list[int]) -> list[ProductFormRecord]:
+def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
+    """Pairs (N, M) in [1, max_index]**2 with B_N * C_M = 2**p * x**q, q >= min_exponent."""
     b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
     out: list[ProductFormRecord] = []
-    for n in rows:
+    for n in range(1, cfg.max_index + 1):
         for m in range(1, cfg.max_index + 1):
             s, odd = strip_prime(2, b[n] * c[m])
             if odd == 1:
@@ -433,128 +408,7 @@ def _solve_product_rows(cfg: SearchConfig, rows: list[int]) -> list[ProductFormR
             for q in _admissible_exponents(decomp, cfg.min_exponent):
                 out.append(ProductFormRecord(n=n, m=m, two_exponent=s,
                                              x=decomp.root_for(q), exponent=q))
-    return out
-
-
-def _solve_product_rows_task(args: tuple[SearchConfig, list[int]]) -> list[ProductFormRecord]:
-    return _solve_product_rows(*args)
-
-
-def search_product_form(cfg: SearchConfig, workers: int = 1) -> list[ProductFormRecord]:
-    """Pairs (N, M) in [1, max_index]**2 with B_N * C_M = 2**p * x**q, q >= min_exponent."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    rows = list(range(1, cfg.max_index + 1))
-    if workers == 1:
-        records = _solve_product_rows(cfg, rows)
-    else:
-        tasks = [(cfg, chunk) for chunk in _partition(rows, workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [r for part in pool.map(_solve_product_rows_task, tasks) for r in part]
-    records.sort(key=ProductFormRecord.sort_key)
-    for rec in records:
-        if not rec.verify():
-            raise ArithmeticError(f"emitted record fails re-verification: {rec}")
-    return records
-
-
-# ---------------------------------------------------------------------------
-# structure checks for coprime power sums
-
-
-class FermatSumForm(Enum):
-    FORM_CK = "c^k"
-    FORM_P_CK = "p^(k-1)*c^k"
-    VIOLATION = "violation"
-
-
-def _exact_kth_root_signed(v: int, k: int) -> int | None:
-    """The integer c with c**k = v, or None; negative c allowed for odd k."""
-    if v == 0:
-        return 0
-    if v < 0:
-        if k % 2 == 0:
-            return None
-        r = integer_kth_root(-v, k)
-        return -r if r ** k == -v else None
-    r = integer_kth_root(v, k)
-    return r if r ** k == v else None
-
-
-def check_fermat_sum_structure(x: int, y: int, p: int, z: int, k: int) -> FermatSumForm:
-    """Classify x + y for coprime x, y with x**p + y**p = z**k.
-
-    p must be an odd prime and k >= 2; the hypotheses are re-verified and
-    rejected with ValueError when they fail.  x + y must come out as c**k or
-    as p**(k-1) * c**k; anything else is reported as a violation (meaning a
-    bug on one side of the check, never a valid outcome).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if math.gcd(x, y) != 1:
-        raise ValueError("x and y must be coprime")
-    if x ** p + y ** p != z ** k:
-        raise ValueError("x**p + y**p must equal z**k")
-    s = x + y
-    if _exact_kth_root_signed(s, k) is not None:
-        return FermatSumForm.FORM_CK
-    lead = p ** (k - 1)
-    if s % lead == 0 and _exact_kth_root_signed(s // lead, k) is not None:
-        return FermatSumForm.FORM_P_CK
-    return FermatSumForm.VIOLATION
-
-
-def scan_fermat_sum_structure(bound: int, primes: tuple[int, ...] = (3, 5),
-                              exponents: tuple[int, ...] = (2, 3)) -> list[tuple]:
-    """Classifier violations over coprime |x|, |y| <= bound (expected empty).
-
-    Enumerates every instance x**p + y**p = z**k inside the box and runs the
-    classifier on it; the enumeration is the oracle here, the classifier the
-    code under test.
-    """
-    violations = []
-    for p in primes:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                v = x ** p + y ** p
-                for k in exponents:
-                    z = _exact_kth_root_signed(v, k)
-                    if z is None:
-                        continue
-                    if check_fermat_sum_structure(x, y, p, z, k) is FermatSumForm.VIOLATION:
-                        violations.append((x, y, p, z, k))
-    return violations
-
-
-def scan_cube_power_structure(bound: int = 30,
-                              exponents: tuple[int, ...] = (3, 5, 7)) -> list[tuple]:
-    """Desk-scale spot check of the parity/divisibility constraints on
-    x**3 + y**3 = z**p.
-
-    Collects solutions with gcd(x, y) = 1, xyz != 0 and 2 | xz inside the box
-    that break (3 | z, 2 | x, 4 does not divide x).  Expected empty.
-    """
-    violations = []
-    for p in exponents:
-        for z in range(-bound, bound + 1):
-            if z == 0:
-                continue
-            v = z ** p
-            for x in range(-bound, bound + 1):
-                if x == 0:
-                    continue
-                y = _exact_kth_root_signed(v - x ** 3, 3)
-                if y is None or y == 0 or abs(y) > bound:
-                    continue
-                if math.gcd(x, y) != 1 or (x * z) % 2:
-                    continue
-                if not (z % 3 == 0 and x % 2 == 0 and x % 4 != 0):
-                    violations.append((x, y, z, p))
-    return violations
+    return _verified(out)
 
 
 # ---------------------------------------------------------------------------

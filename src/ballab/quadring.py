@@ -48,11 +48,6 @@ SQRT2 = QuadInt(0, 1)
 ALPHA = QuadInt(3, 2)
 
 
-def qmul(u: QuadInt, v: QuadInt) -> QuadInt:
-    """Exact ring product."""
-    return u * v
-
-
 def qpow(u: QuadInt, n: int) -> QuadInt:
     """u**n by binary exponentiation; n >= 0."""
     if n < 0:

@@ -1,4 +1,4 @@
-"""Generators and identity evaluators for the balancing family of sequences.
+"""Generators for the balancing family of sequences.
 
 Balancing B (0, 1, 6, 35, 204, ...) and Lucas-balancing C (1, 3, 17, 99, ...)
 share the recurrence s_n = 6*s_{n-1} - s_{n-2}; Pell P (0, 1, 2, 5, 12, ...)
@@ -82,46 +82,6 @@ def term_range(kind: SequenceKind, lo: int, hi: int) -> list[SeqTerm]:
         raise ValueError(f"invalid index range [{lo}, {hi}]")
     vals = values_up_to(kind, hi)
     return [SeqTerm(kind, i, vals[i]) for i in range(lo, hi + 1)]
-
-
-def sum_identity(n: int, m: int) -> tuple[int, int]:
-    """Both sides of B_n + B_m = 2 * B_{(n+m)/2} * C_{(n-m)/2}.
-
-    Requires n >= m >= 0 with n and m of the same parity; returns
-    (lhs, rhs) so the caller can assert equality.
-    """
-    _check_identity_pair(n, m)
-    b = values_up_to(SequenceKind.BALANCING, n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, n)
-    lhs = b[n] + b[m]
-    rhs = 2 * b[(n + m) // 2] * c[(n - m) // 2]
-    return lhs, rhs
-
-
-def diff_identity(n: int, m: int) -> tuple[int, int]:
-    """Both sides of B_n - B_m = 2 * B_{(n-m)/2} * C_{(n+m)/2}."""
-    _check_identity_pair(n, m)
-    b = values_up_to(SequenceKind.BALANCING, n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, n)
-    lhs = b[n] - b[m]
-    rhs = 2 * b[(n - m) // 2] * c[(n + m) // 2]
-    return lhs, rhs
-
-
-def _check_identity_pair(n: int, m: int) -> None:
-    if m < 0 or n < m:
-        raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    if (n - m) % 2:
-        raise ValueError(f"indices {n} and {m} differ in parity")
-
-
-def product_identity(m: int) -> tuple[int, int]:
-    """(B_m, P_m * Q_m) for asserting the Pell product identity."""
-    if m < 0:
-        raise ValueError("index must be nonnegative")
-    p = term(SequenceKind.PELL, m)
-    q = term(SequenceKind.ASSOCIATED_PELL, m)
-    return term(SequenceKind.BALANCING, m), p * q
 
 
 def balancer(value: int) -> int | None:

@@ -206,12 +206,3 @@ def test_10_perfect_power_engine():
     assert disagreements == 0
     report("10 perfect-power engine vs brute force to 10^6", elapsed)
 
-
-def test_11_worker_determinism():
-    started = time.perf_counter()
-    cfg = SearchConfig(max_index=150, parity_filter=Parity.SAME)
-    serial = canonical_json([r.to_dict() for r in search_sum_power(cfg, workers=1)])
-    parallel = canonical_json([r.to_dict() for r in search_sum_power(cfg, workers=8)])
-    elapsed = time.perf_counter() - started
-    assert serial == parallel
-    report("11 workers 8 vs 1 byte-identical", elapsed)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ballab
 from ballab import cli
 
 
@@ -204,22 +208,14 @@ class TestSearch:
         assert records1 == records2
 
     def test_workers_flag(self, capsys):
-        code, out = run_cli(capsys, ["search", "sum-power", "--max-index", "25",
-                                     "--parity", "same", "--workers", "2"])
-        assert code == 0
-        assert last_json_line(out)["config"]["workers"] == 2
-
-    def test_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLAB_WORKERS", "2")
-        code, out = run_cli(capsys, ["search", "sum-power", "--max-index", "20",
-                                     "--parity", "same"])
-        assert code == 0
-        assert last_json_line(out)["config"]["workers"] == 2
-
-    def test_bad_workers_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLAB_WORKERS", "many")
-        code, _ = run_cli(capsys, ["search", "sum-power", "--max-index", "20"])
-        assert code == 2
+        # --workers is still parsed but has no effect: every search runs serially
+        argv = ["search", "product-form", "--max-index", "25"]
+        code1, out1 = run_cli(capsys, argv)
+        code2, out2 = run_cli(capsys, argv + ["--workers", "2"])
+        assert code1 == code2 == 0
+        records = out1.strip().splitlines()[:-1]
+        assert records and out2.strip().splitlines()[:-1] == records
+        assert "workers" not in last_json_line(out2)["config"]
 
     def test_cube_with_small_exponent_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["search", "cube-sum-plus", "--max-index", "20",
@@ -277,3 +273,27 @@ def test_records_verify_round_trip(capsys):
             assert int(rec["x"]) ** rec["q"] == value
         else:
             assert value == 1 and rec["x"] == "1"
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import ballab.cli
+pool = sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules)
+before = set(sys.modules)
+for argv in (["search", "sum-power", "--max-index", "12", "--workers", "1"],
+             ["search", "product-form", "--max-index", "12", "--workers", "2"],
+             ["search", "special-form", "--kind", "balancing", "--max-index", "40"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        ballab.cli.main(argv)
+print(json.dumps({"pool": pool, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_import_hygiene():
+    # A fresh interpreter: the CLI loads no process-pool machinery, and a
+    # search imports nothing the CLI's own import did not, so no module load
+    # lands inside the timed main().
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"pool": [], "new": []}

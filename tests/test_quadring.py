@@ -1,19 +1,19 @@
 import pytest
 
-from ballab.quadring import ALPHA, ONE, SQRT2, QuadInt, binet_extract, qmul, qpow
+from ballab.quadring import ALPHA, ONE, SQRT2, QuadInt, binet_extract, qpow
 from ballab.sequences import SequenceKind, values_up_to
 
 
 def test_alpha_times_conjugate_is_one():
-    assert qmul(ALPHA, ALPHA.conjugate()) == ONE
+    assert ALPHA * ALPHA.conjugate() == ONE
 
 
 def test_sqrt2_squared():
-    assert qmul(SQRT2, SQRT2) == QuadInt(2, 0)
+    assert SQRT2 * SQRT2 == QuadInt(2, 0)
 
 
 def test_alpha_squared():
-    assert qmul(ALPHA, ALPHA) == QuadInt(17, 12)
+    assert ALPHA * ALPHA == QuadInt(17, 12)
 
 
 def test_qpow_small():

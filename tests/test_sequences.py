@@ -6,9 +6,6 @@ from ballab.sequences import (
     SeqTerm,
     SequenceKind,
     balancer,
-    diff_identity,
-    product_identity,
-    sum_identity,
     term,
     term_range,
     values_up_to,
@@ -64,42 +61,49 @@ def test_term_range_rejects_bad_bounds():
         term_range(SequenceKind.PELL, -1, 2)
 
 
+def half_index_sum(n, m):
+    """Both sides of B_n + B_m = 2 * B_{(n+m)/2} * C_{(n-m)/2}, n >= m of equal parity."""
+    b = values_up_to(SequenceKind.BALANCING, n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, n)
+    return b[n] + b[m], 2 * b[(n + m) // 2] * c[(n - m) // 2]
+
+
+def half_index_diff(n, m):
+    """Both sides of B_n - B_m = 2 * B_{(n-m)/2} * C_{(n+m)/2}, n >= m of equal parity."""
+    b = values_up_to(SequenceKind.BALANCING, n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, n)
+    return b[n] - b[m], 2 * b[(n - m) // 2] * c[(n + m) // 2]
+
+
 class TestIdentities:
     def test_sum_identity_values(self):
-        assert sum_identity(3, 1) == (36, 36)
-        assert sum_identity(4, 4) == (408, 408)
-        assert sum_identity(5, 1) == (1190, 1190)
+        assert half_index_sum(3, 1) == (36, 36)
+        assert half_index_sum(4, 4) == (408, 408)
+        assert half_index_sum(5, 1) == (1190, 1190)
 
     def test_diff_identity_values(self):
-        assert diff_identity(3, 1) == (34, 34)
-        assert diff_identity(2, 2) == (0, 0)
-        assert diff_identity(4, 2) == (198, 198)
-
-    @pytest.mark.parametrize("fn", [sum_identity, diff_identity])
-    def test_rejects_parity_mismatch(self, fn):
-        with pytest.raises(ValueError):
-            fn(3, 2)
-
-    @pytest.mark.parametrize("fn", [sum_identity, diff_identity])
-    def test_rejects_decreasing(self, fn):
-        with pytest.raises(ValueError):
-            fn(1, 3)
+        assert half_index_diff(3, 1) == (34, 34)
+        assert half_index_diff(2, 2) == (0, 0)
+        assert half_index_diff(4, 2) == (198, 198)
 
     def test_identities_hold_on_a_sweep(self):
         for n in range(0, 80):
             for m in range(n % 2, n + 1, 2):
-                lhs, rhs = sum_identity(n, m)
+                lhs, rhs = half_index_sum(n, m)
                 assert lhs == rhs
-                lhs, rhs = diff_identity(n, m)
+                lhs, rhs = half_index_diff(n, m)
                 assert lhs == rhs
 
     def test_product_identity(self):
-        assert product_identity(3) == (35, 35)
-        assert product_identity(0) == (0, 0)
-        assert product_identity(2) == (6, 6)
-        for m in range(60):
-            lhs, rhs = product_identity(m)
-            assert lhs == rhs
+        # B_m = P_m * Q_m
+        b = values_up_to(SequenceKind.BALANCING, 60)
+        p = values_up_to(SequenceKind.PELL, 60)
+        q = values_up_to(SequenceKind.ASSOCIATED_PELL, 60)
+        assert (b[3], p[3] * q[3]) == (35, 35)
+        assert (b[0], p[0] * q[0]) == (0, 0)
+        assert (b[2], p[2] * q[2]) == (6, 6)
+        for m in range(61):
+            assert b[m] == p[m] * q[m]
 
 
 class TestBalancer:
