@@ -1,6 +1,6 @@
 """Arbitrary-precision integer utilities.
 
-Exact gcd, p-adic valuation, integer k-th roots, maximal perfect-power
+Exact p-adic valuation, integer k-th roots, maximal perfect-power
 decomposition, and small-prime stripping.  Everything works on plain
 Python ints (already arbitrary precision) with no floating point, so
 results are exact at any size.
@@ -40,11 +40,6 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor, with gcd(a, 0) = |a|."""
-    return math.gcd(a, b)
 
 
 def valuation(p: int, n: int) -> int:

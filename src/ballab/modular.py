@@ -15,45 +15,30 @@ from functools import lru_cache
 from .bigmath import primes_up_to
 from .sequences import RECURRENCE, SequenceKind
 
-_Mat = tuple[int, int, int, int]  # row-major 2x2
-
-
-def _mat_mul(x: _Mat, y: _Mat, m: int) -> _Mat:
-    return (
-        (x[0] * y[0] + x[1] * y[2]) % m,
-        (x[0] * y[1] + x[1] * y[3]) % m,
-        (x[2] * y[0] + x[3] * y[2]) % m,
-        (x[2] * y[1] + x[3] * y[3]) % m,
-    )
-
-
-def _mat_pow(mat: _Mat, e: int, m: int) -> _Mat:
-    result: _Mat = (1 % m, 0, 0, 1 % m)
-    while e:
-        if e & 1:
-            result = _mat_mul(result, mat, m)
-        e >>= 1
-        if e:
-            mat = _mat_mul(mat, mat, m)
-    return result
-
-
 def term_mod(kind: SequenceKind, n: int, modulus: int) -> int:
     """Sequence term at index n reduced mod modulus, in O(log n) steps.
 
-    Uses the 2x2 companion matrix of the recurrence, so it works for any
-    modulus (no division by 2 is ever needed).
+    Fast doubling on (U_k, U_{k+1}), where U is the sequence with the same
+    recurrence s_n = c1*s_{n-1} + c2*s_{n-2} started at (0, 1):
+    U_{2k} = U_k*(2*U_{k+1} - c1*U_k) and U_{2k+1} = U_{k+1}**2 + c2*U_k**2.
+    Then s_n = s1*U_n + s0*(U_{n+1} - c1*U_n).  No step divides, so any
+    modulus works.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if n < 0:
         raise ValueError("index must be nonnegative")
     (c1, c2), (s0, s1) = RECURRENCE[kind]
-    if n == 0:
-        return s0 % modulus
-    # (s_{n+1}, s_n)^T = M**n (s_1, s_0)^T with M = [[c1, c2], [1, 0]]
-    mat = _mat_pow((c1 % modulus, c2 % modulus, 1 % modulus, 0), n, modulus)
-    return (mat[2] * s1 + mat[3] * s0) % modulus
+    # The closing formula is s_n = s1*U_n + c2*s0*U_{n-1} with
+    # U_{n-1} = c2*(U_{n+1} - c1*U_n), which needs c2 to be its own inverse.
+    if c2 not in (1, -1):
+        raise ValueError(f"{kind.value}: fast doubling needs c2 = +-1, got {c2}")
+    u, v = 0, 1 % modulus  # (U_k, U_{k+1}) for k = the bits of n read so far
+    for bit in bin(n)[2:]:
+        u, v = u * (2 * v - c1 * u) % modulus, (v * v + c2 * u * u) % modulus
+        if bit == "1":
+            u, v = v, (c1 * v + c2 * u) % modulus
+    return (s1 * u + s0 * (v - c1 * u)) % modulus
 
 
 def residue_range(kind: SequenceKind, lo: int, hi: int, modulus: int) -> list[int]:
@@ -113,9 +98,9 @@ def period(modulus: int, prefix_multiplier: int = 2) -> PeriodResult:
             raise RuntimeError(
                 f"no restart within {bound} iterations mod {modulus}; state map is broken"
             )
+    # indices 1..t are settled (t is the first return); the walk goes on from t
     prefix = prefix_multiplier * t
-    prev, cur = start
-    for k in range(1, prefix + 1):
+    for k in range(t + 1, prefix + 1):
         prev, cur = cur, (6 * cur - prev) % modulus
         if ((prev, cur) == start) != (k % t == 0):
             raise ArithmeticError(

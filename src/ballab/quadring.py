@@ -5,6 +5,8 @@ where B_n and C_n are the n-th balancing and Lucas-balancing numbers, so a
 single binary exponentiation recovers both values with no rounding.  The
 conjugate beta = 3 - 2*sqrt(2) never needs to be materialized: conjugation
 commutes with powers, so alpha**n - beta**n can be read off alpha**n alone.
+The unit 1 + sqrt(2), whose square is alpha, gives the Pell pair the same way:
+(1 + sqrt(2))**n = Q_n + P_n*sqrt(2).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class QuadInt:
 ONE = QuadInt(1, 0)
 SQRT2 = QuadInt(0, 1)
 ALPHA = QuadInt(3, 2)
+SILVER = QuadInt(1, 1)
 
 
 def qpow(u: QuadInt, n: int) -> QuadInt:

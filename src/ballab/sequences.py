@@ -56,13 +56,13 @@ def term(kind: SequenceKind, n: int, doubling_threshold: int = DOUBLING_THRESHOL
     """Exact n-th term of the given sequence, n >= 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n > doubling_threshold and kind in (
-        SequenceKind.BALANCING,
-        SequenceKind.LUCAS_BALANCING,
-    ):
+    if n <= doubling_threshold:
+        return _iterate(kind, n)
+    if kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING):
         b, c = quadring.binet_extract(n)
         return b if kind is SequenceKind.BALANCING else c
-    return _iterate(kind, n)
+    w = quadring.qpow(quadring.SILVER, n)
+    return w.b if kind is SequenceKind.PELL else w.a
 
 
 def values_up_to(kind: SequenceKind, hi: int) -> list[int]:

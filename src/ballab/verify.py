@@ -1,17 +1,20 @@
 """Executable property suites for the balancing family.
 
 Each check sweeps an index range, counts the cases it confirmed, and keeps
-the first few failure descriptions.  The suites back both the command-line
-`verify` command and the test suite, so a red check here is a red build.
+the first few failure descriptions.  A case yields None when it holds and its
+description only when it fails, so passing cases format no text.  The suites
+back both the command-line `verify` command and the test suite, so a red
+check here is a red build.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Iterator
 
-from .bigmath import gcd, valuation
+from .bigmath import valuation
 from .modular import (
     period,
     power_residue_sieve,
@@ -38,16 +41,15 @@ class CheckResult:
                 "passed": self.passed, "failures": self.failures}
 
 
-def _run_check(name: str, bound: str, cases: Iterable[tuple[bool, str]]) -> CheckResult:
+def _run_check(name: str, bound: str, cases: Iterable[str | None]) -> CheckResult:
     checked = 0
     failed = 0
     failures: list[str] = []
-    for ok, desc in cases:
-        checked += 1
-        if not ok:
+    for checked, failure in enumerate(cases, 1):
+        if failure is not None:
             failed += 1
             if len(failures) < 5:
-                failures.append(desc)
+                failures.append(failure)
     return CheckResult(name, bound, checked, passed=failed == 0, failures=failures)
 
 
@@ -59,11 +61,12 @@ def check_half_index_sum(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(max_n + 1):
+            bn = b[n]
             for m in range(n % 2, n + 1, 2):
-                ok = b[n] + b[m] == 2 * b[(n + m) // 2] * c[(n - m) // 2]
-                yield ok, f"B_{n} + B_{m} != 2*B_{(n + m) // 2}*C_{(n - m) // 2}"
+                a, d = (n + m) // 2, (n - m) // 2
+                yield None if bn + b[m] == 2 * b[a] * c[d] else f"B_{n} + B_{m} != 2*B_{a}*C_{d}"
 
     return _run_check("half-index-sum", f"0 <= m <= n <= {max_n}, same parity", cases())
 
@@ -72,11 +75,12 @@ def check_half_index_diff(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(max_n + 1):
+            bn = b[n]
             for m in range(n % 2, n + 1, 2):
-                ok = b[n] - b[m] == 2 * b[(n - m) // 2] * c[(n + m) // 2]
-                yield ok, f"B_{n} - B_{m} != 2*B_{(n - m) // 2}*C_{(n + m) // 2}"
+                a, d = (n + m) // 2, (n - m) // 2
+                yield None if bn - b[m] == 2 * b[d] * c[a] else f"B_{n} - B_{m} != 2*B_{d}*C_{a}"
 
     return _run_check("half-index-diff", f"0 <= m <= n <= {max_n}, same parity", cases())
 
@@ -85,14 +89,14 @@ def check_pell_product(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     p = values_up_to(SequenceKind.PELL, max_n)
     q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
-    cases = ((b[m] == p[m] * q[m], f"B_{m} != P_{m}*Q_{m}") for m in range(max_n + 1))
+    cases = (None if b[m] == p[m] * q[m] else f"B_{m} != P_{m}*Q_{m}" for m in range(max_n + 1))
     return _run_check("pell-product", f"0 <= m <= {max_n}", cases)
 
 
 def check_index_doubling(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    cases = ((b[2 * n] == 2 * b[n] * c[n], f"B_{2 * n} != 2*B_{n}*C_{n}")
+    cases = (None if b[2 * n] == 2 * b[n] * c[n] else f"B_{2 * n} != 2*B_{n}*C_{n}"
              for n in range(max_n + 1))
     return _run_check("index-doubling", f"0 <= n <= {max_n}", cases)
 
@@ -100,7 +104,7 @@ def check_index_doubling(max_n: int) -> CheckResult:
 def check_square_plus_one(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    cases = ((8 * b[n] * b[n] + 1 == c[n] * c[n], f"8*B_{n}^2 + 1 != C_{n}^2")
+    cases = (None if 8 * b[n] * b[n] + 1 == c[n] * c[n] else f"8*B_{n}^2 + 1 != C_{n}^2"
              for n in range(max_n + 1))
     return _run_check("square-plus-one", f"0 <= n <= {max_n}", cases)
 
@@ -109,18 +113,19 @@ def check_addition_formula(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for x in range(max_n + 1):
+            bx, cx = b[x], c[x]
             for y in range(max_n + 1):
-                ok = b[x + y] == b[x] * c[y] + c[x] * b[y]
-                yield ok, f"B_{x + y} != B_{x}*C_{y} + C_{x}*B_{y}"
+                yield (None if b[x + y] == bx * c[y] + cx * b[y]
+                       else f"B_{x + y} != B_{x}*C_{y} + C_{x}*B_{y}")
 
     return _run_check("addition-formula", f"0 <= x, y <= {max_n}", cases())
 
 
 def check_lucas_odd(max_n: int) -> CheckResult:
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    cases = ((c[n] % 2 == 1, f"C_{n} is even") for n in range(max_n + 1))
+    cases = (None if c[n] % 2 == 1 else f"C_{n} is even" for n in range(max_n + 1))
     return _run_check("lucas-odd", f"0 <= n <= {max_n}", cases)
 
 
@@ -128,14 +133,14 @@ def check_closed_form(max_n: int) -> CheckResult:
     """Closed-form extraction agrees with plain iteration, term by term."""
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    cases = ((binet_extract(n) == (b[n], c[n]), f"closed form disagrees at n={n}")
+    cases = (None if binet_extract(n) == (b[n], c[n]) else f"closed form disagrees at n={n}"
              for n in range(max_n + 1))
     return _run_check("closed-form-agreement", f"0 <= n <= {max_n}", cases)
 
 
 def check_unit_norm(max_n: int) -> CheckResult:
     """alpha is a unit: norm(alpha**n) = 1 for every n."""
-    cases = ((qpow(ALPHA, n).norm() == 1, f"norm(alpha^{n}) != 1")
+    cases = (None if qpow(ALPHA, n).norm() == 1 else f"norm(alpha^{n}) != 1"
              for n in range(max_n + 1))
     return _run_check("unit-norm", f"0 <= n <= {max_n}", cases)
 
@@ -147,24 +152,26 @@ def check_unit_norm(max_n: int) -> CheckResult:
 def check_gcd_balancing(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(1, max_n + 1):
+            bn = b[n]
             for m in range(1, max_n + 1):
-                ok = gcd(b[n], b[m]) == b[gcd(n, m)]
-                yield ok, f"gcd(B_{n}, B_{m}) != B_gcd({n},{m})"
+                yield (None if gcd(bn, b[m]) == b[gcd(n, m)]
+                       else f"gcd(B_{n}, B_{m}) != B_gcd({n},{m})")
 
     return _run_check("gcd-balancing", f"1 <= n, m <= {max_n}", cases())
 
 
 def check_gcd_lucas(max_n: int) -> CheckResult:
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    v2 = [0] + [valuation(2, n) for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(1, max_n + 1):
+            cn, vn = c[n], v2[n]
             for m in range(1, max_n + 1):
-                d = gcd(n, m)
-                want = c[d] if valuation(2, n) == valuation(2, m) else 1
-                yield gcd(c[n], c[m]) == want, f"gcd(C_{n}, C_{m}) != expected"
+                want = c[gcd(n, m)] if vn == v2[m] else 1
+                yield None if gcd(cn, c[m]) == want else f"gcd(C_{n}, C_{m}) != expected"
 
     return _run_check("gcd-lucas", f"1 <= n, m <= {max_n}", cases())
 
@@ -172,13 +179,14 @@ def check_gcd_lucas(max_n: int) -> CheckResult:
 def check_gcd_mixed(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    v2 = [0] + [valuation(2, n) for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(1, max_n + 1):
+            bn, vn = b[n], v2[n]
             for m in range(1, max_n + 1):
-                d = gcd(n, m)
-                want = c[d] if valuation(2, n) > valuation(2, m) else 1
-                yield gcd(b[n], c[m]) == want, f"gcd(B_{n}, C_{m}) != expected"
+                want = c[gcd(n, m)] if vn > v2[m] else 1
+                yield None if gcd(bn, c[m]) == want else f"gcd(B_{n}, C_{m}) != expected"
 
     return _run_check("gcd-mixed", f"1 <= n, m <= {max_n}", cases())
 
@@ -186,7 +194,8 @@ def check_gcd_mixed(max_n: int) -> CheckResult:
 def check_pell_coprime(max_n: int) -> CheckResult:
     p = values_up_to(SequenceKind.PELL, max_n)
     q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
-    cases = ((gcd(p[n], q[n]) == 1, f"gcd(P_{n}, Q_{n}) != 1") for n in range(1, max_n + 1))
+    cases = (None if gcd(p[n], q[n]) == 1 else f"gcd(P_{n}, Q_{n}) != 1"
+             for n in range(1, max_n + 1))
     return _run_check("pell-coprime", f"1 <= n <= {max_n}", cases)
 
 
@@ -196,17 +205,17 @@ def check_pell_coprime(max_n: int) -> CheckResult:
 
 def check_mod9_table(max_n: int) -> CheckResult:
     direct = residue_range(SequenceKind.BALANCING, 0, max_n, 9)
-    cases = ((residue_class_mod9(n) == direct[n], f"mod-9 table wrong at n={n}")
+    cases = (None if residue_class_mod9(n) == direct[n] else f"mod-9 table wrong at n={n}"
              for n in range(max_n + 1))
     return _run_check("mod9-table", f"0 <= n <= {max_n}", cases)
 
 
 def check_two_adic(max_n: int, max_k: int = 8) -> CheckResult:
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         for n in range(1, max_n + 1):
             for k in range(1, max_k + 1):
-                ok = two_adic_law(n, k) == (n % (1 << k) == 0)
-                yield ok, f"2^{k} | B_{n} does not match 2^{k} | {n}"
+                yield (None if two_adic_law(n, k) == (n % (1 << k) == 0)
+                       else f"2^{k} | B_{n} does not match 2^{k} | {n}")
 
     return _run_check("two-adic-law", f"1 <= n <= {max_n}, 1 <= k <= {max_k}", cases())
 
@@ -214,17 +223,18 @@ def check_two_adic(max_n: int, max_k: int = 8) -> CheckResult:
 def check_period_consistency(max_mu: int) -> CheckResult:
     """Periods restart the residue stream and divide the periods of multiples."""
 
-    def cases() -> Iterator[tuple[bool, str]]:
+    def cases() -> Iterator[str | None]:
         periods: dict[int, int] = {}
         for mu in range(2, max_mu + 1):
             t = period(mu).period
             periods[mu] = t
             stream = residue_range(SequenceKind.BALANCING, 0, 2 * t, mu)
-            ok = all(stream[k] == stream[k + t] for k in range(t + 1))
-            yield ok, f"period {t} does not reproduce the residues mod {mu}"
+            yield (None if stream[:t + 1] == stream[t:]
+                   else f"period {t} does not reproduce the residues mod {mu}")
         for mu, t in periods.items():
             for nu in range(2 * mu, max_mu + 1, mu):
-                yield periods[nu] % t == 0, f"period({mu}) does not divide period({nu})"
+                yield (None if periods[nu] % t == 0
+                       else f"period({mu}) does not divide period({nu})")
 
     return _run_check("period-consistency", f"2 <= mu <= {max_mu}", cases())
 
@@ -237,7 +247,7 @@ def check_sieve_soundness(samples: int = 200, seed: int = 20260809) -> CheckResu
         for q in (2, 3, 5):
             for _ in range(samples):
                 x = rng.randrange(1, 10 ** 6)
-                yield power_residue_sieve(x ** q, q), f"sieve rejected {x}^{q}"
+                yield None if power_residue_sieve(x ** q, q) else f"sieve rejected {x}^{q}"
 
     return _run_check("sieve-soundness", f"x <= 10^6 random, q in (2, 3, 5), {samples} each",
                       cases())

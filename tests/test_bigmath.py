@@ -4,7 +4,6 @@ import pytest
 
 from ballab.bigmath import (
     PowerDecomposition,
-    gcd,
     integer_kth_root,
     is_prime,
     perfect_power_decompose,
@@ -22,31 +21,6 @@ def brute_power_decompose(n: int) -> tuple[int, int]:
         if r ** q == n:
             base, exponent = r, q
     return base, exponent
-
-
-class TestGcd:
-    def test_values(self):
-        assert gcd(35, 1) == 1
-        assert gcd(6, 0) == 6
-        assert gcd(204, 6) == 6
-        assert gcd(0, 0) == 0
-        assert gcd(-12, 18) == 6
-
-    def test_properties_small_grid(self):
-        for a in range(0, 40):
-            for b in range(0, 40):
-                g = gcd(a, b)
-                assert g == gcd(b, a)
-                if g:
-                    assert a % g == 0 and b % g == 0
-
-    def test_big_random(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            g = rng.randrange(1, 10 ** 30)
-            a = g * rng.randrange(1, 10 ** 20)
-            b = g * rng.randrange(1, 10 ** 20)
-            assert gcd(a, b) % g == 0
 
 
 class TestValuation:

@@ -18,9 +18,9 @@ from ballab.sequences import SequenceKind, values_up_to
 class TestTermMod:
     def test_matches_direct_reduction(self):
         for kind in SequenceKind:
-            vals = values_up_to(kind, 200)
-            for modulus in (2, 7, 9, 64, 1000):
-                for n in (0, 1, 2, 17, 50, 199):
+            vals = values_up_to(kind, 400)
+            for modulus in (1, 2, 3, 7, 9, 64, 256, 1000, 10 ** 9 + 7, 10 ** 18, 2 ** 100):
+                for n in range(401):
                     assert term_mod(kind, n, modulus) == vals[n] % modulus
 
     def test_large_index(self):

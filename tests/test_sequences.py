@@ -42,7 +42,7 @@ def test_term_rejects_negative():
 
 def test_doubling_path_matches_iteration():
     # force the closed-form path with a zero threshold
-    for kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING):
+    for kind in SequenceKind:
         vals = values_up_to(kind, 90)
         for n in range(91):
             assert term(kind, n, doubling_threshold=0) == vals[n]

@@ -1,5 +1,7 @@
 import pytest
 
+import ballab.modular
+import ballab.verify
 from ballab.verify import (
     CheckResult,
     check_period_consistency,
@@ -59,3 +61,87 @@ def test_check_result_dict_shape():
     r = CheckResult(name="demo", bound="n <= 3", checked=4, passed=True)
     assert r.to_dict() == {"name": "demo", "bound": "n <= 3", "checked": 4,
                            "passed": True, "failures": []}
+
+
+# Indices whose values are corrupted (by +1) in every sequence, residue stream
+# and reduced term the suites read, so that each check meets failing cases.
+CORRUPT = {7, 9, 12, 13, 20, 21, 30}
+
+# run_suite("all", 60) under that corruption: (name, checked, passed, failures)
+CORRUPTED_RESULTS = [
+    ("half-index-sum", 961, False,
+     ["B_7 + B_1 != 2*B_4*C_3", "B_7 + B_3 != 2*B_5*C_2", "B_7 + B_5 != 2*B_6*C_1",
+      "B_8 + B_6 != 2*B_7*C_1", "B_9 + B_1 != 2*B_5*C_4"]),
+    ("half-index-diff", 961, False,
+     ["B_7 - B_1 != 2*B_3*C_4", "B_7 - B_3 != 2*B_2*C_5", "B_7 - B_5 != 2*B_1*C_6",
+      "B_8 - B_6 != 2*B_1*C_7", "B_9 - B_1 != 2*B_4*C_5"]),
+    ("pell-product", 61, False,
+     ["B_7 != P_7*Q_7", "B_9 != P_9*Q_9", "B_12 != P_12*Q_12", "B_13 != P_13*Q_13",
+      "B_20 != P_20*Q_20"]),
+    ("index-doubling", 61, False,
+     ["B_12 != 2*B_6*C_6", "B_14 != 2*B_7*C_7", "B_18 != 2*B_9*C_9", "B_20 != 2*B_10*C_10",
+      "B_24 != 2*B_12*C_12"]),
+    ("square-plus-one", 61, False,
+     ["8*B_7^2 + 1 != C_7^2", "8*B_9^2 + 1 != C_9^2", "8*B_12^2 + 1 != C_12^2",
+      "8*B_13^2 + 1 != C_13^2", "8*B_20^2 + 1 != C_20^2"]),
+    ("addition-formula", 3721, False,
+     ["B_7 != B_1*C_6 + C_1*B_6", "B_8 != B_1*C_7 + C_1*B_7", "B_9 != B_1*C_8 + C_1*B_8",
+      "B_10 != B_1*C_9 + C_1*B_9", "B_12 != B_1*C_11 + C_1*B_11"]),
+    ("lucas-odd", 61, False,
+     ["C_7 is even", "C_9 is even", "C_12 is even", "C_13 is even", "C_20 is even"]),
+    ("closed-form-agreement", 61, False,
+     ["closed form disagrees at n=7", "closed form disagrees at n=9",
+      "closed form disagrees at n=12", "closed form disagrees at n=13",
+      "closed form disagrees at n=20"]),
+    ("unit-norm", 61, True, []),
+    ("gcd-balancing", 3600, False,
+     ["gcd(B_2, B_7) != B_gcd(2,7)", "gcd(B_2, B_9) != B_gcd(2,9)",
+      "gcd(B_2, B_12) != B_gcd(2,12)", "gcd(B_2, B_13) != B_gcd(2,13)",
+      "gcd(B_2, B_20) != B_gcd(2,20)"]),
+    ("gcd-lucas", 3600, False,
+     ["gcd(C_1, C_7) != expected", "gcd(C_1, C_9) != expected", "gcd(C_1, C_13) != expected",
+      "gcd(C_1, C_21) != expected", "gcd(C_1, C_30) != expected"]),
+    ("gcd-mixed", 3600, False,
+     ["gcd(B_2, C_7) != expected", "gcd(B_2, C_9) != expected", "gcd(B_2, C_12) != expected",
+      "gcd(B_2, C_13) != expected", "gcd(B_2, C_20) != expected"]),
+    ("pell-coprime", 60, False,
+     ["gcd(P_7, Q_7) != 1", "gcd(P_9, Q_9) != 1", "gcd(P_13, Q_13) != 1",
+      "gcd(P_21, Q_21) != 1"]),
+    ("mod9-table", 61, False,
+     ["mod-9 table wrong at n=7", "mod-9 table wrong at n=9", "mod-9 table wrong at n=12",
+      "mod-9 table wrong at n=13", "mod-9 table wrong at n=20"]),
+    ("two-adic-law", 480, False,
+     ["2^1 | B_7 does not match 2^1 | 7", "2^2 | B_7 does not match 2^2 | 7",
+      "2^3 | B_7 does not match 2^3 | 7", "2^1 | B_9 does not match 2^1 | 9",
+      "2^1 | B_12 does not match 2^1 | 12"]),
+    ("period-consistency", 201, False,
+     ["period 4 does not reproduce the residues mod 3",
+      "period 4 does not reproduce the residues mod 4",
+      "period 6 does not reproduce the residues mod 5",
+      "period 4 does not reproduce the residues mod 6",
+      "period 8 does not reproduce the residues mod 8"]),
+    ("sieve-soundness", 600, True, []),
+]
+
+
+def test_failures_are_counted_and_reported(monkeypatch):
+    values_up_to = ballab.verify.values_up_to
+    residue_range = ballab.verify.residue_range
+    term_mod = ballab.modular.term_mod
+
+    def corrupt_values(kind, hi):
+        return [v + 1 if i in CORRUPT else v for i, v in enumerate(values_up_to(kind, hi))]
+
+    def corrupt_residues(kind, lo, hi, modulus):
+        return [(v + 1) % modulus if i in CORRUPT else v
+                for i, v in enumerate(residue_range(kind, lo, hi, modulus), lo)]
+
+    def corrupt_term_mod(kind, n, modulus):
+        v = term_mod(kind, n, modulus)
+        return (v + 1) % modulus if n in CORRUPT else v
+
+    monkeypatch.setattr(ballab.verify, "values_up_to", corrupt_values)
+    monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
+    monkeypatch.setattr(ballab.modular, "term_mod", corrupt_term_mod)
+    got = [(r.name, r.checked, r.passed, r.failures) for r in run_suite("all", 60)]
+    assert got == CORRUPTED_RESULTS
