@@ -1,9 +1,8 @@
 """Arbitrary-precision integer utilities.
 
-Exact p-adic valuation, integer k-th roots, maximal perfect-power
-decomposition, and small-prime stripping.  Everything works on plain
-Python ints (already arbitrary precision) with no floating point, so
-results are exact at any size.
+Integer k-th roots, maximal perfect-power decomposition, and small-prime
+stripping.  Everything works on plain Python ints (already arbitrary
+precision) with no floating point, so results are exact at any size.
 """
 
 from __future__ import annotations
@@ -40,25 +39,6 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-def valuation(p: int, n: int) -> int:
-    """Largest e with p**e dividing n.
-
-    Rejects n = 0 (the valuation would be infinite) and composite p.
-    """
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    n = abs(n)
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def integer_kth_root(n: int, k: int) -> int:

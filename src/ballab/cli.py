@@ -14,7 +14,6 @@ import json
 # argparse's gettext imports locale on first use; importing it here keeps that
 # cost in the CLI's import instead of inside main()
 import locale  # noqa: F401
-import os
 import sys
 import time
 
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--from", dest="lo", type=int, required=True)
     p_seq.add_argument("--to", dest="hi", type=int, required=True)
     p_seq.add_argument("--mod", type=int, default=None)
-    p_seq.add_argument("--format", choices=("json", "csv"), default=None)
+    p_seq.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_term = sub.add_parser("term", help="single term at an index")
     p_term.add_argument("--kind", required=True, choices=sorted(_KINDS))
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=None)
     p_search.add_argument("--coprime-zero-exempt", action=argparse.BooleanOptionalAction,
                           default=None)
-    p_search.add_argument("--no-sieve", action="store_true")
     p_search.add_argument("--workers", type=int, default=None,
                           help="accepted for compatibility; has no effect (searches run serially)")
     p_search.add_argument("--kind", choices=("balancing", "lucas-balancing"), default=None,
@@ -108,16 +106,13 @@ def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(f"invalid range [{args.lo}, {args.hi}]")
     if args.mod is not None and args.mod < 1:
         parser.error("--mod must be >= 1")
-    fmt = args.format or os.environ.get("BALLAB_FORMAT", "json")
-    if fmt not in ("json", "csv"):
-        parser.error(f"unsupported format {fmt!r}")
     terms = term_range(_KINDS[args.kind], args.lo, args.hi)
     results = [
         {"kind": t.kind.value, "index": t.index,
          "value": str(t.value % args.mod if args.mod else t.value)}
         for t in terms
     ]
-    if fmt == "csv":
+    if args.format == "csv":
         print("kind,index,value")
         for r in results:
             print(f"{r['kind']},{r['index']},{r['value']}")
@@ -264,7 +259,6 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parity_filter=Parity(args.parity or "any"),
         coprimality_required=coprime,
         coprime_zero_exempt=zero_exempt,
-        sieve_enabled=not args.no_sieve,
     )
 
     if eq == "sum-power":

@@ -14,11 +14,9 @@ verification: values are evaluated with big integers, and a deliberately
 dumb oracle re-solves small instances for equivalence testing.
 
 Power detection is one test, _maybe_decompose, giving the maximal-exponent
-decomposition.  Its restriction of the candidate exponents by small-prime
-valuations is an exact proof and always runs; SearchConfig.sieve_enabled
-(off with the CLI's --no-sieve, and still reported in the JSON config)
-switches only the modular residue sieve, which never discards a true power
-either, so results do not depend on it.
+decomposition.  It restricts the candidate exponents by small-prime
+valuations, then runs the modular residue sieve ahead of each exact root;
+neither step ever discards a true power.
 
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
@@ -70,7 +68,6 @@ class SearchConfig:
     parity_filter: Parity = Parity.ANY
     coprimality_required: bool = False
     coprime_zero_exempt: bool = True
-    sieve_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_index < 1:
@@ -81,6 +78,9 @@ class SearchConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["parity_filter"] = self.parity_filter.value
+        # The residue sieve always runs; the key is a constant that keeps
+        # record bounds and summary configs byte-stable for their readers.
+        d["sieve_enabled"] = True
         return d
 
 
@@ -230,15 +230,15 @@ def _root_exponent_cap(rest: int) -> int:
     return (10 * rest.bit_length() - 1) // 77
 
 
-def _maybe_decompose(value: int, sieve_enabled: bool) -> PowerDecomposition | None:
+def _maybe_decompose(value: int) -> PowerDecomposition | None:
     """Maximal decomposition of value >= 2, or None when value is no perfect power.
 
     If value = x**q, then q divides the valuation of value at every prime.
     The valuations at the primes <= 199 are folded into their gcd g: a single
     valuation of 1 rejects value outright, and otherwise only the primes
     dividing g (every prime when g = 0) remain candidate exponents for what
-    is left.  This restriction is exact and always runs; sieve_enabled only
-    adds the modular residue sieve ahead of each exact root.
+    is left, and each candidate meets the modular residue sieve before its
+    exact root is taken.
     """
     g = 0
     small = []
@@ -265,7 +265,7 @@ def _maybe_decompose(value: int, sieve_enabled: bool) -> PowerDecomposition | No
             if p > cap:
                 break
             while g % p == 0:
-                if sieve_enabled and not power_residue_sieve(rest, p):
+                if not power_residue_sieve(rest, p):
                     break
                 r = integer_kth_root(rest, p)
                 if r ** p != rest:
@@ -319,7 +319,7 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
                 out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
                                           family_min_exponent=cfg.min_exponent, bounds=cfg))
                 continue
-            decomp = _maybe_decompose(value, cfg.sieve_enabled)
+            decomp = _maybe_decompose(value)
             if decomp is None:
                 continue
             for q in _admissible_exponents(decomp, cfg.min_exponent):
@@ -382,7 +382,7 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
             out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,
                                          family_min_exponent=cfg.min_exponent))
             continue
-        decomp = _maybe_decompose(rest, cfg.sieve_enabled)
+        decomp = _maybe_decompose(rest)
         if decomp is None:
             continue
         for b in _admissible_exponents(decomp, cfg.min_exponent):
@@ -402,7 +402,7 @@ def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
             if odd == 1:
                 # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
                 raise ArithmeticError(f"pure power of two at ({n}, {m})")
-            decomp = _maybe_decompose(odd, cfg.sieve_enabled)
+            decomp = _maybe_decompose(odd)
             if decomp is None:
                 continue
             for q in _admissible_exponents(decomp, cfg.min_exponent):

@@ -15,6 +15,7 @@ from functools import lru_cache
 from .bigmath import primes_up_to
 from .sequences import RECURRENCE, SequenceKind
 
+
 def term_mod(kind: SequenceKind, n: int, modulus: int) -> int:
     """Sequence term at index n reduced mod modulus, in O(log n) steps.
 
@@ -70,7 +71,7 @@ class PeriodResult:
     prefix_checked: int  # indices over which restart <=> divisibility was confirmed
 
 
-def period(modulus: int, prefix_multiplier: int = 2) -> PeriodResult:
+def period(modulus: int) -> PeriodResult:
     """Least t >= 1 with B_t ≡ 0 and B_{t+1} ≡ 1 (mod modulus).
 
     The state map (B_k, B_{k+1}) -> (B_{k+1}, B_{k+2}) has determinant 1, so
@@ -80,8 +81,8 @@ def period(modulus: int, prefix_multiplier: int = 2) -> PeriodResult:
 
     The defining property additionally asks that t divide every restart
     index.  That holds automatically for a pure cycle, but it is confirmed
-    empirically over the first prefix_multiplier * t indices and the checked
-    extent is reported in the result.
+    empirically over the first 2 * t indices and the checked extent is
+    reported in the result.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -99,7 +100,7 @@ def period(modulus: int, prefix_multiplier: int = 2) -> PeriodResult:
                 f"no restart within {bound} iterations mod {modulus}; state map is broken"
             )
     # indices 1..t are settled (t is the first return); the walk goes on from t
-    prefix = prefix_multiplier * t
+    prefix = 2 * t
     for k in range(t + 1, prefix + 1):
         prev, cur = cur, (6 * cur - prev) % modulus
         if ((prev, cur) == start) != (k % t == 0):
@@ -134,8 +135,8 @@ def two_adic_law(n: int, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def default_sieve_moduli(q: int, count: int = 8) -> tuple[int, ...]:
-    """First `count` primes p with p ≡ 1 (mod q).
+def default_sieve_moduli(q: int) -> tuple[int, ...]:
+    """First eight primes p with p ≡ 1 (mod q).
 
     For such p the q-th-power residues form an index-q subgroup of the units
     mod p, which maximizes the sieve's rejection rate.
@@ -145,24 +146,22 @@ def default_sieve_moduli(q: int, count: int = 8) -> tuple[int, ...]:
     limit = 64
     while True:
         found = [p for p in primes_up_to(limit) if p % q == 1]
-        if len(found) >= count:
-            return tuple(found[:count])
+        if len(found) >= 8:
+            return tuple(found[:8])
         limit *= 2
 
 
-def power_residue_sieve(value: int, q: int, trial_moduli: tuple[int, ...] | None = None) -> bool:
+def power_residue_sieve(value: int, q: int) -> bool:
     """Can value be a q-th power?  False only on a modular proof that it cannot.
 
-    For each listed prime p not dividing value, value mod p must be a q-th
-    power residue, i.e. raise to (p-1)/gcd(q, p-1) must give 1.  A genuine
-    q-th power passes every such test, so False is always sound; True is
-    merely "not excluded".
+    For each prime p of default_sieve_moduli(q) not dividing value, value mod
+    p must be a q-th power residue, i.e. raise to (p-1)/gcd(q, p-1) must give
+    1.  A genuine q-th power passes every such test, so False is always
+    sound; True is merely "not excluded".
     """
     if q < 2:
         raise ValueError("exponent must be >= 2")
-    if trial_moduli is None:
-        trial_moduli = default_sieve_moduli(q)
-    for p in trial_moduli:
+    for p in default_sieve_moduli(q):
         r = value % p
         if r == 0:
             continue  # p | value: residue is 0, a q-th power residue; no information

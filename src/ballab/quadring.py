@@ -21,15 +21,6 @@ class QuadInt:
     a: int
     b: int
 
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        return QuadInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        return QuadInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b)
-
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         # (a+b√2)(c+d√2) = (ac+2bd) + (ad+bc)√2
         return QuadInt(
@@ -37,16 +28,12 @@ class QuadInt:
             self.a * other.b + self.b * other.a,
         )
 
-    def conjugate(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b)
-
     def norm(self) -> int:
         """a**2 - 2*b**2; multiplicative over products."""
         return self.a * self.a - 2 * self.b * self.b
 
 
 ONE = QuadInt(1, 0)
-SQRT2 = QuadInt(0, 1)
 ALPHA = QuadInt(3, 2)
 SILVER = QuadInt(1, 1)
 

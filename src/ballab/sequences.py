@@ -30,10 +30,6 @@ RECURRENCE: dict[SequenceKind, tuple[tuple[int, int], tuple[int, int]]] = {
     SequenceKind.ASSOCIATED_PELL: ((2, 1), (1, 1)),
 }
 
-# Isolated accesses above this index go through the closed form; dense ranges
-# and small indices iterate, which wins on constant factors.
-DOUBLING_THRESHOLD = 64
-
 
 @dataclass(frozen=True)
 class SeqTerm:
@@ -42,22 +38,13 @@ class SeqTerm:
     value: int
 
 
-def _iterate(kind: SequenceKind, n: int) -> int:
-    (c1, c2), (s0, s1) = RECURRENCE[kind]
-    if n == 0:
-        return s0
-    prev, cur = s0, s1
-    for _ in range(n - 1):
-        prev, cur = cur, c1 * cur + c2 * prev
-    return cur
+def term(kind: SequenceKind, n: int) -> int:
+    """Exact n-th term of the given sequence, n >= 0, in O(log n) ring products.
 
-
-def term(kind: SequenceKind, n: int, doubling_threshold: int = DOUBLING_THRESHOLD) -> int:
-    """Exact n-th term of the given sequence, n >= 0."""
+    alpha**n = C_n + 2*B_n*sqrt(2) and (1 + sqrt(2))**n = Q_n + P_n*sqrt(2).
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n <= doubling_threshold:
-        return _iterate(kind, n)
     if kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING):
         b, c = quadring.binet_extract(n)
         return b if kind is SequenceKind.BALANCING else c

@@ -143,7 +143,7 @@ def test_07_closed_form_agreement():
 def test_08_modular_laws():
     started = time.perf_counter()
     mod9 = check_mod9_table(600)
-    adic = check_two_adic(256, max_k=8)
+    adic = check_two_adic(256)
     elapsed = time.perf_counter() - started
     assert mod9.passed and mod9.checked == 601
     assert adic.passed and adic.checked == 256 * 8

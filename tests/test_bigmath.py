@@ -9,7 +9,6 @@ from ballab.bigmath import (
     perfect_power_decompose,
     primes_up_to,
     strip_prime,
-    valuation,
 )
 
 
@@ -24,27 +23,34 @@ def brute_power_decompose(n: int) -> tuple[int, int]:
 
 
 class TestValuation:
+    """strip_prime's exponent is the p-adic valuation; verify reads v_2 off it."""
+
     def test_values(self):
-        assert valuation(2, 204) == 2
-        assert valuation(2, 35) == 0
-        assert valuation(3, 18) == 2
-        assert valuation(5, -250) == 3
+        assert strip_prime(2, 204)[0] == 2
+        assert strip_prime(2, 35)[0] == 0
+        assert strip_prime(3, 18)[0] == 2
+        assert strip_prime(5, 250)[0] == 3
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            valuation(2, 0)
+            strip_prime(2, 0)
 
     @pytest.mark.parametrize("p", [1, 4, 6, 9, 15])
     def test_rejects_composite(self, p):
         with pytest.raises(ValueError):
-            valuation(p, 12)
+            strip_prime(p, 12)
 
     def test_matches_strip(self):
+        # the exponent strip_prime returns against plain repeated division
         rng = random.Random(2)
         for _ in range(100):
             n = rng.randrange(1, 10 ** 18)
             for p in (2, 3, 5, 7):
-                assert valuation(p, n) == strip_prime(p, n)[0]
+                e, m = 0, n
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                assert strip_prime(p, n)[0] == e
 
 
 class TestIntegerKthRoot:

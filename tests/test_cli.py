@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -49,12 +50,6 @@ class TestSeq:
         assert code == 0
         assert out.splitlines() == ["kind,index,value", "balancing,0,0",
                                     "balancing,1,1", "balancing,2,6"]
-
-    def test_env_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLAB_FORMAT", "csv")
-        code, out = run_cli(capsys, ["seq", "--kind", "balancing", "--from", "0", "--to", "1"])
-        assert code == 0
-        assert out.startswith("kind,index,value")
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BALLAB_FORMAT", "csv")
@@ -257,6 +252,57 @@ class TestSearch:
                                      "--parity", "same"])
         assert code == 0
         assert last_json_line(out)["claims"] is None
+
+
+def test_output_contract_without_sieve_switch_or_format_env(capsys, monkeypatch):
+    # The residue sieve always runs and record bounds and summary configs
+    # report sieve_enabled: true; --no-sieve is a usage error, and
+    # BALLAB_FORMAT is not read, so --format alone picks the output format.
+    searches = (["sum-power", "--max-index", "20", "--parity", "same"],
+                ["square-diff", "--max-index", "20"],
+                ["cube-sum-plus", "--max-index", "10"],
+                ["product-form", "--max-index", "10"],
+                ["special-form", "--kind", "balancing", "--max-index", "20"])
+    for argv in searches:
+        code, out = run_cli(capsys, ["search", *argv])
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+        assert records
+        assert all(r["bounds"]["sieve_enabled"] is True for r in records if "bounds" in r)
+        assert summary["config"]["sieve_enabled"] is True
+        code, _ = run_cli(capsys, ["search", *argv, "--no-sieve"])
+        assert code == 2
+    monkeypatch.setenv("BALLAB_FORMAT", "csv")
+    code, out = run_cli(capsys, ["seq", "--kind", "balancing", "--from", "0", "--to", "1"])
+    assert code == 0
+    assert json.loads(out)["command"] == "seq"
+
+
+CLI_SURFACE = {
+    "seq": ["--format", "--from", "--kind", "--mod", "--to"],
+    "term": ["--index", "--kind"],
+    "verify": ["--max-n", "--suite"],
+    "period": ["--mod"],
+    "search": ["--coprime", "--coprime-zero-exempt", "--kind", "--max-index", "--min-exp",
+               "--no-coprime", "--no-coprime-zero-exempt", "--parity", "--prime", "--workers",
+               "equation"],
+    "balancer": ["--value"],
+}
+
+
+def test_cli_surface():
+    # Every subcommand's exact options (positionals by name); a new knob has
+    # to be added here on purpose.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, subparser in sub.choices.items():
+        names = []
+        for action in subparser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                names += action.option_strings or [action.dest]
+        surface[name] = sorted(names)
+    assert surface == CLI_SURFACE
 
 
 def test_records_verify_round_trip(capsys):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from enum import Enum
 
 import pytest
@@ -36,7 +35,7 @@ class TestSearchConfig:
         assert cfg.parity_filter is Parity.ANY
         assert not cfg.coprimality_required
         assert cfg.coprime_zero_exempt
-        assert cfg.sieve_enabled
+        assert cfg.to_dict()["sieve_enabled"] is True
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -167,14 +166,16 @@ class TestProductForm:
 
 
 class TestSearchMechanics:
-    def test_sieve_transparency(self):
+    def test_sieve_transparency(self, monkeypatch):
+        # the residue sieve only rejects non-powers: with it passing everything,
+        # the exact roots alone give the same records
         configs = [
             (search_sum_power, SearchConfig(max_index=50)),
             (search_square_diff, SearchConfig(max_index=40, coprimality_required=True)),
         ]
-        for fn, cfg in configs:
-            no_sieve = replace(cfg, sieve_enabled=False)
-            assert solutions(fn(cfg)) == solutions(fn(no_sieve))
+        sieved = [solutions(fn(cfg)) for fn, cfg in configs]
+        monkeypatch.setattr(diophantine, "power_residue_sieve", lambda value, q: True)
+        assert [solutions(fn(cfg)) for fn, cfg in configs] == sieved
 
     def test_monotone_in_max_index(self):
         small = SearchConfig(max_index=20, parity_filter=Parity.SAME)
@@ -236,19 +237,16 @@ def test_power_test_matches_sieve_then_decompose(monkeypatch, search):
     """Every value a search hands to the power test gets the reference's answer."""
     seen = []
 
-    def recording_power_test(value, sieve_enabled):
+    def recording_power_test(value):
         seen.append(value)
-        return _maybe_decompose(value, sieve_enabled)
+        return _maybe_decompose(value)
 
     monkeypatch.setattr(diophantine, "_maybe_decompose", recording_power_test)
     search()
     assert seen
     for value in seen:
-        expected = reference_power_test(value)
-        for sieve_enabled in (True, False):
-            d = _maybe_decompose(value, sieve_enabled)
-            assert (None if d is None else (d.base, d.exponent)) == expected, \
-                (value, sieve_enabled)
+        d = _maybe_decompose(value)
+        assert (None if d is None else (d.base, d.exponent)) == reference_power_test(value), value
 
 
 class TestOracle:

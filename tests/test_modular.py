@@ -111,12 +111,12 @@ class TestSieve:
         assert default_sieve_moduli(2) == (3, 5, 7, 11, 13, 17, 19, 23)
         assert default_sieve_moduli(3) == (7, 13, 19, 31, 37, 43, 61, 67)
         assert default_sieve_moduli(5) == (11, 31, 41, 61, 71, 101, 131, 151)
-        for p in default_sieve_moduli(7, count=4):
+        for p in default_sieve_moduli(7):
             assert p % 7 == 1
 
     def test_examples(self):
-        assert power_residue_sieve(36, 2, (7,)) is True
-        assert power_residue_sieve(2, 3, (7,)) is False  # cubes mod 7 are {0, 1, 6}
+        assert power_residue_sieve(36, 2) is True
+        assert power_residue_sieve(2, 3) is False  # cubes mod 7 are {0, 1, 6}
 
     def test_soundness_dense(self):
         for x in range(1, 2000):

@@ -22,7 +22,6 @@ LARGE_PRIMES = tuple(p for p in primes_up_to(3000) if p > 199) + (
     1_000_003, 2_147_483_647, 2 ** 61 - 1)
 PRIME_EXPONENTS = primes_up_to(61)
 
-sieve_flags = st.booleans()
 prime_exponents = st.sampled_from(PRIME_EXPONENTS)
 
 
@@ -42,9 +41,9 @@ def reference(n):
     return (d.base, d.exponent) if d.exponent > 1 else None
 
 
-def assert_admits(x, q, sieve_enabled):
+def assert_admits(x, q):
     value = x ** q
-    d = _maybe_decompose(value, sieve_enabled)
+    d = _maybe_decompose(value)
     assert d is not None, (x, q)
     assert d.exponent % q == 0 and d.base ** d.exponent == value
 
@@ -53,34 +52,34 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 10 ** 12), prime_exponents, sieve_flags)
-def test_never_rejects_a_power(x, q, sieve_enabled):
-    assert_admits(x, q, sieve_enabled)
+@given(st.integers(2, 10 ** 12), prime_exponents)
+def test_never_rejects_a_power(x, q):
+    assert_admits(x, q)
 
 
 @PROPERTY_SETTINGS
-@given(products_of(SMALL_PRIMES), prime_exponents, sieve_flags)
-def test_never_rejects_a_power_of_small_primes(x, q, sieve_enabled):
-    assert_admits(x, q, sieve_enabled)
+@given(products_of(SMALL_PRIMES), prime_exponents)
+def test_never_rejects_a_power_of_small_primes(x, q):
+    assert_admits(x, q)
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(st.just(1), products_of(SMALL_PRIMES)), products_of(LARGE_PRIMES, 3, 3),
-       prime_exponents, sieve_flags)
-def test_never_rejects_a_power_with_large_prime_cofactor(small, large, q, sieve_enabled):
-    assert_admits(small * large, q, sieve_enabled)
+       prime_exponents)
+def test_never_rejects_a_power_with_large_prime_cofactor(small, large, q):
+    assert_admits(small * large, q)
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 10 ** 40), sieve_flags)
-def test_agrees_with_decompose_on_random_values(n, sieve_enabled):
-    assert as_pair(_maybe_decompose(n, sieve_enabled)) == reference(n)
+@given(st.integers(2, 10 ** 40))
+def test_agrees_with_decompose_on_random_values(n):
+    assert as_pair(_maybe_decompose(n)) == reference(n)
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(st.integers(2, 10 ** 6), products_of(SMALL_PRIMES, 3, 3),
                  products_of(LARGE_PRIMES, 2, 2)),
-       st.integers(2, 13), st.sampled_from(SMALL_PRIMES + LARGE_PRIMES), sieve_flags)
-def test_agrees_with_decompose_on_near_powers(x, q, ell, sieve_enabled):
+       st.integers(2, 13), st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+def test_agrees_with_decompose_on_near_powers(x, q, ell):
     n = x ** q * ell
-    assert as_pair(_maybe_decompose(n, sieve_enabled)) == reference(n)
+    assert as_pair(_maybe_decompose(n)) == reference(n)

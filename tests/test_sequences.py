@@ -41,11 +41,11 @@ def test_term_rejects_negative():
 
 
 def test_doubling_path_matches_iteration():
-    # force the closed-form path with a zero threshold
+    # term's closed form against the recurrence, from the initial values on
     for kind in SequenceKind:
         vals = values_up_to(kind, 90)
         for n in range(91):
-            assert term(kind, n, doubling_threshold=0) == vals[n]
+            assert term(kind, n) == vals[n]
 
 
 def test_term_range():

@@ -52,8 +52,8 @@ def test_period_consistency_counts_multiple_pairs():
 
 
 def test_sieve_soundness_is_seeded():
-    a = check_sieve_soundness(samples=50)
-    b = check_sieve_soundness(samples=50)
+    a = check_sieve_soundness()
+    b = check_sieve_soundness()
     assert a == b
 
 
