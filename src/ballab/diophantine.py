@@ -18,6 +18,25 @@ decomposition.  It restricts the candidate exponents by small-prime
 valuations, then runs the modular residue sieve ahead of each exact root;
 neither step ever discards a true power.
 
+Ahead of it, the pair and product searches reject most pairs in index space.
+With P, Q the Pell and associated Pell numbers, each value is built from two
+terms of known index (Behera-Panda 1999):
+
+    B_n + B_m        = P_{n+m} Q_{n-m}  (n - m even),  Q_{n+m} P_{n-m}  (odd)
+    B_n - B_m        = Q_{n+m} P_{n-m}  (n - m even),  P_{n+m} Q_{n-m}  (odd)
+    B_n**2 - B_m**2  = B_{n+m} B_{n-m}
+    B_n**3 +- B_m**3 = (B_n +- B_m) * F,  gcd(B_n +- B_m, F) | 3 for coprime terms
+    B_N * C_M        itself
+
+and the gcd laws (Panda 2009) name the common factor of the two terms, with
+d the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
+v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even, else 1.  The
+rest of a term is what is left once the primes <= 199 are divided out.  When
+the common factor's rest is 1, the two rests share no prime, so the value can
+be a q-th power only if both rests are: a per-index table of rest exponents
+rejects the pair without building its value when those exponents have gcd 1.
+The coprime-terms filter is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
+
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
 """
@@ -207,17 +226,21 @@ def _parity_ok(parity: Parity, n: int, m: int) -> bool:
     return True
 
 
-def _coprime_ok(bn: int, bm: int, cfg: SearchConfig) -> bool:
-    # gcd(x, 0) = x, so the literal gcd == 1 test only lets a zero term sit
-    # next to B_1 = 1.  The exemption additionally accepts B_2 = 6, the one
-    # extra shared factor the index-halving factorization tolerates; this is
-    # what keeps the published (2, 0) square-difference solution in scope
-    # without admitting the trivial B_n**2 - 0 squares for every n.
+def _coprime_ok(n: int, m: int, cfg: SearchConfig) -> bool:
+    """Whether B_n and B_m pass the coprimality filter, decided on the indices.
+
+    gcd(B_n, B_m) = B_gcd(n,m), and B_k = 1 only at k = 1.  For m = 0 the
+    literal test reads gcd(B_n, 0) = B_n, which lets a zero term sit next to
+    B_1 = 1 only.  The exemption additionally accepts B_2 = 6, the one extra
+    shared factor the index-halving factorization tolerates; this is what
+    keeps the published (2, 0) square-difference solution in scope without
+    admitting the trivial B_n**2 - 0 squares for every n.
+    """
     if not cfg.coprimality_required:
         return True
-    if bm == 0:
-        return bn in (1, 6) if cfg.coprime_zero_exempt else bn == 1
-    return math.gcd(bn, bm) == 1
+    if m == 0:
+        return n in (1, 2) if cfg.coprime_zero_exempt else n == 1
+    return math.gcd(n, m) == 1
 
 
 # Primes stripped by trial division before any root is taken.  What is left
@@ -230,6 +253,30 @@ def _root_exponent_cap(rest: int) -> int:
     return (10 * rest.bit_length() - 1) // 77
 
 
+def _root_out(rest: int, g: int) -> tuple[int, int]:
+    """(r, e) with r**e = rest > 1 and e the largest divisor of g admitting a root.
+
+    rest has no prime factor <= 199, and g = 0 admits every exponent.  Each
+    candidate prime meets the modular residue sieve before its exact root.
+    """
+    # Ascending primes, each retried until it fails: once rest is not a
+    # p-th power, none of its roots is, so no prime needs a second pass.
+    exponent = 1
+    cap = _root_exponent_cap(rest)
+    for p in primes_up_to(cap):
+        if p > cap:
+            break
+        while g % p == 0:
+            if not power_residue_sieve(rest, p):
+                break
+            r = integer_kth_root(rest, p)
+            if r ** p != rest:
+                break
+            rest, exponent, g = r, exponent * p, g // p
+            cap = _root_exponent_cap(rest)
+    return rest, exponent
+
+
 def _maybe_decompose(value: int) -> PowerDecomposition | None:
     """Maximal decomposition of value >= 2, or None when value is no perfect power.
 
@@ -237,8 +284,7 @@ def _maybe_decompose(value: int) -> PowerDecomposition | None:
     The valuations at the primes <= 199 are folded into their gcd g: a single
     valuation of 1 rejects value outright, and otherwise only the primes
     dividing g (every prime when g = 0) remain candidate exponents for what
-    is left, and each candidate meets the modular residue sieve before its
-    exact root is taken.
+    is left.
     """
     g = 0
     small = []
@@ -257,21 +303,7 @@ def _maybe_decompose(value: int) -> PowerDecomposition | None:
     if rest == 1:
         exponent = g
     else:
-        # Ascending primes, each retried until it fails: once rest is not a
-        # p-th power, none of its roots is, so no prime needs a second pass.
-        exponent = 1
-        cap = _root_exponent_cap(rest)
-        for p in primes_up_to(cap):
-            if p > cap:
-                break
-            while g % p == 0:
-                if not power_residue_sieve(rest, p):
-                    break
-                r = integer_kth_root(rest, p)
-                if r ** p != rest:
-                    break
-                rest, exponent, g = r, exponent * p, g // p
-                cap = _root_exponent_cap(rest)
+        rest, exponent = _root_out(rest, g)
     if exponent == 1:
         return None
     base = rest
@@ -294,38 +326,133 @@ def _verified(records: list) -> list:
     return records
 
 
-def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
-    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
-    c = None
-    if tag is EquationTag.SUM_POWER:
-        c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
-    include_diagonal = tag is EquationTag.SUM_POWER
-    out: list[SolutionRecord] = []
-    for n in range(cfg.max_index + 1):
-        top = n + 1 if include_diagonal else n
-        for m in range(top):
-            if not _parity_ok(cfg.parity_filter, n, m):
+# ---------------------------------------------------------------------------
+# index space
+
+
+class _RestExponents(dict):
+    """Index k -> maximal exponent of the rest of one sequence's k-th term.
+
+    The rest is the term with the primes <= 199 divided out; exponent 0
+    stands for rest 1, which is an e-th power for every e.  Entries are
+    filled on first use; the term must be nonzero.
+    """
+
+    def __init__(self, kind: SequenceKind, hi: int) -> None:
+        super().__init__()
+        self.values = values_up_to(kind, hi)
+
+    def __missing__(self, k: int) -> int:
+        rest = self.values[k]
+        for ell in _SMALL_PRIMES:
+            while rest % ell == 0:
+                rest //= ell
+        e = self[k] = 0 if rest == 1 else _root_out(rest, 0)[1]
+        return e
+
+
+def _sum_split(max_index: int, minus: bool):
+    """(n, m) -> rest exponents of the two Pell factors of B_n +- B_m and of their gcd.
+
+    With s = n + m and t = n - m >= 0:
+        B_n + B_m = P_s Q_t (t even),  Q_s P_t (t odd);
+        B_n - B_m = Q_s P_t (t even),  P_s Q_t (t odd).
+    gcd(P_a, Q_b) = Q_gcd(a,b) when v2(a) > v2(b), else 1; Q_0 = 1.
+    """
+    p = _RestExponents(SequenceKind.PELL, 2 * max_index)
+    q = _RestExponents(SequenceKind.ASSOCIATED_PELL, 2 * max_index)
+
+    def split(n: int, m: int) -> tuple[int, int, int]:
+        s, t = n + m, n - m
+        if t % 2:
+            # both indices odd, so v2 is 0 on both sides: the gcd is 1
+            return (p[s], q[t], 0) if minus else (q[s], p[t], 0)
+        # for a, b >= 1, v2(a) > v2(b) exactly when a's lowest set bit is higher
+        if minus:
+            return q[s], p[t], q[math.gcd(s, t)] if (t & -t) > (s & -s) else 0
+        return p[s], q[t], q[math.gcd(s, t)] if t and (s & -s) > (t & -t) else 0
+
+    return split
+
+
+def _square_diff_split(max_index: int):
+    """(n, m) -> rest exponents of B_{n+m}, B_{n-m} and their gcd B_gcd(n+m, n-m)."""
+    b = _RestExponents(SequenceKind.BALANCING, 2 * max_index)
+
+    def split(n: int, m: int) -> tuple[int, int, int]:
+        s, t = n + m, n - m
+        return b[s], b[t], b[math.gcd(s, t)]
+
+    return split
+
+
+def _product_split(max_index: int):
+    """(N, M) -> rest exponents of B_N, C_M and their gcd.
+
+    gcd(B_N, C_M) = C_d when N/d is even, else 1, with d = gcd(N, M).
+    """
+    b = _RestExponents(SequenceKind.BALANCING, max_index)
+    c = _RestExponents(SequenceKind.LUCAS_BALANCING, max_index)
+
+    def split(n: int, m: int) -> tuple[int, int, int]:
+        d = math.gcd(n, m)
+        return b[n], c[m], c[d] if (n // d) % 2 == 0 else 0
+
+    return split
+
+
+def _scan(pairs, split, solve) -> list:
+    """Records of solve(n, m) over the pairs that index space cannot reject, verified.
+
+    split(n, m) gives the rest exponents (x, y, shared) of two terms whose
+    product carries the pair's value, and of their gcd.  shared = 0 means
+    the gcd's rest is 1, so the two rests share no prime.  A q-th power
+    then needs both rests to be q-th powers, i.e. q | x and q | y (any q
+    divides 0), and gcd(x, y) = 1 leaves no q >= 2: the pair is rejected
+    without its value being built.  Pairs with m = 0 are not split.
+    """
+    out = []
+    for n, m in pairs:
+        if m:
+            x, y, shared = split(n, m)
+            if shared == 0 and math.gcd(x, y) == 1:
                 continue
-            if not _coprime_ok(b[n], b[m], cfg):
-                continue
-            value = _pair_value(tag, b[n], b[m])
-            if value <= 0:
-                continue
-            if tag is EquationTag.SUM_POWER and (n - m) % 2 == 0:
-                # cross-check the half-index factorization before any power test
-                if value != 2 * b[(n + m) // 2] * c[(n - m) // 2]:
-                    raise ArithmeticError(f"half-index factorization failed at ({n}, {m})")
-            if value == 1:
-                out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
-                                          family_min_exponent=cfg.min_exponent, bounds=cfg))
-                continue
-            decomp = _maybe_decompose(value)
-            if decomp is None:
-                continue
-            for q in _admissible_exponents(decomp, cfg.min_exponent):
-                out.append(SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
-                                          family_min_exponent=None, bounds=cfg))
+        out.extend(solve(n, m))
     return _verified(out)
+
+
+def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
+    if tag is EquationTag.SQUARE_DIFF:
+        split = _square_diff_split(cfg.max_index)
+    else:
+        # For the cube forms the split is that of the first factor B_n +- B_m.
+        # Under coprime terms its gcd with the second factor divides 3, so at
+        # every prime >= 211 the value's valuation is the first factor's or
+        # the second's, never both: the value is a q-th power only if the
+        # first factor's rest is a q-th power.  The cube searches require
+        # coprime terms, so every pair they split has them.
+        split = _sum_split(cfg.max_index, minus=tag is EquationTag.CUBE_SUM_MINUS)
+    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
+    include_diagonal = tag is EquationTag.SUM_POWER
+    pairs = ((n, m) for n in range(cfg.max_index + 1)
+             for m in range(n + 1 if include_diagonal else n)
+             if _parity_ok(cfg.parity_filter, n, m) and _coprime_ok(n, m, cfg))
+
+    def solve(n: int, m: int) -> list[SolutionRecord]:
+        value = _pair_value(tag, b[n], b[m])
+        if value <= 0:
+            return []
+        if value == 1:
+            return [SolutionRecord(tag, n, m, x=1, exponent=None,
+                                   family_min_exponent=cfg.min_exponent, bounds=cfg)]
+        decomp = _maybe_decompose(value)
+        if decomp is None:
+            return []
+        return [SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
+                               family_min_exponent=None, bounds=cfg)
+                for q in _admissible_exponents(decomp, cfg.min_exponent)]
+
+    return _scan(pairs, split, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +522,20 @@ def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
     """Pairs (N, M) in [1, max_index]**2 with B_N * C_M = 2**p * x**q, q >= min_exponent."""
     b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
-    out: list[ProductFormRecord] = []
-    for n in range(1, cfg.max_index + 1):
-        for m in range(1, cfg.max_index + 1):
-            s, odd = strip_prime(2, b[n] * c[m])
-            if odd == 1:
-                # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
-                raise ArithmeticError(f"pure power of two at ({n}, {m})")
-            decomp = _maybe_decompose(odd)
-            if decomp is None:
-                continue
-            for q in _admissible_exponents(decomp, cfg.min_exponent):
-                out.append(ProductFormRecord(n=n, m=m, two_exponent=s,
-                                             x=decomp.root_for(q), exponent=q))
-    return _verified(out)
+
+    def solve(n: int, m: int) -> list[ProductFormRecord]:
+        s, odd = strip_prime(2, b[n] * c[m])
+        if odd == 1:
+            # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
+            raise ArithmeticError(f"pure power of two at ({n}, {m})")
+        decomp = _maybe_decompose(odd)
+        if decomp is None:
+            return []
+        return [ProductFormRecord(n=n, m=m, two_exponent=s, x=decomp.root_for(q), exponent=q)
+                for q in _admissible_exponents(decomp, cfg.min_exponent)]
+
+    indices = range(1, cfg.max_index + 1)
+    return _scan(((n, m) for n in indices for m in indices), _product_split(cfg.max_index), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +559,11 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
         for m in range(top):
             if not _parity_ok(cfg.parity_filter, n, m):
                 continue
-            if not _coprime_ok(b[n], b[m], cfg):
-                continue
+            if cfg.coprimality_required:
+                # the literal gcd test, with the zero exemption's one extra partner
+                exempt = b[m] == 0 and cfg.coprime_zero_exempt and b[n] == 6
+                if math.gcd(b[n], b[m]) != 1 and not exempt:
+                    continue
             value = _pair_value(tag, b[n], b[m])
             if value <= 0:
                 continue

@@ -1,17 +1,30 @@
+import itertools
 import math
 from enum import Enum
 
 import pytest
 
 from ballab import diophantine
-from ballab.bigmath import integer_kth_root, is_prime, perfect_power_decompose, primes_up_to
+from ballab.bigmath import (
+    PowerDecomposition,
+    integer_kth_root,
+    is_prime,
+    perfect_power_decompose,
+    primes_up_to,
+    strip_prime,
+)
 from ballab.cli import canonical_json
 from ballab.diophantine import (
     EquationTag,
     Parity,
+    ProductFormRecord,
     SearchConfig,
     SolutionRecord,
+    _admissible_exponents,
     _maybe_decompose,
+    _pair_value,
+    _parity_ok,
+    _verified,
     oracle_search,
     search_cube_sum,
     search_product_form,
@@ -20,7 +33,7 @@ from ballab.diophantine import (
     search_sum_power,
 )
 from ballab.modular import power_residue_sieve
-from ballab.sequences import SequenceKind
+from ballab.sequences import SequenceKind, values_up_to
 
 
 def solutions(records):
@@ -214,27 +227,183 @@ def reference_power_test(value):
     return (d.base, d.exponent) if d.exponent > 1 else None
 
 
+def reference_decompose(value):
+    """reference_power_test in the shape of _maybe_decompose."""
+    found = reference_power_test(value)
+    return None if found is None else PowerDecomposition(*found)
+
+
+# ---------------------------------------------------------------------------
+# reference scans
+#
+# The pair and product searches as they were before index space: every pair
+# builds its big integer, takes a big-integer gcd and meets the power test.
+# Kept verbatim apart from the power_test parameter, as the gate for the
+# index-space searches.
+
+
+def _reference_coprime_ok(bn, bm, cfg):
+    if not cfg.coprimality_required:
+        return True
+    if bm == 0:
+        return bn in (1, 6) if cfg.coprime_zero_exempt else bn == 1
+    return math.gcd(bn, bm) == 1
+
+
+def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
+    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
+    c = None
+    if tag is EquationTag.SUM_POWER:
+        c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
+    include_diagonal = tag is EquationTag.SUM_POWER
+    out = []
+    for n in range(cfg.max_index + 1):
+        top = n + 1 if include_diagonal else n
+        for m in range(top):
+            if not _parity_ok(cfg.parity_filter, n, m):
+                continue
+            if not _reference_coprime_ok(b[n], b[m], cfg):
+                continue
+            value = _pair_value(tag, b[n], b[m])
+            if value <= 0:
+                continue
+            if tag is EquationTag.SUM_POWER and (n - m) % 2 == 0:
+                # cross-check the half-index factorization before any power test
+                if value != 2 * b[(n + m) // 2] * c[(n - m) // 2]:
+                    raise ArithmeticError(f"half-index factorization failed at ({n}, {m})")
+            if value == 1:
+                out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
+                                          family_min_exponent=cfg.min_exponent, bounds=cfg))
+                continue
+            decomp = power_test(value)
+            if decomp is None:
+                continue
+            for q in _admissible_exponents(decomp, cfg.min_exponent):
+                out.append(SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
+                                          family_min_exponent=None, bounds=cfg))
+    return _verified(out)
+
+
+def reference_product_search(cfg, power_test=_maybe_decompose):
+    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
+    out = []
+    for n in range(1, cfg.max_index + 1):
+        for m in range(1, cfg.max_index + 1):
+            s, odd = strip_prime(2, b[n] * c[m])
+            if odd == 1:
+                # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
+                raise ArithmeticError(f"pure power of two at ({n}, {m})")
+            decomp = power_test(odd)
+            if decomp is None:
+                continue
+            for q in _admissible_exponents(decomp, cfg.min_exponent):
+                out.append(ProductFormRecord(n=n, m=m, two_exponent=s,
+                                             x=decomp.root_for(q), exponent=q))
+    return _verified(out)
+
+
+def as_json(records):
+    return canonical_json([r.to_dict() for r in records])
+
+
 def _cube_cfg(max_index):
     return SearchConfig(max_index=max_index, min_exponent=3, coprimality_required=True,
                         coprime_zero_exempt=False)
 
 
+# tag -> the search for that equation
+PAIR_SEARCHES = {
+    EquationTag.SUM_POWER: search_sum_power,
+    EquationTag.SQUARE_DIFF: search_square_diff,
+    EquationTag.CUBE_SUM_PLUS: lambda cfg: search_cube_sum(cfg, "+"),
+    EquationTag.CUBE_SUM_MINUS: lambda cfg: search_cube_sum(cfg, "-"),
+}
+
+
+def every_setting(tag, max_index):
+    """Each parity x coprime x zero-exempt x min-exp in {2, 3, 4} the search accepts."""
+    for parity, coprime, zero_exempt, min_exp in itertools.product(
+            Parity, (False, True), (False, True), (2, 3, 4)):
+        if tag is not EquationTag.SUM_POWER and not coprime:
+            continue
+        if tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS) and min_exp < 3:
+            continue
+        yield SearchConfig(max_index=max_index, min_exponent=min_exp, parity_filter=parity,
+                           coprimality_required=coprime, coprime_zero_exempt=zero_exempt)
+
+
+GATE_BOUNDS = (1, 2, 3, 13, 150)
+
+
+@pytest.mark.parametrize("tag", list(PAIR_SEARCHES), ids=lambda t: t.value)
+def test_pair_search_matches_reference_scan_in_every_setting(tag):
+    search = PAIR_SEARCHES[tag]
+    for max_index in GATE_BOUNDS:
+        for cfg in every_setting(tag, max_index):
+            assert as_json(search(cfg)) == as_json(reference_pair_search(tag, cfg)), cfg
+
+
+def test_product_search_matches_reference_scan_in_every_setting():
+    for max_index in GATE_BOUNDS:
+        for min_exp in (2, 3, 4):
+            cfg = SearchConfig(max_index=max_index, min_exponent=min_exp)
+            assert as_json(search_product_form(cfg)) == \
+                as_json(reference_product_search(cfg)), cfg
+
+
+@pytest.mark.parametrize("tag, cfg", [
+    (EquationTag.SUM_POWER, SearchConfig(max_index=400)),
+    (EquationTag.SQUARE_DIFF, SearchConfig(max_index=400, coprimality_required=True)),
+    (EquationTag.CUBE_SUM_PLUS, _cube_cfg(400)),
+    (EquationTag.CUBE_SUM_MINUS, _cube_cfg(400)),
+    (None, SearchConfig(max_index=320)),
+], ids=["sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus", "product-form"])
+def test_search_matches_reference_scan_at_large_bound(tag, cfg):
+    if tag is None:
+        assert as_json(search_product_form(cfg)) == as_json(reference_product_search(cfg))
+    else:
+        assert as_json(PAIR_SEARCHES[tag](cfg)) == as_json(reference_pair_search(tag, cfg))
+
+
+def _against_reference_scan(search, tag, cfg):
+    if tag is None:
+        return lambda: search(cfg), lambda: reference_product_search(cfg, reference_decompose)
+    return lambda: search(cfg), lambda: reference_pair_search(tag, cfg, reference_decompose)
+
+
+# name -> (search, the reference scan running the earlier power test, or None)
 POWER_TEST_SEARCHES = {
-    "sum-power-any-150": lambda: search_sum_power(SearchConfig(max_index=150)),
-    "square-diff-100": lambda: search_square_diff(
+    "sum-power-any-150": _against_reference_scan(
+        search_sum_power, EquationTag.SUM_POWER, SearchConfig(max_index=150)),
+    "square-diff-100": _against_reference_scan(
+        search_square_diff, EquationTag.SQUARE_DIFF,
         SearchConfig(max_index=100, coprimality_required=True)),
-    "cube-sum-plus-100": lambda: search_cube_sum(_cube_cfg(100), "+"),
-    "cube-sum-minus-100": lambda: search_cube_sum(_cube_cfg(100), "-"),
-    "product-form-100": lambda: search_product_form(SearchConfig(max_index=100)),
+    "cube-sum-plus-100": _against_reference_scan(
+        PAIR_SEARCHES[EquationTag.CUBE_SUM_PLUS], EquationTag.CUBE_SUM_PLUS, _cube_cfg(100)),
+    "cube-sum-minus-100": _against_reference_scan(
+        PAIR_SEARCHES[EquationTag.CUBE_SUM_MINUS], EquationTag.CUBE_SUM_MINUS, _cube_cfg(100)),
+    "product-form-100": _against_reference_scan(
+        search_product_form, None, SearchConfig(max_index=100)),
     **{f"special-form-{kind.value}-{p}-600":
-       (lambda kind=kind, p=p: search_special_form(kind, p, SearchConfig(max_index=600)))
+       (lambda kind=kind, p=p: search_special_form(kind, p, SearchConfig(max_index=600)), None)
        for kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING) for p in (2, 3)},
 }
 
 
-@pytest.mark.parametrize("search", POWER_TEST_SEARCHES.values(), ids=POWER_TEST_SEARCHES.keys())
-def test_power_test_matches_sieve_then_decompose(monkeypatch, search):
-    """Every value a search hands to the power test gets the reference's answer."""
+@pytest.mark.parametrize("search, reference", POWER_TEST_SEARCHES.values(),
+                         ids=POWER_TEST_SEARCHES.keys())
+def test_power_test_matches_sieve_then_decompose(monkeypatch, search, reference):
+    """Each search agrees with the earlier power test: the sieve, then decomposition.
+
+    Index space hands the power test only the pairs it cannot reject, so the
+    pair and product searches are compared whole against the reference scans
+    running the earlier test.  The special-form scans hand it every value,
+    and each value gets the reference's answer.
+    """
+    if reference is not None:
+        assert as_json(search()) == as_json(reference())
+        return
     seen = []
 
     def recording_power_test(value):
