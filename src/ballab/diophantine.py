@@ -19,23 +19,40 @@ valuations, then runs the modular residue sieve ahead of each exact root;
 neither step ever discards a true power.
 
 Ahead of it, the pair and product searches reject most pairs in index space.
-With P, Q the Pell and associated Pell numbers, each value is built from two
-terms of known index (Behera-Panda 1999):
+With P, Q the Pell and associated Pell numbers, s = n + m and t = n - m,
+each value is a product of two terms of known index (Behera-Panda 1999):
 
-    B_n + B_m        = P_{n+m} Q_{n-m}  (n - m even),  Q_{n+m} P_{n-m}  (odd)
-    B_n - B_m        = Q_{n+m} P_{n-m}  (n - m even),  P_{n+m} Q_{n-m}  (odd)
-    B_n**2 - B_m**2  = B_{n+m} B_{n-m}
+    B_n + B_m        = P_s Q_t  (t even),  Q_s P_t  (t odd)
+    B_n - B_m        = Q_s P_t  (t even),  P_s Q_t  (t odd)
+    B_n**2 - B_m**2  = B_s B_t
     B_n**3 +- B_m**3 = (B_n +- B_m) * F,  gcd(B_n +- B_m, F) | 3 for coprime terms
     B_N * C_M        itself
 
 and the gcd laws (Panda 2009) name the common factor of the two terms, with
 d the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
-v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even, else 1.  The
-rest of a term is what is left once the primes <= 199 are divided out.  When
-the common factor's rest is 1, the two rests share no prime, so the value can
-be a q-th power only if both rests are: a per-index table of rest exponents
-rejects the pair without building its value when those exponents have gcd 1.
-The coprime-terms filter is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
+v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even (v2(N) > v2(M)),
+else 1.  The rest of a term is what is left once the primes <= 199 are
+divided out; per-index tables hold each rest's perfect-power exponent and the
+term's valuations at those primes.  A q-th power has q dividing its valuation
+at every prime, so a pair is rejected without building its value when
+- the common factor's rest is 1, so the two rests share no prime and both
+  must be q-th powers, and their exponents have gcd 1; or
+- the two terms' summed valuations at the primes <= 199 have gcd 1 (not for
+  the cube forms, whose second factor has no table; product-form leaves out
+  the 2, which it splits off).
+
+The searches walk index space by rows: a row is one index b of one term (t,
+or M for product-form), and its pairs run over the other index a (s, or N).
+When the row term's rest exponent is 1, the first rule rejects every pair
+whose common factor is 1 by the gcd laws, so the row visits only
+- the multiples of 2**(v2(b)+1), i.e. v2(a) > v2(b), for B_n + B_m (and the
+  plus cube form through it) and for product-form;
+- the a with v2(a) < v2(b) for B_n - B_m;
+- no a at all for B_n +- B_m with odd t, since s and t then are both odd;
+- no a at all under coprime terms, since gcd(s, t) | 2 and B_1, B_2, Q_1, Q_2
+  have rest 1.
+Other rows visit every pair.  --parity selects rows (same parity is even t),
+and the coprime-terms filter is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
 
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
@@ -263,7 +280,8 @@ def _root_out(rest: int, g: int) -> tuple[int, int]:
     # p-th power, none of its roots is, so no prime needs a second pass.
     exponent = 1
     cap = _root_exponent_cap(rest)
-    for p in primes_up_to(cap):
+    # one cached prime fill per power-of-two limit, not one per cap
+    for p in primes_up_to(1 << cap.bit_length()):
         if p > cap:
             break
         while g % p == 0:
@@ -330,113 +348,119 @@ def _verified(records: list) -> list:
 # index space
 
 
-class _RestExponents(dict):
-    """Index k -> maximal exponent of the rest of one sequence's k-th term.
+class _Terms(dict):
+    """Index k -> (rest exponent, small-prime valuations) of one sequence's k-th term.
 
     The rest is the term with the primes <= 199 divided out; exponent 0
-    stands for rest 1, which is an e-th power for every e.  Entries are
-    filled on first use; the term must be nonzero.
+    stands for rest 1, which is an e-th power for every e.  The valuations
+    map each prime of `valued` that divides the term to its exponent.
+    Entries are filled on first use; the term must be nonzero.
     """
 
-    def __init__(self, kind: SequenceKind, hi: int) -> None:
+    def __init__(self, kind: SequenceKind, hi: int,
+                 valued: tuple[int, ...] = _SMALL_PRIMES) -> None:
         super().__init__()
         self.values = values_up_to(kind, hi)
+        self.valued = valued
 
-    def __missing__(self, k: int) -> int:
+    def __missing__(self, k: int) -> tuple[int, dict[int, int]]:
         rest = self.values[k]
+        vals = {}
         for ell in _SMALL_PRIMES:
-            while rest % ell == 0:
-                rest //= ell
-        e = self[k] = 0 if rest == 1 else _root_out(rest, 0)[1]
-        return e
+            if rest % ell == 0:
+                e = 0
+                while rest % ell == 0:
+                    rest //= ell
+                    e += 1
+                if ell in self.valued:
+                    vals[ell] = e
+        entry = self[k] = (0 if rest == 1 else _root_out(rest, 0)[1], vals)
+        return entry
 
 
-def _sum_split(max_index: int, minus: bool):
-    """(n, m) -> rest exponents of the two Pell factors of B_n +- B_m and of their gcd.
+def _scan(visits, solve) -> list:
+    """Records of solve(n, m) over the visited pairs that index space cannot reject, verified.
 
-    With s = n + m and t = n - m >= 0:
-        B_n + B_m = P_s Q_t (t even),  Q_s P_t (t odd);
-        B_n - B_m = Q_s P_t (t even),  P_s Q_t (t odd).
-    gcd(P_a, Q_b) = Q_gcd(a,b) when v2(a) > v2(b), else 1; Q_0 = 1.
+    visits yields (n, m, x, y, shared): the table entries of the two terms
+    whose product is the pair's value, and the rest exponent of their common
+    factor (0 for rest 1); x is None for a pair that is not split (m = 0).
+    The two rejection rules are the module docstring's.  Survivors are
+    solved in (n, m) order, so records come out sorted.
     """
-    p = _RestExponents(SequenceKind.PELL, 2 * max_index)
-    q = _RestExponents(SequenceKind.ASSOCIATED_PELL, 2 * max_index)
-
-    def split(n: int, m: int) -> tuple[int, int, int]:
-        s, t = n + m, n - m
-        if t % 2:
-            # both indices odd, so v2 is 0 on both sides: the gcd is 1
-            return (p[s], q[t], 0) if minus else (q[s], p[t], 0)
-        # for a, b >= 1, v2(a) > v2(b) exactly when a's lowest set bit is higher
-        if minus:
-            return q[s], p[t], q[math.gcd(s, t)] if (t & -t) > (s & -s) else 0
-        return p[s], q[t], q[math.gcd(s, t)] if t and (s & -s) > (t & -t) else 0
-
-    return split
-
-
-def _square_diff_split(max_index: int):
-    """(n, m) -> rest exponents of B_{n+m}, B_{n-m} and their gcd B_gcd(n+m, n-m)."""
-    b = _RestExponents(SequenceKind.BALANCING, 2 * max_index)
-
-    def split(n: int, m: int) -> tuple[int, int, int]:
-        s, t = n + m, n - m
-        return b[s], b[t], b[math.gcd(s, t)]
-
-    return split
-
-
-def _product_split(max_index: int):
-    """(N, M) -> rest exponents of B_N, C_M and their gcd.
-
-    gcd(B_N, C_M) = C_d when N/d is even, else 1, with d = gcd(N, M).
-    """
-    b = _RestExponents(SequenceKind.BALANCING, max_index)
-    c = _RestExponents(SequenceKind.LUCAS_BALANCING, max_index)
-
-    def split(n: int, m: int) -> tuple[int, int, int]:
-        d = math.gcd(n, m)
-        return b[n], c[m], c[d] if (n // d) % 2 == 0 else 0
-
-    return split
-
-
-def _scan(pairs, split, solve) -> list:
-    """Records of solve(n, m) over the pairs that index space cannot reject, verified.
-
-    split(n, m) gives the rest exponents (x, y, shared) of two terms whose
-    product carries the pair's value, and of their gcd.  shared = 0 means
-    the gcd's rest is 1, so the two rests share no prime.  A q-th power
-    then needs both rests to be q-th powers, i.e. q | x and q | y (any q
-    divides 0), and gcd(x, y) = 1 leaves no q >= 2: the pair is rejected
-    without its value being built.  Pairs with m = 0 are not split.
-    """
-    out = []
-    for n, m in pairs:
-        if m:
-            x, y, shared = split(n, m)
-            if shared == 0 and math.gcd(x, y) == 1:
+    keep = []
+    for n, m, x, y, shared in visits:
+        if x is not None:
+            (ex, vx), (ey, vy) = x, y
+            if shared == 0 and math.gcd(ex, ey) == 1:
                 continue
+            g = 0
+            for ell in vx.keys() | vy.keys():
+                g = math.gcd(g, vx.get(ell, 0) + vy.get(ell, 0))
+            if g == 1:
+                continue
+        keep.append((n, m))
+    out = []
+    for n, m in sorted(keep):
         out.extend(solve(n, m))
     return _verified(out)
 
 
-def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
-    if tag is EquationTag.SQUARE_DIFF:
-        split = _square_diff_split(cfg.max_index)
+def _pair_visits(tag: EquationTag, cfg: SearchConfig):
+    """Visits (see _scan) of a pair search, by rows t = n - m over s = n + m.
+
+    The cube forms are split by their first factor B_n +- B_m.  They require
+    coprime terms, so its gcd with the second factor divides 3: at every
+    prime >= 211 the value's valuation is one factor's alone, and the value
+    is a q-th power only if the first factor's rest is.
+    """
+    hi = 2 * cfg.max_index
+    minus, square = tag is EquationTag.CUBE_SUM_MINUS, tag is EquationTag.SQUARE_DIFF
+    if square:
+        p = q = _Terms(SequenceKind.BALANCING, hi)
     else:
-        # For the cube forms the split is that of the first factor B_n +- B_m.
-        # Under coprime terms its gcd with the second factor divides 3, so at
-        # every prime >= 211 the value's valuation is the first factor's or
-        # the second's, never both: the value is a q-th power only if the
-        # first factor's rest is a q-th power.  The cube searches require
-        # coprime terms, so every pair they split has them.
-        split = _sum_split(cfg.max_index, minus=tag is EquationTag.CUBE_SUM_MINUS)
+        valued = _SMALL_PRIMES if tag is EquationTag.SUM_POWER else ()
+        p = _Terms(SequenceKind.PELL, hi, valued)
+        q = _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued)
+    for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
+        if not _parity_ok(cfg.parity_filter, t, 0):
+            continue
+        if _coprime_ok(t, 0, cfg):
+            yield t, 0, None, None, None
+        xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
+        y, low = ys[t], t & -t
+        row = range(t + 2, hi - t + 1, 2)
+        if y[0] == 1:
+            # gcd(x, 1) = 1 for every s: only a common factor other than 1 keeps a pair
+            if cfg.coprimality_required or (t % 2 and not square):
+                continue
+            if minus:
+                row = [s for s in row if s % low]  # v2(s) < v2(t)
+            elif not square:
+                row = range(t + low, hi - t + 1, 2 * low)  # v2(s) > v2(t)
+        for s in row:
+            n, m = (s + t) // 2, (s - t) // 2
+            if not _coprime_ok(n, m, cfg):
+                continue
+            # x & -x is 2**v2(x); B_gcd(s,t) is the common factor of every square-diff pair
+            law = (s & -s) < low if minus else 0 < low < (s & -s)
+            yield n, m, xs[s], y, q[math.gcd(s, t)][0] if square or law else 0
+
+
+def _product_visits(max_index: int):
+    """Visits (see _scan) of product-form, by rows M over N."""
+    odd = _SMALL_PRIMES[1:]
+    b = _Terms(SequenceKind.BALANCING, max_index, odd)
+    c = _Terms(SequenceKind.LUCAS_BALANCING, max_index, odd)
+    for m in range(1, max_index + 1):
+        y, low = c[m], m & -m
+        # gcd(x, 1) = 1 for every N: only a common factor other than 1 keeps a pair
+        row = range(2 * low, max_index + 1, 2 * low) if y[0] == 1 else range(1, max_index + 1)
+        for n in row:
+            yield n, m, b[n], y, c[math.gcd(n, m)][0] if (n & -n) > low else 0
+
+
+def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
     b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
-    include_diagonal = tag is EquationTag.SUM_POWER
-    pairs = ((n, m) for n in range(cfg.max_index + 1)
-             for m in range(n + 1 if include_diagonal else n)
-             if _parity_ok(cfg.parity_filter, n, m) and _coprime_ok(n, m, cfg))
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
         value = _pair_value(tag, b[n], b[m])
@@ -452,7 +476,7 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
                                family_min_exponent=None, bounds=cfg)
                 for q in _admissible_exponents(decomp, cfg.min_exponent)]
 
-    return _scan(pairs, split, solve)
+    return _scan(_pair_visits(tag, cfg), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +558,8 @@ def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
         return [ProductFormRecord(n=n, m=m, two_exponent=s, x=decomp.root_for(q), exponent=q)
                 for q in _admissible_exponents(decomp, cfg.min_exponent)]
 
-    indices = range(1, cfg.max_index + 1)
-    return _scan(((n, m) for n in indices for m in indices), _product_split(cfg.max_index), solve)
+    return _scan(_product_visits(cfg.max_index), solve)
+
 
 
 # ---------------------------------------------------------------------------

@@ -352,13 +352,19 @@ def test_product_search_matches_reference_scan_in_every_setting():
                 as_json(reference_product_search(cfg)), cfg
 
 
+# Opposite parity and coprime terms are the sum-power settings whose rows the
+# index-space row rules skip wholesale (odd t, and every row whose term has
+# rest exponent 1 under coprime terms).
 @pytest.mark.parametrize("tag, cfg", [
     (EquationTag.SUM_POWER, SearchConfig(max_index=400)),
+    (EquationTag.SUM_POWER, SearchConfig(max_index=400, parity_filter=Parity.OPPOSITE)),
+    (EquationTag.SUM_POWER, SearchConfig(max_index=400, coprimality_required=True)),
     (EquationTag.SQUARE_DIFF, SearchConfig(max_index=400, coprimality_required=True)),
     (EquationTag.CUBE_SUM_PLUS, _cube_cfg(400)),
     (EquationTag.CUBE_SUM_MINUS, _cube_cfg(400)),
     (None, SearchConfig(max_index=320)),
-], ids=["sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus", "product-form"])
+], ids=["sum-power", "sum-power-opposite", "sum-power-coprime", "square-diff",
+        "cube-sum-plus", "cube-sum-minus", "product-form"])
 def test_search_matches_reference_scan_at_large_bound(tag, cfg):
     if tag is None:
         assert as_json(search_product_form(cfg)) == as_json(reference_product_search(cfg))
