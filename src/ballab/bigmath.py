@@ -7,6 +7,7 @@ precision) with no floating point, so results are exact at any size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +31,11 @@ def is_prime(p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """Ascending primes <= limit (simple sieve; limits here stay in the thousands)."""
+    """Ascending primes <= limit (sieve of Eratosthenes).
+
+    Searches ask for limits up to about 2**13 (the root caps of _root_out at
+    indices near 10**4); each distinct limit is sieved once per process.
+    """
     if limit < 2:
         return ()
     sieve = bytearray([1]) * (limit + 1)
@@ -38,7 +43,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(itertools.compress(range(limit + 1), sieve))
 
 
 def integer_kth_root(n: int, k: int) -> int:

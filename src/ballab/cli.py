@@ -55,48 +55,72 @@ def _report(command: str, config: dict, results: list, started: float) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_seq(sub) -> None:
+    p = sub.add_parser("seq", help="dump a sequence range")
+    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
+    p.add_argument("--from", dest="lo", type=int, required=True)
+    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_term(sub) -> None:
+    p = sub.add_parser("term", help="single term at an index")
+    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
+    p.add_argument("--index", type=int, required=True)
+
+
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify", help="run a property suite")
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    p.add_argument("--max-n", type=int, required=True)
+
+
+def _add_period(sub) -> None:
+    p = sub.add_parser("period", help="period of the balancing sequence mod mu")
+    p.add_argument("--mod", type=int, required=True)
+
+
+def _add_search(sub) -> None:
+    p = sub.add_parser("search", help="bounded exhaustive equation search")
+    p.add_argument("equation", choices=_SEARCH_EQUATIONS)
+    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--min-exp", type=int, default=None)
+    p.add_argument("--parity", choices=("same", "opposite", "any"), default=None)
+    p.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--coprime-zero-exempt", action=argparse.BooleanOptionalAction,
+                   default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; has no effect (searches run serially)")
+    p.add_argument("--kind", choices=("balancing", "lucas-balancing"), default=None,
+                   help="sequence for special-form")
+    p.add_argument("--prime", type=int, default=None, help="prime for special-form")
+
+
+def _add_balancer(sub) -> None:
+    p = sub.add_parser("balancer", help="the R paired with a balancing number")
+    p.add_argument("--value", type=int, required=True)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ballab parser; when command names a subcommand, only that one is registered.
+
+    The metavar keeps the usage line naming every subcommand.  It is set only
+    on the one-command parser: on Python 3.11 it would also rename the
+    argument in the full parser's "required" and "invalid choice" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="ballab",
         description="balancing-number sequences, identity suites, and bounded power searches",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seq = sub.add_parser("seq", help="dump a sequence range")
-    p_seq.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p_seq.add_argument("--from", dest="lo", type=int, required=True)
-    p_seq.add_argument("--to", dest="hi", type=int, required=True)
-    p_seq.add_argument("--mod", type=int, default=None)
-    p_seq.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_term = sub.add_parser("term", help="single term at an index")
-    p_term.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p_term.add_argument("--index", type=int, required=True)
-
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_verify.add_argument("--max-n", type=int, required=True)
-
-    p_period = sub.add_parser("period", help="period of the balancing sequence mod mu")
-    p_period.add_argument("--mod", type=int, required=True)
-
-    p_search = sub.add_parser("search", help="bounded exhaustive equation search")
-    p_search.add_argument("equation", choices=_SEARCH_EQUATIONS)
-    p_search.add_argument("--max-index", type=int, required=True)
-    p_search.add_argument("--min-exp", type=int, default=None)
-    p_search.add_argument("--parity", choices=("same", "opposite", "any"), default=None)
-    p_search.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=None)
-    p_search.add_argument("--coprime-zero-exempt", action=argparse.BooleanOptionalAction,
-                          default=None)
-    p_search.add_argument("--workers", type=int, default=None,
-                          help="accepted for compatibility; has no effect (searches run serially)")
-    p_search.add_argument("--kind", choices=("balancing", "lucas-balancing"), default=None,
-                          help="sequence for special-form")
-    p_search.add_argument("--prime", type=int, default=None, help="prime for special-form")
-
-    p_bal = sub.add_parser("balancer", help="the R paired with a balancing number")
-    p_bal.add_argument("--value", type=int, required=True)
-
+    if command in _COMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        _COMMANDS[command][0](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add, _ in _COMMANDS.values():
+            add(sub)
     return parser
 
 
@@ -295,20 +319,24 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "term": _cmd_term,
-    "verify": _cmd_verify,
-    "period": _cmd_period,
-    "search": _cmd_search,
-    "balancer": _cmd_balancer,
+# Each subcommand's parser builder and handler, in the order the full parser
+# lists them.
+_COMMANDS = {
+    "seq": (_add_seq, _cmd_seq),
+    "term": (_add_term, _cmd_term),
+    "verify": (_add_verify, _cmd_verify),
+    "period": (_add_period, _cmd_period),
+    "search": (_add_search, _cmd_search),
+    "balancer": (_add_balancer, _cmd_balancer),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](parser, args)
+    return _COMMANDS[args.command][1](parser, args)
 
 
 def console_main() -> None:

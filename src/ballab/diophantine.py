@@ -149,10 +149,6 @@ class SolutionRecord:
         q = self.exponent if self.exponent is not None else self.family_min_exponent
         return (self.n, self.m, q)
 
-    def solution_tuple(self) -> tuple:
-        return (self.equation.value, self.n, self.m, self.x,
-                self.exponent, self.family_min_exponent)
-
     def verify(self) -> bool:
         """Re-evaluate the equation for this record with direct arithmetic."""
         bn = term(SequenceKind.BALANCING, self.n)

@@ -8,11 +8,12 @@ prune perfect-power searches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bigmath import primes_up_to
+from .bigmath import is_prime
 from .sequences import RECURRENCE, SequenceKind
 
 
@@ -143,12 +144,8 @@ def default_sieve_moduli(q: int) -> tuple[int, ...]:
     """
     if q < 2:
         raise ValueError("exponent must be >= 2")
-    limit = 64
-    while True:
-        found = [p for p in primes_up_to(limit) if p % q == 1]
-        if len(found) >= 8:
-            return tuple(found[:8])
-        limit *= 2
+    # every such p is k*q + 1 with k >= 1, so the progression meets them in order
+    return tuple(itertools.islice(filter(is_prime, itertools.count(q + 1, q)), 8))
 
 
 def power_residue_sieve(value: int, q: int) -> bool:

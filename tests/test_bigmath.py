@@ -179,3 +179,9 @@ class TestPrimeHelpers:
         assert primes_up_to(1) == ()
         assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
         assert len(primes_up_to(1000)) == 168
+
+    def test_primes_up_to_matches_is_prime(self):
+        limits = [*range(1001), *(1 << k for k in range(15))]
+        reference = [p for p in range(max(limits) + 1) if is_prime(p)]
+        for limit in limits:
+            assert primes_up_to(limit) == tuple(p for p in reference if p <= limit), limit

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -303,6 +306,93 @@ def test_cli_surface():
                 names += action.option_strings or [action.dest]
         surface[name] = sorted(names)
     assert surface == CLI_SURFACE
+
+
+# Valid calls, each subcommand's -h, handler-level usage errors, argparse
+# errors, unrecognized extras and abbreviated options.
+PARSER_CORPUS = (
+    [], ["-h"], ["bogus"],
+    ["seq", "--kind", "balancing", "--from", "0", "--to", "5"],
+    ["seq", "--kind", "pell", "--from", "2", "--to", "4", "--mod", "9", "--format", "csv"],
+    ["term", "--kind", "lucas-balancing", "--index", "10"],
+    ["verify", "--suite", "modular", "--max-n", "5"],
+    ["period", "--mod", "10"],
+    ["search", "sum-power", "--max-index", "10", "--parity", "same"],
+    ["search", "cube-sum-minus", "--max-index", "8", "--no-coprime-zero-exempt"],
+    ["search", "product-form", "--max-index", "8", "--workers", "2"],
+    ["search", "special-form", "--kind", "balancing", "--prime", "3", "--max-index", "20"],
+    ["balancer", "--value", "35"],
+    *([command, "-h"] for command in CLI_SURFACE),
+    ["seq", "--kind", "pell", "--from", "5", "--to", "2"],
+    ["term", "--kind", "pell", "--index", "-1"],
+    ["verify", "--suite", "gcd", "--max-n", "0"],
+    ["period", "--mod", "1"],
+    ["balancer", "--value", "0"],
+    ["search", "sum-power", "--max-index", "0"],
+    ["search", "cube-sum-plus", "--max-index", "5", "--min-exp", "2"],
+    ["search", "square-diff", "--max-index", "5", "--no-coprime"],
+    ["search", "special-form", "--max-index", "5"],
+    ["search", "special-form", "--kind", "balancing", "--prime", "4", "--max-index", "5"],
+    ["search", "product-form", "--max-index", "5", "--parity", "same"],
+    ["search", "sum-power", "--max-index", "5", "--kind", "balancing"],
+    ["seq", "--kind", "pell", "--from", "0"],
+    ["seq", "--kind", "fib", "--from", "0", "--to", "1"],
+    ["term", "--kind", "pell", "--index", "3", "extra"],
+    ["period", "--mod", "ten"],
+    ["search"],
+    ["search", "bogus", "--max-index", "3"],
+    ["search", "sum-power", "--max-index", "5", "--bogus", "1"],
+    ["search", "sum-power", "--max", "5"],
+    ["search", "square-diff", "--max-index", "5", "--copr"],
+    ["search", "square-diff", "--max-index", "5", "--no-copr"],
+    ["verify", "--suite", "gcd", "--max", "3"],
+)
+
+
+def _parse_and_run(parser, argv):
+    """(namespace or None, exit code, stdout without runtime_ms, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+            namespace = vars(args)
+            code = cli._COMMANDS[args.command][1](parser, args)
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, re.sub(r'"runtime_ms":\d+', "", out.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv, monkeypatch):
+    # main() builds only argv[0]'s subparser; it must parse, run and fail
+    # exactly as the full parser does.
+    monkeypatch.setenv("COLUMNS", "80")
+    command = argv[0] if argv else None
+    assert (_parse_and_run(cli.build_parser(command), argv)
+            == _parse_and_run(cli.build_parser(), argv))
+
+
+def test_one_command_parser_registers_one_subcommand():
+    full = cli.build_parser()
+    (full_sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in CLI_SURFACE:
+        parser = cli.build_parser(command)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [command]
+        assert parser.format_usage() == full.format_usage()
+        assert sub.choices[command].format_usage() == full_sub.choices[command].format_usage()
+        assert sub.choices[command].format_help() == full_sub.choices[command].format_help()
+
+
+def test_full_parser_names_the_subcommand_argument_command(capsys):
+    # The one-command parser's metavar must not reach the full parser, where
+    # some Python versions would print it in place of "command".
+    for argv, message in (([], "required: command\n"),
+                          (["bogus"], "argument command: invalid choice")):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert message in capsys.readouterr().err
 
 
 def test_records_verify_round_trip(capsys):

@@ -208,7 +208,8 @@ class TestSearchMechanics:
                            and s.family_min_exponent <= r.family_min_exponent
                            for s in lo_recs)
             else:
-                assert r.solution_tuple() in {s.solution_tuple() for s in lo_recs}
+                assert (r.n, r.m, r.x, r.exponent) in {(s.n, s.m, s.x, s.exponent)
+                                                        for s in lo_recs}
 
 
 def reference_power_test(value):

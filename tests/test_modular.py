@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ballab.bigmath import is_prime
 from ballab.modular import (
     MOD9_TABLE,
     default_sieve_moduli,
@@ -113,6 +114,15 @@ class TestSieve:
         assert default_sieve_moduli(5) == (11, 31, 41, 61, 71, 101, 131, 151)
         for p in default_sieve_moduli(7):
             assert p % 7 == 1
+
+    def test_default_moduli_match_a_prime_scan(self):
+        # the first eight primes ≡ 1 (mod q) read off an ascending list of
+        # every prime, composite q included
+        primes = [p for p in range(2, 1 << 16) if is_prime(p)]
+        for q in range(2, 501):
+            expected = [p for p in primes if p % q == 1][:8]
+            assert len(expected) == 8
+            assert default_sieve_moduli(q) == tuple(expected), q
 
     def test_examples(self):
         assert power_residue_sieve(36, 2) is True
