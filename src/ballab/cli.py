@@ -38,6 +38,9 @@ SCHEMA_VERSION = 1
 _KINDS = {k.value: k for k in SequenceKind}
 _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus",
                      "special-form", "product-form")
+# is_prime trial-divides up to sqrt(--prime): about 23k steps at this ceiling,
+# 7.6*10**8 at 2**61 - 1
+MAX_PRIME = (1 << 31) - 1
 
 
 def canonical_json(obj) -> str:
@@ -270,6 +273,8 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if args.kind is None:
             parser.error("special-form requires --kind")
         prime = args.prime if args.prime is not None else 2
+        if prime > MAX_PRIME:
+            parser.error(f"--prime must be <= {MAX_PRIME} (2^31 - 1), got {prime}")
         if not is_prime(prime):
             parser.error(f"--prime must be prime, got {prime}")
     else:

@@ -1,9 +1,9 @@
 """Modular views of the balancing family.
 
 Reduced terms, the period of the balancing sequence modulo mu, the mod-9
-residue table keyed on the index mod 12, the 2-adic divisibility law
-(2**k | B_n exactly when 2**k | n), and a q-th-power residue sieve used to
-prune perfect-power searches.
+residue table keyed on the index mod 12, and a q-th-power residue sieve used
+to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
+exactly when 2**k | n) is stated and checked in `ballab.verify`.
 """
 
 from __future__ import annotations
@@ -126,13 +126,6 @@ def residue_class_mod9(n: int) -> int:
     if n < 0:
         raise ValueError("index must be nonnegative")
     return MOD9_TABLE[n % 12]
-
-
-def two_adic_law(n: int, k: int) -> bool:
-    """Whether 2**k divides B_n; equals (2**k divides n) for all n, k >= 1."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    return term_mod(SequenceKind.BALANCING, n, 1 << k) == 0
 
 
 @lru_cache(maxsize=None)

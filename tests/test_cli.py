@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -238,6 +239,21 @@ class TestSearch:
         code, _ = run_cli(capsys, ["search", "special-form", "--max-index", "20",
                                    "--kind", "balancing", "--prime", "6"])
         assert code == 2
+
+    def test_prime_above_ceiling_is_refused_up_front(self, capsys):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "special-form", "--max-index", "5",
+                      "--kind", "balancing", "--prime", str((1 << 61) - 1)])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert "--prime must be <= 2147483647" in capsys.readouterr().err
+
+    def test_prime_at_ceiling_is_accepted(self, capsys):
+        code, out = run_cli(capsys, ["search", "special-form", "--max-index", "5",
+                                     "--kind", "balancing", "--prime", str(cli.MAX_PRIME)])
+        assert code == 0
+        assert last_json_line(out)["config"]["prime"] == cli.MAX_PRIME
 
     def test_csv_not_available_for_search(self, capsys):
         code, _ = run_cli(capsys, ["search", "sum-power", "--max-index", "20",

@@ -1,11 +1,14 @@
 import pytest
 
-import ballab.modular
 import ballab.verify
+from ballab.modular import residue_range, term_mod
+from ballab.sequences import SequenceKind
 from ballab.verify import (
     CheckResult,
+    _run_check,
     check_period_consistency,
     check_sieve_soundness,
+    check_two_adic,
     gcd_suite,
     identity_suite,
     modular_suite,
@@ -63,8 +66,36 @@ def test_check_result_dict_shape():
                            "passed": True, "failures": []}
 
 
-# Indices whose values are corrupted (by +1) in every sequence, residue stream
-# and reduced term the suites read, so that each check meets failing cases.
+def two_adic_reference(max_n):
+    """check_two_adic by the per-case rule: one term_mod(B, n, 2**k) per (n, k)."""
+    cases = (None if (term_mod(SequenceKind.BALANCING, n, 1 << k) == 0) == (n % (1 << k) == 0)
+             else f"2^{k} | B_{n} does not match 2^{k} | {n}"
+             for n in range(1, max_n + 1) for k in range(1, 9))
+    return _run_check("two-adic-law", f"1 <= n <= {max_n}, 1 <= k <= 8", cases)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2, 255, 256, 257, 3000])
+def test_two_adic_matches_per_case_rule(max_n):
+    assert check_two_adic(max_n).to_dict() == two_adic_reference(max_n).to_dict()
+
+
+def test_two_adic_reports_a_wrong_residue(monkeypatch):
+    # 2**5 exactly divides both 96 and B_96 (B_96 is 32 mod 2**8); adding 1
+    # to that residue makes it odd, which breaks exactly the cases k = 1..5.
+    def corrupt_residues(kind, lo, hi, modulus):
+        out = residue_range(kind, lo, hi, modulus)
+        out[96 - lo] = (out[96 - lo] + 1) % modulus
+        return out
+
+    monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
+    got = check_two_adic(200).to_dict()
+    assert got == {"name": "two-adic-law", "bound": "1 <= n <= 200, 1 <= k <= 8",
+                   "checked": 1600, "passed": False,
+                   "failures": [f"2^{k} | B_96 does not match 2^{k} | 96" for k in range(1, 6)]}
+
+
+# Indices whose values are corrupted (by +1) in every sequence and residue
+# stream the suites read, so that each check meets failing cases.
 CORRUPT = {7, 9, 12, 13, 20, 21, 30}
 
 # run_suite("all", 60) under that corruption: (name, checked, passed, failures)
@@ -127,7 +158,6 @@ CORRUPTED_RESULTS = [
 def test_failures_are_counted_and_reported(monkeypatch):
     values_up_to = ballab.verify.values_up_to
     residue_range = ballab.verify.residue_range
-    term_mod = ballab.modular.term_mod
 
     def corrupt_values(kind, hi):
         return [v + 1 if i in CORRUPT else v for i, v in enumerate(values_up_to(kind, hi))]
@@ -136,12 +166,7 @@ def test_failures_are_counted_and_reported(monkeypatch):
         return [(v + 1) % modulus if i in CORRUPT else v
                 for i, v in enumerate(residue_range(kind, lo, hi, modulus), lo)]
 
-    def corrupt_term_mod(kind, n, modulus):
-        v = term_mod(kind, n, modulus)
-        return (v + 1) % modulus if n in CORRUPT else v
-
     monkeypatch.setattr(ballab.verify, "values_up_to", corrupt_values)
     monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
-    monkeypatch.setattr(ballab.modular, "term_mod", corrupt_term_mod)
     got = [(r.name, r.checked, r.passed, r.failures) for r in run_suite("all", 60)]
     assert got == CORRUPTED_RESULTS
