@@ -1,6 +1,6 @@
 """Arbitrary-precision integer utilities.
 
-Integer k-th roots, maximal perfect-power decomposition, and small-prime
+Primality by trial division, prime lists, integer k-th roots and prime
 stripping.  Everything works on plain Python ints (already arbitrary
 precision) with no floating point, so results are exact at any size.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -75,71 +74,16 @@ def integer_kth_root(n: int, k: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PowerDecomposition:
-    """Maximal representation n = base ** exponent.
-
-    For n >= 2 the exponent is the largest one admitting an integer base, so
-    the base is never itself a perfect power and n is a q-th power exactly
-    when q divides the exponent.  Inputs 0 and 1 are powers for every
-    exponent; they carry is_trivial instead of an arbitrary choice.
-    """
-
-    base: int
-    exponent: int
-    is_trivial: bool = False
-
-    @property
-    def is_perfect_power(self) -> bool:
-        return not self.is_trivial and self.exponent >= 2
-
-    def admits(self, q: int) -> bool:
-        """True when the decomposed value can be written as x**q."""
-        if q < 1:
-            return False
-        if self.is_trivial:
-            return True
-        return self.exponent % q == 0
-
-    def root_for(self, q: int) -> int:
-        """The x with x**q equal to the decomposed value; q must be admitted."""
-        if not self.admits(q):
-            raise ValueError(f"exponent {q} does not divide {self.exponent}")
-        if self.is_trivial:
-            return self.base
-        return self.base ** (self.exponent // q)
-
-
-def perfect_power_decompose(n: int) -> PowerDecomposition:
-    """Maximal-exponent perfect-power decomposition of n >= 0.
-
-    A composite exponent would imply a power for each of its prime factors,
-    so peeling prime roots until none applies reaches the maximal exponent.
-    """
-    if n < 0:
-        raise ValueError("value must be nonnegative")
-    if n <= 1:
-        return PowerDecomposition(base=n, exponent=1, is_trivial=True)
-    base, exponent = n, 1
-    reduced = True
-    while reduced:
-        reduced = False
-        # a p-th power with root >= 2 needs p <= log2(base)
-        for p in primes_up_to(base.bit_length() - 1):
-            r = integer_kth_root(base, p)
-            if r ** p == base:
-                base, exponent = r, exponent * p
-                reduced = True
-                break
-    return PowerDecomposition(base=base, exponent=exponent)
-
-
 def strip_prime(p: int, n: int) -> tuple[int, int]:
-    """Split n > 0 as p**s * rest with p not dividing rest; returns (s, rest)."""
+    """Split n > 0 as p**s * rest with p not dividing rest; returns (s, rest).
+
+    Exact for any p >= 2; a caller that needs p prime checks it once, not
+    once per value.
+    """
     if n <= 0:
         raise ValueError("value must be positive")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    if p < 2:
+        raise ValueError(f"cannot split off {p}: need p >= 2")
     if p == 2:
         s = (n & -n).bit_length() - 1
         return s, n >> s

@@ -30,7 +30,7 @@ from .diophantine import (
     search_sum_power,
 )
 from .modular import period
-from .sequences import SequenceKind, balancer, term, term_range
+from .sequences import SequenceKind, balancer, term, values_up_to
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = 1
@@ -41,6 +41,11 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 # is_prime trial-divides up to sqrt(--prime): about 23k steps at this ceiling,
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
+# verify --max-n ceilings.  identities and gcd (and so all) are quadratic in
+# --max-n with big-integer work per case: all takes about 9.5 s at 1000 on a
+# 2-core VM.  modular is linear: about 1 s at 10**6.
+MAX_VERIFY_N = 1000
+MAX_VERIFY_N_MODULAR = 10 ** 6
 
 
 def canonical_json(obj) -> str:
@@ -133,12 +138,9 @@ def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(f"invalid range [{args.lo}, {args.hi}]")
     if args.mod is not None and args.mod < 1:
         parser.error("--mod must be >= 1")
-    terms = term_range(_KINDS[args.kind], args.lo, args.hi)
-    results = [
-        {"kind": t.kind.value, "index": t.index,
-         "value": str(t.value % args.mod if args.mod else t.value)}
-        for t in terms
-    ]
+    values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
+    results = [{"kind": args.kind, "index": i, "value": str(v % args.mod if args.mod else v)}
+               for i, v in enumerate(values, args.lo)]
     if args.format == "csv":
         print("kind,index,value")
         for r in results:
@@ -164,6 +166,9 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     started = time.perf_counter()
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
+    ceiling = MAX_VERIFY_N_MODULAR if args.suite == "modular" else MAX_VERIFY_N
+    if args.max_n > ceiling:
+        parser.error(f"--max-n must be <= {ceiling} for --suite {args.suite}, got {args.max_n}")
     checks = run_suite(args.suite, args.max_n)
     results = [c.to_dict() for c in checks]
     config = {"suite": args.suite, "max_n": args.max_n}

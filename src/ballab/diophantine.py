@@ -14,9 +14,9 @@ verification: values are evaluated with big integers, and a deliberately
 dumb oracle re-solves small instances for equivalence testing.
 
 Power detection is one test, _maybe_decompose, giving the maximal-exponent
-decomposition.  It restricts the candidate exponents by small-prime
-valuations, then runs the modular residue sieve ahead of each exact root;
-neither step ever discards a true power.
+decomposition (base, exponent).  It restricts the candidate exponents by
+small-prime valuations, then runs the modular residue sieve ahead of each
+exact root; neither step ever discards a true power.
 
 Ahead of it, the pair and product searches reject most pairs in index space.
 With P, Q the Pell and associated Pell numbers, s = n + m and t = n - m,
@@ -64,13 +64,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .bigmath import (
-    PowerDecomposition,
-    integer_kth_root,
-    is_prime,
-    primes_up_to,
-    strip_prime,
-)
+from .bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
 from .modular import power_residue_sieve
 from .sequences import SequenceKind, term, values_up_to
 
@@ -291,8 +285,8 @@ def _root_out(rest: int, g: int) -> tuple[int, int]:
     return rest, exponent
 
 
-def _maybe_decompose(value: int) -> PowerDecomposition | None:
-    """Maximal decomposition of value >= 2, or None when value is no perfect power.
+def _maybe_decompose(value: int) -> tuple[int, int] | None:
+    """Maximal (base, exponent) of value >= 2, or None when value is no perfect power.
 
     If value = x**q, then q divides the valuation of value at every prime.
     The valuations at the primes <= 199 are folded into their gcd g: a single
@@ -323,13 +317,18 @@ def _maybe_decompose(value: int) -> PowerDecomposition | None:
     base = rest
     for ell, e in small:
         base *= ell ** (e // exponent)
-    return PowerDecomposition(base=base, exponent=exponent)
+    return base, exponent
 
 
-def _admissible_exponents(decomp: PowerDecomposition, min_exponent: int) -> list[int]:
-    """Divisors q >= min_exponent of the maximal exponent, ascending."""
-    e = decomp.exponent
-    return [q for q in range(min_exponent, e + 1) if e % q == 0]
+def _power_hits(found: tuple[int, int] | None, min_exponent: int) -> list[tuple[int, int]]:
+    """(x, q) with x**q = base**exponent for each divisor q >= min_exponent, ascending.
+
+    found is _maybe_decompose's result; None has no hits.
+    """
+    if found is None:
+        return []
+    base, e = found
+    return [(base ** (e // q), q) for q in range(min_exponent, e + 1) if e % q == 0]
 
 
 def _verified(records: list) -> list:
@@ -465,12 +464,8 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
         if value == 1:
             return [SolutionRecord(tag, n, m, x=1, exponent=None,
                                    family_min_exponent=cfg.min_exponent, bounds=cfg)]
-        decomp = _maybe_decompose(value)
-        if decomp is None:
-            return []
-        return [SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
-                               family_min_exponent=None, bounds=cfg)
-                for q in _admissible_exponents(decomp, cfg.min_exponent)]
+        return [SolutionRecord(tag, n, m, x=x, exponent=q, family_min_exponent=None, bounds=cfg)
+                for x, q in _power_hits(_maybe_decompose(value), cfg.min_exponent)]
 
     return _scan(_pair_visits(tag, cfg), solve)
 
@@ -529,12 +524,9 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
             out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,
                                          family_min_exponent=cfg.min_exponent))
             continue
-        decomp = _maybe_decompose(rest)
-        if decomp is None:
-            continue
-        for b in _admissible_exponents(decomp, cfg.min_exponent):
-            out.append(SpecialFormRecord(kind, p, n, s, x=decomp.root_for(b),
-                                         exponent=b, family_min_exponent=None))
+        for x, b in _power_hits(_maybe_decompose(rest), cfg.min_exponent):
+            out.append(SpecialFormRecord(kind, p, n, s, x=x, exponent=b,
+                                         family_min_exponent=None))
     return _verified(out)
 
 
@@ -548,11 +540,8 @@ def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
         if odd == 1:
             # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
             raise ArithmeticError(f"pure power of two at ({n}, {m})")
-        decomp = _maybe_decompose(odd)
-        if decomp is None:
-            return []
-        return [ProductFormRecord(n=n, m=m, two_exponent=s, x=decomp.root_for(q), exponent=q)
-                for q in _admissible_exponents(decomp, cfg.min_exponent)]
+        return [ProductFormRecord(n=n, m=m, two_exponent=s, x=x, exponent=q)
+                for x, q in _power_hits(_maybe_decompose(odd), cfg.min_exponent)]
 
     return _scan(_product_visits(cfg.max_index), solve)
 

@@ -1,8 +1,8 @@
 """Modular views of the balancing family.
 
-Reduced terms, the period of the balancing sequence modulo mu, the mod-9
-residue table keyed on the index mod 12, and a q-th-power residue sieve used
-to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
+Reduced term ranges, the period of the balancing sequence modulo mu, the
+mod-9 residue table keyed on the index mod 12, and a q-th-power residue sieve
+used to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
 exactly when 2**k | n) is stated and checked in `ballab.verify`.
 """
 
@@ -17,52 +17,19 @@ from .bigmath import is_prime
 from .sequences import RECURRENCE, SequenceKind
 
 
-def term_mod(kind: SequenceKind, n: int, modulus: int) -> int:
-    """Sequence term at index n reduced mod modulus, in O(log n) steps.
-
-    Fast doubling on (U_k, U_{k+1}), where U is the sequence with the same
-    recurrence s_n = c1*s_{n-1} + c2*s_{n-2} started at (0, 1):
-    U_{2k} = U_k*(2*U_{k+1} - c1*U_k) and U_{2k+1} = U_{k+1}**2 + c2*U_k**2.
-    Then s_n = s1*U_n + s0*(U_{n+1} - c1*U_n).  No step divides, so any
-    modulus works.
-    """
+def residue_range(kind: SequenceKind, hi: int, modulus: int) -> list[int]:
+    """Values at indices 0..hi inclusive, reduced mod modulus, by forward iteration."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    if n < 0:
+    if hi < 0:
         raise ValueError("index must be nonnegative")
     (c1, c2), (s0, s1) = RECURRENCE[kind]
-    # The closing formula is s_n = s1*U_n + c2*s0*U_{n-1} with
-    # U_{n-1} = c2*(U_{n+1} - c1*U_n), which needs c2 to be its own inverse.
-    if c2 not in (1, -1):
-        raise ValueError(f"{kind.value}: fast doubling needs c2 = +-1, got {c2}")
-    u, v = 0, 1 % modulus  # (U_k, U_{k+1}) for k = the bits of n read so far
-    for bit in bin(n)[2:]:
-        u, v = u * (2 * v - c1 * u) % modulus, (v * v + c2 * u * u) % modulus
-        if bit == "1":
-            u, v = v, (c1 * v + c2 * u) % modulus
-    return (s1 * u + s0 * (v - c1 * u)) % modulus
-
-
-def residue_range(kind: SequenceKind, lo: int, hi: int, modulus: int) -> list[int]:
-    """Reduced values at indices lo..hi inclusive by forward iteration."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if lo < 0 or lo > hi:
-        raise ValueError(f"invalid index range [{lo}, {hi}]")
-    (c1, c2), (s0, s1) = RECURRENCE[kind]
     prev, cur = s0 % modulus, s1 % modulus
-    out = []
-    for i in range(hi + 1):
-        if i == 0:
-            val = prev
-        elif i == 1:
-            val = cur
-        else:
-            prev, cur = cur, (c1 * cur + c2 * prev) % modulus
-            val = cur
-        if i >= lo:
-            out.append(val)
-    return out
+    out = [prev, cur]
+    for _ in range(hi - 1):
+        prev, cur = cur, (c1 * cur + c2 * prev) % modulus
+        out.append(cur)
+    return out[: hi + 1]
 
 
 @dataclass(frozen=True)

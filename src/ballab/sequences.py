@@ -8,7 +8,6 @@ They are tied together by B_m = P_m * Q_m and 8*B_n**2 + 1 = C_n**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
@@ -29,13 +28,6 @@ RECURRENCE: dict[SequenceKind, tuple[tuple[int, int], tuple[int, int]]] = {
     SequenceKind.PELL: ((2, 1), (0, 1)),
     SequenceKind.ASSOCIATED_PELL: ((2, 1), (1, 1)),
 }
-
-
-@dataclass(frozen=True)
-class SeqTerm:
-    kind: SequenceKind
-    index: int
-    value: int
 
 
 def term(kind: SequenceKind, n: int) -> int:
@@ -61,14 +53,6 @@ def values_up_to(kind: SequenceKind, hi: int) -> list[int]:
     while len(out) <= hi:
         out.append(c1 * out[-1] + c2 * out[-2])
     return out[: hi + 1]
-
-
-def term_range(kind: SequenceKind, lo: int, hi: int) -> list[SeqTerm]:
-    """Terms lo..hi inclusive as SeqTerm records; requires 0 <= lo <= hi."""
-    if lo < 0 or lo > hi:
-        raise ValueError(f"invalid index range [{lo}, {hi}]")
-    vals = values_up_to(kind, hi)
-    return [SeqTerm(kind, i, vals[i]) for i in range(lo, hi + 1)]
 
 
 def balancer(value: int) -> int | None:

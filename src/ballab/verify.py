@@ -203,7 +203,7 @@ def check_pell_coprime(max_n: int) -> CheckResult:
 
 
 def check_mod9_table(max_n: int) -> CheckResult:
-    direct = residue_range(SequenceKind.BALANCING, 0, max_n, 9)
+    direct = residue_range(SequenceKind.BALANCING, max_n, 9)
     cases = (None if residue_class_mod9(n) == direct[n] else f"mod-9 table wrong at n={n}"
              for n in range(max_n + 1))
     return _run_check("mod9-table", f"0 <= n <= {max_n}", cases)
@@ -215,7 +215,7 @@ def check_two_adic(max_n: int) -> CheckResult:
     One walk gives B_n mod 2**8; reducing it mod 2**k (which divides 2**8)
     gives B_n mod 2**k, so every (n, k) case is still decided exactly.
     """
-    b = residue_range(SequenceKind.BALANCING, 0, max_n, 1 << 8)
+    b = residue_range(SequenceKind.BALANCING, max_n, 1 << 8)
 
     def cases() -> Iterator[str | None]:
         for n in range(1, max_n + 1):
@@ -236,7 +236,7 @@ def check_period_consistency(max_mu: int) -> CheckResult:
         for mu in range(2, max_mu + 1):
             t = period(mu).period
             periods[mu] = t
-            stream = residue_range(SequenceKind.BALANCING, 0, 2 * t, mu)
+            stream = residue_range(SequenceKind.BALANCING, 2 * t, mu)
             yield (None if stream[:t + 1] == stream[t:]
                    else f"period {t} does not reproduce the residues mod {mu}")
         for mu, t in periods.items():

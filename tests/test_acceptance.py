@@ -11,12 +11,13 @@ import time
 
 import pytest
 
-from ballab.bigmath import integer_kth_root, perfect_power_decompose
+from ballab.bigmath import integer_kth_root
 from ballab.cli import canonical_json, main as cli_main
 from ballab.diophantine import (
     EquationTag,
     Parity,
     SearchConfig,
+    _maybe_decompose,
     oracle_search,
     search_cube_sum,
     search_product_form,
@@ -183,11 +184,11 @@ def brute_power_decompose(n):
 
 
 def test_10_perfect_power_engine():
+    # the searches' power test; None reads as exponent 1
     started = time.perf_counter()
     disagreements = 0
     for n in range(2, 10_001):
-        d = perfect_power_decompose(n)
-        if (d.base, d.exponent) != brute_power_decompose(n):
+        if (_maybe_decompose(n) or (n, 1)) != brute_power_decompose(n):
             disagreements += 1
     rng = random.Random(20260809)
     samples = [rng.randrange(10_001, 10 ** 6 + 1) for _ in range(3000)]
@@ -199,8 +200,7 @@ def test_10_perfect_power_engine():
                 samples.append(x ** q)
             x += 1
     for n in samples:
-        d = perfect_power_decompose(n)
-        if (d.base, d.exponent) != brute_power_decompose(n):
+        if (_maybe_decompose(n) or (n, 1)) != brute_power_decompose(n):
             disagreements += 1
     elapsed = time.perf_counter() - started
     assert disagreements == 0

@@ -2,14 +2,9 @@ import random
 
 import pytest
 
-from ballab.bigmath import (
-    PowerDecomposition,
-    integer_kth_root,
-    is_prime,
-    perfect_power_decompose,
-    primes_up_to,
-    strip_prime,
-)
+from ballab.bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
+from ballab.diophantine import _maybe_decompose, _power_hits
+from refmath import perfect_power_decompose
 
 
 def brute_power_decompose(n: int) -> tuple[int, int]:
@@ -35,10 +30,18 @@ class TestValuation:
         with pytest.raises(ValueError):
             strip_prime(2, 0)
 
-    @pytest.mark.parametrize("p", [1, 4, 6, 9, 15])
+    @pytest.mark.parametrize("p", [1])
     def test_rejects_composite(self, p):
         with pytest.raises(ValueError):
             strip_prime(p, 12)
+
+    @pytest.mark.parametrize("p", [4, 6, 9, 15])
+    def test_composite_split_is_exact(self, p):
+        # a composite p is split off exactly; primality is the caller's check
+        for n in (12, p, p ** 3 * 7, 2 ** 40 * 3 ** 20 * 5 ** 10 + 1):
+            s, rest = strip_prime(p, n)
+            assert p ** s * rest == n and rest % p != 0
+        assert strip_prime(p, p ** 5 * (p + 1)) == (5, p + 1)
 
     def test_matches_strip(self):
         # the exponent strip_prime returns against plain repeated division
@@ -96,42 +99,39 @@ class TestIntegerKthRoot:
 
 
 class TestPerfectPowerDecompose:
-    def test_values(self):
-        assert perfect_power_decompose(36) == PowerDecomposition(6, 2)
-        assert perfect_power_decompose(64) == PowerDecomposition(2, 6)
-        assert perfect_power_decompose(35) == PowerDecomposition(35, 1)
-        assert perfect_power_decompose(2 ** 10 * 3 ** 10) == PowerDecomposition(6, 10)
+    """The searches' power test, diophantine._maybe_decompose."""
 
-    def test_trivial_inputs(self):
-        for n in (0, 1):
-            d = perfect_power_decompose(n)
-            assert d.is_trivial and not d.is_perfect_power
-            assert d.admits(2) and d.admits(17)
-            assert d.root_for(5) == n
+    def test_values(self):
+        assert _maybe_decompose(36) == (6, 2)
+        assert _maybe_decompose(64) == (2, 6)
+        assert _maybe_decompose(35) is None
+        assert _maybe_decompose(2 ** 10 * 3 ** 10) == (6, 10)
+        assert _maybe_decompose(211 ** 6) == (211, 6)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            perfect_power_decompose(-4)
+        # the tests' reference decomposer refuses values below 2
+        for n in (-4, 0, 1):
+            with pytest.raises(ValueError):
+                perfect_power_decompose(n)
 
     def test_exponent_is_maximal(self):
         # the base of a maximal decomposition is never itself a power
-        for n in (16, 64, 729, 4096, 2 ** 30, 5 ** 12):
-            d = perfect_power_decompose(n)
-            assert d.base ** d.exponent == n
-            assert perfect_power_decompose(d.base).exponent == 1
+        for n in (16, 64, 729, 4096, 2 ** 30, 5 ** 12, 223 ** 10):
+            base, exponent = _maybe_decompose(n)
+            assert base ** exponent == n
+            assert _maybe_decompose(base) is None
 
     def test_admits_and_root(self):
-        d = perfect_power_decompose(2 ** 12)
-        assert [q for q in range(2, 13) if d.admits(q)] == [2, 3, 4, 6, 12]
-        for q in (2, 3, 4, 6, 12):
-            assert d.root_for(q) ** q == 2 ** 12
-        with pytest.raises(ValueError):
-            d.root_for(5)
+        assert _power_hits(_maybe_decompose(2 ** 12), 2) == [
+            (64, 2), (16, 3), (8, 4), (4, 6), (2, 12)]
+        assert _power_hits(_maybe_decompose(2 ** 12), 5) == [(4, 6), (2, 12)]
+        assert _power_hits(_maybe_decompose(2 ** 12), 13) == []
+        assert _power_hits(None, 2) == []
 
     def test_against_brute_force_dense(self):
+        # None reads as exponent 1
         for n in range(2, 10_000):
-            assert (perfect_power_decompose(n).base,
-                    perfect_power_decompose(n).exponent) == brute_power_decompose(n)
+            assert (_maybe_decompose(n) or (n, 1)) == brute_power_decompose(n), n
 
     def test_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -142,9 +142,12 @@ class TestPerfectPowerDecompose:
             values += [x ** k, x ** k + 1, x ** k * rng.choice((2, 3, 211, 10 ** 9 + 7))]
         values += [2 ** 60, 3 ** 40 * 5 ** 20, 6 ** 35, (2 ** 61 - 1) ** 3, 210 ** 12 * 211 ** 6]
         for n in values:
-            d = perfect_power_decompose(n)
-            expected = sympy.perfect_power(n)
-            assert ((d.base, d.exponent) if d.exponent > 1 else False) == expected, n
+            assert (_maybe_decompose(n) or False) == sympy.perfect_power(n), n
+
+    def test_reference_matches_brute_force(self):
+        # the reference the property and index-space tests compare against
+        for n in range(2, 5000):
+            assert perfect_power_decompose(n) == brute_power_decompose(n), n
 
 
 class TestStripPrime:

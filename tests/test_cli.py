@@ -66,6 +66,25 @@ class TestSeq:
         code, _ = run_cli(capsys, ["seq", "--kind", "pell", "--from", "5", "--to", "2"])
         assert code == 2
 
+    def test_range_from_above_zero(self, capsys):
+        code, out = run_cli(capsys, ["seq", "--kind", "pell", "--from", "2", "--to", "4"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"] == [{"kind": "pell", "index": i, "value": v}
+                                     for i, v in ((2, "2"), (3, "5"), (4, "12"))]
+        assert report["config"] == {"kind": "pell", "from": 2, "to": 4, "mod": None}
+        code, out = run_cli(capsys, ["seq", "--kind", "balancing", "--from", "2", "--to", "2",
+                                     "--format", "csv"])
+        assert code == 0
+        assert out.splitlines() == ["kind,index,value", "balancing,2,6"]
+
+    def test_bad_ranges_are_usage_errors(self, capsys):
+        for lo, hi in (("3", "2"), ("-1", "2"), ("-3", "-5")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["seq", "--kind", "pell", "--from", lo, "--to", hi])
+            assert exc.value.code == 2
+            assert f"invalid range [{lo}, {hi}]" in capsys.readouterr().err
+
     def test_bad_mod_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["seq", "--kind", "pell", "--from", "0", "--to", "2",
                                    "--mod", "0"])
@@ -118,6 +137,26 @@ class TestVerify:
         code, out = run_cli(capsys, ["verify", "--suite", "gcd", "--max-n", "5"])
         assert code == 1
         assert json.loads(out)["results"][0]["passed"] is False
+
+    @pytest.mark.parametrize("suite, ceiling", [
+        ("identities", 1000), ("gcd", 1000), ("all", 1000), ("modular", 10 ** 6)])
+    def test_max_n_above_ceiling_is_refused_up_front(self, capsys, suite, ceiling):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", suite, "--max-n", str(ceiling + 1)])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert (f"--max-n must be <= {ceiling} for --suite {suite}, got {ceiling + 1}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("suite, ceiling", [
+        ("identities", 1000), ("gcd", 1000), ("all", 1000), ("modular", 10 ** 6)])
+    def test_max_n_at_ceiling_is_accepted(self, capsys, monkeypatch, suite, ceiling):
+        # the suites themselves are stubbed: only the bound check runs
+        monkeypatch.setattr(cli, "run_suite", lambda name, max_n: [])
+        code, out = run_cli(capsys, ["verify", "--suite", suite, "--max-n", str(ceiling)])
+        assert code == 0
+        assert json.loads(out)["config"] == {"suite": suite, "max_n": ceiling}
 
 
 class TestPeriod:
@@ -342,6 +381,8 @@ PARSER_CORPUS = (
     ["seq", "--kind", "pell", "--from", "5", "--to", "2"],
     ["term", "--kind", "pell", "--index", "-1"],
     ["verify", "--suite", "gcd", "--max-n", "0"],
+    ["verify", "--suite", "gcd", "--max-n", "1001"],
+    ["verify", "--suite", "modular", "--max-n", "1000001"],
     ["period", "--mod", "1"],
     ["balancer", "--value", "0"],
     ["search", "sum-power", "--max-index", "0"],

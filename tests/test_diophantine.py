@@ -4,15 +4,8 @@ from enum import Enum
 
 import pytest
 
-from ballab import diophantine
-from ballab.bigmath import (
-    PowerDecomposition,
-    integer_kth_root,
-    is_prime,
-    perfect_power_decompose,
-    primes_up_to,
-    strip_prime,
-)
+from ballab import bigmath, diophantine
+from ballab.bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
 from ballab.cli import canonical_json
 from ballab.diophantine import (
     EquationTag,
@@ -20,10 +13,10 @@ from ballab.diophantine import (
     ProductFormRecord,
     SearchConfig,
     SolutionRecord,
-    _admissible_exponents,
     _maybe_decompose,
     _pair_value,
     _parity_ok,
+    _power_hits,
     _verified,
     oracle_search,
     search_cube_sum,
@@ -34,6 +27,7 @@ from ballab.diophantine import (
 )
 from ballab.modular import power_residue_sieve
 from ballab.sequences import SequenceKind, values_up_to
+from refmath import perfect_power_decompose
 
 
 def solutions(records):
@@ -224,14 +218,8 @@ def reference_power_test(value):
             break
     else:
         return None
-    d = perfect_power_decompose(value)
-    return (d.base, d.exponent) if d.exponent > 1 else None
-
-
-def reference_decompose(value):
-    """reference_power_test in the shape of _maybe_decompose."""
-    found = reference_power_test(value)
-    return None if found is None else PowerDecomposition(*found)
+    base, exponent = perfect_power_decompose(value)
+    return (base, exponent) if exponent > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +264,8 @@ def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
                 out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
                                           family_min_exponent=cfg.min_exponent, bounds=cfg))
                 continue
-            decomp = power_test(value)
-            if decomp is None:
-                continue
-            for q in _admissible_exponents(decomp, cfg.min_exponent):
-                out.append(SolutionRecord(tag, n, m, x=decomp.root_for(q), exponent=q,
+            for x, q in _power_hits(power_test(value), cfg.min_exponent):
+                out.append(SolutionRecord(tag, n, m, x=x, exponent=q,
                                           family_min_exponent=None, bounds=cfg))
     return _verified(out)
 
@@ -295,12 +280,8 @@ def reference_product_search(cfg, power_test=_maybe_decompose):
             if odd == 1:
                 # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
                 raise ArithmeticError(f"pure power of two at ({n}, {m})")
-            decomp = power_test(odd)
-            if decomp is None:
-                continue
-            for q in _admissible_exponents(decomp, cfg.min_exponent):
-                out.append(ProductFormRecord(n=n, m=m, two_exponent=s,
-                                             x=decomp.root_for(q), exponent=q))
+            for x, q in _power_hits(power_test(odd), cfg.min_exponent):
+                out.append(ProductFormRecord(n=n, m=m, two_exponent=s, x=x, exponent=q))
     return _verified(out)
 
 
@@ -375,8 +356,8 @@ def test_search_matches_reference_scan_at_large_bound(tag, cfg):
 
 def _against_reference_scan(search, tag, cfg):
     if tag is None:
-        return lambda: search(cfg), lambda: reference_product_search(cfg, reference_decompose)
-    return lambda: search(cfg), lambda: reference_pair_search(tag, cfg, reference_decompose)
+        return lambda: search(cfg), lambda: reference_product_search(cfg, reference_power_test)
+    return lambda: search(cfg), lambda: reference_pair_search(tag, cfg, reference_power_test)
 
 
 # name -> (search, the reference scan running the earlier power test, or None)
@@ -421,8 +402,24 @@ def test_power_test_matches_sieve_then_decompose(monkeypatch, search, reference)
     search()
     assert seen
     for value in seen:
-        d = _maybe_decompose(value)
-        assert (None if d is None else (d.base, d.exponent)) == reference_power_test(value), value
+        assert _maybe_decompose(value) == reference_power_test(value), value
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING],
+                         ids=lambda k: k.value)
+def test_special_form_tests_the_prime_once(monkeypatch, kind):
+    # strip_prime splits any p >= 2 exactly, so the scan tests p's primality
+    # once and not once per index
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(bigmath, "is_prime", counting_is_prime)
+    monkeypatch.setattr(diophantine, "is_prime", counting_is_prime)
+    search_special_form(kind, 2147483647, SearchConfig(max_index=390))
+    assert calls == [2147483647]
 
 
 class TestOracle:

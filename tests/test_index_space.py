@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import pytest
 
-from ballab.bigmath import perfect_power_decompose, primes_up_to
+from ballab.bigmath import primes_up_to
 from ballab.diophantine import (
     EquationTag,
     Parity,
@@ -27,6 +27,7 @@ from ballab.diophantine import (
     _Terms,
 )
 from ballab.sequences import SequenceKind, values_up_to
+from refmath import perfect_power_decompose
 
 IDENTITY_MAX = 150
 GCD_MAX = 300
@@ -145,7 +146,7 @@ def strip_small(value):
 def rest_exponent(value):
     """Maximal exponent of value with the primes <= 199 divided out; 0 for rest 1."""
     rest = strip_small(value)[0]
-    return 0 if rest == 1 else perfect_power_decompose(rest).exponent
+    return 0 if rest == 1 else perfect_power_decompose(rest)[1]
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)

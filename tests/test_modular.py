@@ -10,12 +10,14 @@ from ballab.modular import (
     power_residue_sieve,
     residue_class_mod9,
     residue_range,
-    term_mod,
 )
 from ballab.sequences import SequenceKind, values_up_to
+from refmath import term_mod
 
 
 class TestTermMod:
+    """The tests' fast-doubling reference for single reduced terms."""
+
     def test_matches_direct_reduction(self):
         for kind in SequenceKind:
             vals = values_up_to(kind, 400)
@@ -37,8 +39,16 @@ class TestTermMod:
 
 def test_residue_range_matches_values():
     vals = values_up_to(SequenceKind.BALANCING, 50)
-    assert residue_range(SequenceKind.BALANCING, 0, 50, 9) == [v % 9 for v in vals]
-    assert residue_range(SequenceKind.BALANCING, 10, 20, 7) == [v % 7 for v in vals[10:21]]
+    assert residue_range(SequenceKind.BALANCING, 50, 9) == [v % 9 for v in vals]
+    for kind in SequenceKind:
+        vals = values_up_to(kind, 30)
+        for modulus in (1, 2, 7, 10 ** 9):
+            for hi in (0, 1, 2, 30):
+                assert residue_range(kind, hi, modulus) == [v % modulus for v in vals[:hi + 1]]
+    with pytest.raises(ValueError):
+        residue_range(SequenceKind.PELL, -1, 5)
+    with pytest.raises(ValueError):
+        residue_range(SequenceKind.PELL, 3, 0)
 
 
 class TestPeriod:
@@ -79,7 +89,7 @@ class TestMod9Table:
         assert residue_class_mod9(26) == 6
 
     def test_against_direct_reduction(self):
-        direct = residue_range(SequenceKind.BALANCING, 0, 240, 9)
+        direct = residue_range(SequenceKind.BALANCING, 240, 9)
         for n in range(241):
             assert residue_class_mod9(n) == direct[n]
 

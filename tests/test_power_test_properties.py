@@ -14,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ballab.bigmath import perfect_power_decompose, primes_up_to  # noqa: E402
+from ballab.bigmath import primes_up_to  # noqa: E402
 from ballab.diophantine import _maybe_decompose  # noqa: E402
+from refmath import perfect_power_decompose  # noqa: E402
 
 SMALL_PRIMES = primes_up_to(199)
 LARGE_PRIMES = tuple(p for p in primes_up_to(3000) if p > 199) + (
@@ -32,20 +33,17 @@ def products_of(primes, max_factors=6, max_multiplicity=5):
         lambda fs: math.prod(p ** e for p, e in fs))
 
 
-def as_pair(d):
-    return None if d is None else (d.base, d.exponent)
-
-
 def reference(n):
-    d = perfect_power_decompose(n)
-    return (d.base, d.exponent) if d.exponent > 1 else None
+    base, exponent = perfect_power_decompose(n)
+    return (base, exponent) if exponent > 1 else None
 
 
 def assert_admits(x, q):
     value = x ** q
-    d = _maybe_decompose(value)
-    assert d is not None, (x, q)
-    assert d.exponent % q == 0 and d.base ** d.exponent == value
+    found = _maybe_decompose(value)
+    assert found is not None, (x, q)
+    base, exponent = found
+    assert exponent % q == 0 and base ** exponent == value
 
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -73,7 +71,7 @@ def test_never_rejects_a_power_with_large_prime_cofactor(small, large, q):
 @PROPERTY_SETTINGS
 @given(st.integers(2, 10 ** 40))
 def test_agrees_with_decompose_on_random_values(n):
-    assert as_pair(_maybe_decompose(n)) == reference(n)
+    assert _maybe_decompose(n) == reference(n)
 
 
 @PROPERTY_SETTINGS
@@ -82,4 +80,4 @@ def test_agrees_with_decompose_on_random_values(n):
        st.integers(2, 13), st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
 def test_agrees_with_decompose_on_near_powers(x, q, ell):
     n = x ** q * ell
-    assert as_pair(_maybe_decompose(n)) == reference(n)
+    assert _maybe_decompose(n) == reference(n)

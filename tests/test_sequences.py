@@ -2,14 +2,7 @@ import math
 
 import pytest
 
-from ballab.sequences import (
-    SeqTerm,
-    SequenceKind,
-    balancer,
-    term,
-    term_range,
-    values_up_to,
-)
+from ballab.sequences import SequenceKind, balancer, term, values_up_to
 
 BALANCING_PREFIX = [0, 1, 6, 35, 204, 1189, 6930, 40391, 235416, 1372105]
 LUCAS_PREFIX = [1, 3, 17, 99, 577, 3363, 19601, 114243, 665857, 3880899]
@@ -46,19 +39,6 @@ def test_doubling_path_matches_iteration():
         vals = values_up_to(kind, 90)
         for n in range(91):
             assert term(kind, n) == vals[n]
-
-
-def test_term_range():
-    assert [t.value for t in term_range(SequenceKind.PELL, 0, 4)] == [0, 1, 2, 5, 12]
-    assert [t.value for t in term_range(SequenceKind.ASSOCIATED_PELL, 0, 3)] == [1, 1, 3, 7]
-    assert term_range(SequenceKind.BALANCING, 2, 2) == [SeqTerm(SequenceKind.BALANCING, 2, 6)]
-
-
-def test_term_range_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        term_range(SequenceKind.PELL, 3, 2)
-    with pytest.raises(ValueError):
-        term_range(SequenceKind.PELL, -1, 2)
 
 
 def half_index_sum(n, m):

@@ -1,7 +1,7 @@
 import pytest
 
 import ballab.verify
-from ballab.modular import residue_range, term_mod
+from ballab.modular import residue_range
 from ballab.sequences import SequenceKind
 from ballab.verify import (
     CheckResult,
@@ -14,6 +14,7 @@ from ballab.verify import (
     modular_suite,
     run_suite,
 )
+from refmath import term_mod
 
 
 def assert_all_green(results):
@@ -82,9 +83,9 @@ def test_two_adic_matches_per_case_rule(max_n):
 def test_two_adic_reports_a_wrong_residue(monkeypatch):
     # 2**5 exactly divides both 96 and B_96 (B_96 is 32 mod 2**8); adding 1
     # to that residue makes it odd, which breaks exactly the cases k = 1..5.
-    def corrupt_residues(kind, lo, hi, modulus):
-        out = residue_range(kind, lo, hi, modulus)
-        out[96 - lo] = (out[96 - lo] + 1) % modulus
+    def corrupt_residues(kind, hi, modulus):
+        out = residue_range(kind, hi, modulus)
+        out[96] = (out[96] + 1) % modulus
         return out
 
     monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
@@ -162,9 +163,9 @@ def test_failures_are_counted_and_reported(monkeypatch):
     def corrupt_values(kind, hi):
         return [v + 1 if i in CORRUPT else v for i, v in enumerate(values_up_to(kind, hi))]
 
-    def corrupt_residues(kind, lo, hi, modulus):
+    def corrupt_residues(kind, hi, modulus):
         return [(v + 1) % modulus if i in CORRUPT else v
-                for i, v in enumerate(residue_range(kind, lo, hi, modulus), lo)]
+                for i, v in enumerate(residue_range(kind, hi, modulus))]
 
     monkeypatch.setattr(ballab.verify, "values_up_to", corrupt_values)
     monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
