@@ -5,17 +5,20 @@ Subcommands: seq, term, verify, period, search, balancer.  Reports are JSON
 string; reruns with the same configuration produce byte-identical results
 arrays.  Exit codes: 0 success / all checks pass, 1 property failure or
 claims mismatch, 2 usage error.
+
+Each subcommand's options are declared once, in _COMMANDS.  A well-formed
+command line is parsed straight from that table; argparse is imported and
+built from it only for help, abbreviated or --opt=value forms and usage
+errors, so its text is the one users see.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's gettext imports locale on first use; importing it here keeps that
-# cost in the CLI's import instead of inside main()
-import locale  # noqa: F401
 import sys
 import time
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .bigmath import is_prime
@@ -29,9 +32,13 @@ from .diophantine import (
     search_square_diff,
     search_sum_power,
 )
-from .modular import period
+from .modular import period, residue_range
 from .sequences import SequenceKind, balancer, term, values_up_to
 from .verify import SUITE_NAMES, run_suite
+
+if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable
 
 SCHEMA_VERSION = 1
 
@@ -46,6 +53,10 @@ MAX_PRIME = (1 << 31) - 1
 # 2-core VM.  modular is linear: about 1 s at 10**6.
 MAX_VERIFY_N = 1000
 MAX_VERIFY_N_MODULAR = 10 ** 6
+# period --mod ceiling.  The walk is linear in the period it finds, which
+# reaches mu + 1 for some primes: the worst modulus just below this ceiling,
+# 9999973 (period 9999974), takes about 1.4 s on a 2-core VM.
+MAX_PERIOD_MOD = 10 ** 7
 
 
 def canonical_json(obj) -> str:
@@ -63,51 +74,33 @@ def _report(command: str, config: dict, results: list, started: float) -> dict:
     }
 
 
-def _add_seq(sub) -> None:
-    p = sub.add_parser("seq", help="dump a sequence range")
-    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# Plain classes, not NamedTuples: creating a NamedTuple costs about 0.2 ms of
+# import time, which every CLI call pays.
+class _Option:
+    """One command-line option, or the positional when flag has no leading "-".
+
+    kind is int, bool (a --flag/--no-flag pair, argparse's
+    BooleanOptionalAction) or the tuple of allowed values.
+    """
+
+    __slots__ = ("flag", "dest", "kind", "required", "default", "help")
+
+    def __init__(self, flag: str, dest: str, kind: type | tuple, required: bool = False,
+                 default: object = None, help: str | None = None) -> None:
+        self.flag, self.dest, self.kind = flag, dest, kind
+        self.required, self.default, self.help = required, default, help
 
 
-def _add_term(sub) -> None:
-    p = sub.add_parser("term", help="single term at an index")
-    p.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    p.add_argument("--index", type=int, required=True)
+class _Command:
+    __slots__ = ("help", "options", "run")
+
+    def __init__(self, help: str, options: tuple[_Option, ...],
+                 run: Callable[[SimpleNamespace], int]) -> None:
+        self.help, self.options, self.run = help, options, run
 
 
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--max-n", type=int, required=True)
-
-
-def _add_period(sub) -> None:
-    p = sub.add_parser("period", help="period of the balancing sequence mod mu")
-    p.add_argument("--mod", type=int, required=True)
-
-
-def _add_search(sub) -> None:
-    p = sub.add_parser("search", help="bounded exhaustive equation search")
-    p.add_argument("equation", choices=_SEARCH_EQUATIONS)
-    p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--min-exp", type=int, default=None)
-    p.add_argument("--parity", choices=("same", "opposite", "any"), default=None)
-    p.add_argument("--coprime", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--coprime-zero-exempt", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; has no effect (searches run serially)")
-    p.add_argument("--kind", choices=("balancing", "lucas-balancing"), default=None,
-                   help="sequence for special-form")
-    p.add_argument("--prime", type=int, default=None, help="prime for special-form")
-
-
-def _add_balancer(sub) -> None:
-    p = sub.add_parser("balancer", help="the R paired with a balancing number")
-    p.add_argument("--value", type=int, required=True)
+class UsageError(Exception):
+    """A handler's refusal of its arguments; main renders it as argparse's usage error."""
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -117,6 +110,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     on the one-command parser: on Python 3.11 it would also rename the
     argument in the full parser's "required" and "invalid choice" errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ballab",
         description="balancing-number sequences, identity suites, and bounded power searches",
@@ -124,22 +119,96 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in _COMMANDS:
         sub = parser.add_subparsers(dest="command", required=True,
                                     metavar="{" + ",".join(_COMMANDS) + "}")
-        _COMMANDS[command][0](sub)
+        names = (command,)
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-        for add, _ in _COMMANDS.values():
-            add(sub)
+        names = _COMMANDS
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name].help)
+        for opt in _COMMANDS[name].options:
+            if opt.kind is bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            elif opt.kind is int:
+                kind = {"type": int}
+            else:
+                kind = {"choices": opt.kind}
+            if opt.flag.startswith("-"):
+                p.add_argument(opt.flag, dest=opt.dest, required=opt.required,
+                               default=opt.default, help=opt.help, **kind)
+            else:
+                p.add_argument(opt.flag, help=opt.help, **kind)
     return parser
 
 
-def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _value(opt: _Option, token: str):
+    """token converted as argparse would, or None where argparse must decide."""
+    if token.startswith("-"):
+        return None
+    if opt.kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    return token if token in opt.kind else None
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed argv, without argparse.
+
+    Accepts only a known subcommand followed by exact option names (the
+    --no- forms included), each non-flag option followed by one value that
+    does not start with "-" and converts by int() or is one of its choices,
+    at most one positional, every required option present; a repeated option
+    keeps its last value.  Anything else returns None and argparse parses it.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    args = {"command": argv[0]}
+    by_flag = {}
+    positional = None
+    for opt in command.options:
+        args[opt.dest] = opt.default
+        if opt.kind is bool:
+            by_flag[opt.flag] = (opt, True)
+            by_flag["--no-" + opt.flag[2:]] = (opt, False)
+        elif opt.flag.startswith("-"):
+            by_flag[opt.flag] = (opt, None)
+        else:
+            positional = opt
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in by_flag:
+            opt, value = by_flag[token]
+            if value is None:
+                # a missing value reads as "-", which _value declines
+                value = _value(opt, next(tokens, "-"))
+        elif positional is not None and positional.dest not in seen:
+            opt, value = positional, _value(positional, token)
+        else:
+            return None
+        if value is None:
+            return None
+        args[opt.dest] = value
+        seen.add(opt.dest)
+    for opt in command.options:
+        if (opt.required or opt is positional) and opt.dest not in seen:
+            return None
+    return SimpleNamespace(**args)
+
+
+def _cmd_seq(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.lo < 0 or args.lo > args.hi:
-        parser.error(f"invalid range [{args.lo}, {args.hi}]")
+        raise UsageError(f"invalid range [{args.lo}, {args.hi}]")
     if args.mod is not None and args.mod < 1:
-        parser.error("--mod must be >= 1")
-    values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
-    results = [{"kind": args.kind, "index": i, "value": str(v % args.mod if args.mod else v)}
+        raise UsageError("--mod must be >= 1")
+    if args.mod is None:
+        values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
+    else:
+        values = residue_range(_KINDS[args.kind], args.hi, args.mod)[args.lo:]
+    results = [{"kind": args.kind, "index": i, "value": str(v)}
                for i, v in enumerate(values, args.lo)]
     if args.format == "csv":
         print("kind,index,value")
@@ -151,10 +220,10 @@ def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_term(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_term(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.index < 0:
-        parser.error("--index must be >= 0")
+        raise UsageError("--index must be >= 0")
     value = term(_KINDS[args.kind], args.index)
     results = [{"kind": args.kind, "index": args.index, "value": str(value)}]
     print(canonical_json(_report("term", {"kind": args.kind, "index": args.index},
@@ -162,13 +231,13 @@ def _cmd_term(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
+        raise UsageError("--max-n must be >= 1")
     ceiling = MAX_VERIFY_N_MODULAR if args.suite == "modular" else MAX_VERIFY_N
     if args.max_n > ceiling:
-        parser.error(f"--max-n must be <= {ceiling} for --suite {args.suite}, got {args.max_n}")
+        raise UsageError(f"--max-n must be <= {ceiling} for --suite {args.suite}, got {args.max_n}")
     checks = run_suite(args.suite, args.max_n)
     results = [c.to_dict() for c in checks]
     config = {"suite": args.suite, "max_n": args.max_n}
@@ -176,10 +245,12 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _cmd_period(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_period(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.mod < 2:
-        parser.error("--mod must be >= 2")
+        raise UsageError("--mod must be >= 2")
+    if args.mod > MAX_PERIOD_MOD:
+        raise UsageError(f"--mod must be <= {MAX_PERIOD_MOD}, got {args.mod}")
     r = period(args.mod)
     results = [{"modulus": r.modulus, "period": r.period,
                 "prefix_checked": r.prefix_checked}]
@@ -187,10 +258,10 @@ def _cmd_period(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_balancer(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_balancer(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.value < 1:
-        parser.error("--value must be >= 1")
+        raise UsageError("--value must be >= 1")
     r = balancer(args.value)
     results = [{"value": str(args.value), "is_balancing": r is not None,
                 "balancer": None if r is None else str(r)}]
@@ -246,27 +317,27 @@ def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | Non
     }
 
 
-def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     eq = args.equation
     is_cube = eq in ("cube-sum-plus", "cube-sum-minus")
     needs_coprime = is_cube or eq == "square-diff"
 
     if args.max_index < 1:
-        parser.error("--max-index must be >= 1")
+        raise UsageError("--max-index must be >= 1")
     min_exp = args.min_exp if args.min_exp is not None else (3 if is_cube else 2)
     if min_exp < 2:
-        parser.error("--min-exp must be >= 2")
+        raise UsageError("--min-exp must be >= 2")
     if is_cube and min_exp < 3:
-        parser.error(f"{eq} requires --min-exp >= 3")
+        raise UsageError(f"{eq} requires --min-exp >= 3")
     is_pair_equation = is_cube or eq in ("sum-power", "square-diff")
     if not is_pair_equation:
         for flag, value in (("--parity", args.parity), ("--coprime", args.coprime),
                             ("--coprime-zero-exempt", args.coprime_zero_exempt)):
             if value is not None:
-                parser.error(f"{flag} does not apply to {eq}")
+                raise UsageError(f"{flag} does not apply to {eq}")
     if needs_coprime and args.coprime is False:
-        parser.error(f"{eq} carries the coprimality hypothesis; --no-coprime is inconsistent")
+        raise UsageError(f"{eq} carries the coprimality hypothesis; --no-coprime is inconsistent")
     coprime = args.coprime if args.coprime is not None else needs_coprime
     if args.coprime_zero_exempt is not None:
         zero_exempt = args.coprime_zero_exempt
@@ -276,15 +347,15 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         zero_exempt = not is_cube
     if eq == "special-form":
         if args.kind is None:
-            parser.error("special-form requires --kind")
+            raise UsageError("special-form requires --kind")
         prime = args.prime if args.prime is not None else 2
         if prime > MAX_PRIME:
-            parser.error(f"--prime must be <= {MAX_PRIME} (2^31 - 1), got {prime}")
+            raise UsageError(f"--prime must be <= {MAX_PRIME} (2^31 - 1), got {prime}")
         if not is_prime(prime):
-            parser.error(f"--prime must be prime, got {prime}")
+            raise UsageError(f"--prime must be prime, got {prime}")
     else:
         if args.kind is not None or args.prime is not None:
-            parser.error("--kind/--prime only apply to special-form")
+            raise UsageError("--kind/--prime only apply to special-form")
         prime = None
 
     cfg = SearchConfig(
@@ -329,24 +400,59 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-# Each subcommand's parser builder and handler, in the order the full parser
-# lists them.
+_KIND_OPTION = _Option("--kind", "kind", tuple(sorted(_KINDS)), required=True)
+
+# Each subcommand's help, options (in the order its help lists them) and
+# handler, in the order the full parser lists them.
 _COMMANDS = {
-    "seq": (_add_seq, _cmd_seq),
-    "term": (_add_term, _cmd_term),
-    "verify": (_add_verify, _cmd_verify),
-    "period": (_add_period, _cmd_period),
-    "search": (_add_search, _cmd_search),
-    "balancer": (_add_balancer, _cmd_balancer),
+    "seq": _Command("dump a sequence range", (
+        _KIND_OPTION,
+        _Option("--from", "lo", int, required=True),
+        _Option("--to", "hi", int, required=True),
+        _Option("--mod", "mod", int),
+        _Option("--format", "format", ("json", "csv"), default="json"),
+    ), _cmd_seq),
+    "term": _Command("single term at an index", (
+        _KIND_OPTION,
+        _Option("--index", "index", int, required=True),
+    ), _cmd_term),
+    "verify": _Command("run a property suite", (
+        _Option("--suite", "suite", SUITE_NAMES, required=True),
+        _Option("--max-n", "max_n", int, required=True),
+    ), _cmd_verify),
+    "period": _Command("period of the balancing sequence mod mu", (
+        _Option("--mod", "mod", int, required=True),
+    ), _cmd_period),
+    "search": _Command("bounded exhaustive equation search", (
+        _Option("equation", "equation", _SEARCH_EQUATIONS),
+        _Option("--max-index", "max_index", int, required=True),
+        _Option("--min-exp", "min_exp", int),
+        _Option("--parity", "parity", ("same", "opposite", "any")),
+        _Option("--coprime", "coprime", bool),
+        _Option("--coprime-zero-exempt", "coprime_zero_exempt", bool),
+        _Option("--workers", "workers", int,
+                help="accepted for compatibility; has no effect (searches run serially)"),
+        _Option("--kind", "kind", ("balancing", "lucas-balancing"),
+                help="sequence for special-form"),
+        _Option("--prime", "prime", int, help="prime for special-form"),
+    ), _cmd_search),
+    "balancer": _Command("the R paired with a balancing number", (
+        _Option("--value", "value", int, required=True),
+    ), _cmd_balancer),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command][1](parser, args)
+    args = _fast_parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv else None)
+        args = SimpleNamespace(**vars(parser.parse_args(argv)))
+    try:
+        return _COMMANDS[args.command].run(args)
+    except UsageError as exc:
+        build_parser(args.command).error(str(exc))
 
 
 def console_main() -> None:

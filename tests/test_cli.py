@@ -7,11 +7,14 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 import ballab
 from ballab import cli
+from ballab.modular import PeriodResult
+from ballab.sequences import values_up_to
 
 
 def run_cli(capsys, argv):
@@ -84,6 +87,18 @@ class TestSeq:
                 cli.main(["seq", "--kind", "pell", "--from", lo, "--to", hi])
             assert exc.value.code == 2
             assert f"invalid range [{lo}, {hi}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["balancing", "lucas-balancing", "pell", "associated-pell"])
+    def test_mod_reads_residues_equal_to_reduced_terms(self, capsys, kind):
+        # seq --mod walks residues; each value must be the big term reduced
+        terms = values_up_to(cli._KINDS[kind], 60)
+        for mod in (1, 2, 7, 10 ** 9 + 7, 10 ** 30):
+            for lo in (0, 1, 13, 60):
+                code, out = run_cli(capsys, ["seq", "--kind", kind, "--from", str(lo),
+                                             "--to", "60", "--mod", str(mod)])
+                assert code == 0
+                assert ([r["value"] for r in json.loads(out)["results"]]
+                        == [str(v % mod) for v in terms[lo:]])
 
     def test_bad_mod_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["seq", "--kind", "pell", "--from", "0", "--to", "2",
@@ -169,6 +184,22 @@ class TestPeriod:
     def test_small_mod_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["period", "--mod", "1"])
         assert code == 2
+
+    def test_mod_above_ceiling_is_refused_up_front(self, capsys):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["period", "--mod", str(cli.MAX_PERIOD_MOD + 1)])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert (f"--mod must be <= {cli.MAX_PERIOD_MOD}, got {cli.MAX_PERIOD_MOD + 1}"
+                in capsys.readouterr().err)
+
+    def test_mod_at_ceiling_is_accepted(self, capsys, monkeypatch):
+        # the walk itself is stubbed: only the bound check runs
+        monkeypatch.setattr(cli, "period", lambda mod: PeriodResult(mod, 1, 2))
+        code, out = run_cli(capsys, ["period", "--mod", str(cli.MAX_PERIOD_MOD)])
+        assert code == 0
+        assert json.loads(out)["config"] == {"modulus": cli.MAX_PERIOD_MOD}
 
 
 class TestBalancer:
@@ -363,10 +394,9 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
 
 
-# Valid calls, each subcommand's -h, handler-level usage errors, argparse
-# errors, unrecognized extras and abbreviated options.
-PARSER_CORPUS = (
-    [], ["-h"], ["bogus"],
+# Lines main() parses without argparse: valid calls and handler-level usage
+# errors.
+FAST_PATH_CORPUS = (
     ["seq", "--kind", "balancing", "--from", "0", "--to", "5"],
     ["seq", "--kind", "pell", "--from", "2", "--to", "4", "--mod", "9", "--format", "csv"],
     ["term", "--kind", "lucas-balancing", "--index", "10"],
@@ -377,13 +407,14 @@ PARSER_CORPUS = (
     ["search", "product-form", "--max-index", "8", "--workers", "2"],
     ["search", "special-form", "--kind", "balancing", "--prime", "3", "--max-index", "20"],
     ["balancer", "--value", "35"],
-    *([command, "-h"] for command in CLI_SURFACE),
+    ["search", "--max-index", "6", "--coprime", "sum-power", "--no-coprime", "--max-index", "7"],
     ["seq", "--kind", "pell", "--from", "5", "--to", "2"],
-    ["term", "--kind", "pell", "--index", "-1"],
+    ["term", "--kind", "pell", "--index", " -1"],
     ["verify", "--suite", "gcd", "--max-n", "0"],
     ["verify", "--suite", "gcd", "--max-n", "1001"],
     ["verify", "--suite", "modular", "--max-n", "1000001"],
     ["period", "--mod", "1"],
+    ["period", "--mod", "10000001"],
     ["balancer", "--value", "0"],
     ["search", "sum-power", "--max-index", "0"],
     ["search", "cube-sum-plus", "--max-index", "5", "--min-exp", "2"],
@@ -392,32 +423,62 @@ PARSER_CORPUS = (
     ["search", "special-form", "--kind", "balancing", "--prime", "4", "--max-index", "5"],
     ["search", "product-form", "--max-index", "5", "--parity", "same"],
     ["search", "sum-power", "--max-index", "5", "--kind", "balancing"],
+)
+
+# The fast path's lines, each subcommand's -h, argparse errors, unrecognized
+# extras, abbreviated options and the other forms only argparse parses.
+PARSER_CORPUS = (
+    [], ["-h"], ["bogus"],
+    *FAST_PATH_CORPUS,
+    *([command, "-h"] for command in CLI_SURFACE),
+    ["term", "--kind", "pell", "--index", "-1"],
     ["seq", "--kind", "pell", "--from", "0"],
     ["seq", "--kind", "fib", "--from", "0", "--to", "1"],
     ["term", "--kind", "pell", "--index", "3", "extra"],
     ["period", "--mod", "ten"],
     ["search"],
     ["search", "bogus", "--max-index", "3"],
+    ["search", "sum-power", "square-diff", "--max-index", "3"],
     ["search", "sum-power", "--max-index", "5", "--bogus", "1"],
     ["search", "sum-power", "--max", "5"],
+    ["search", "sum-power", "--max-index=5"],
+    ["search", "sum-power", "--", "--max-index", "5"],
     ["search", "square-diff", "--max-index", "5", "--copr"],
     ["search", "square-diff", "--max-index", "5", "--no-copr"],
     ["verify", "--suite", "gcd", "--max", "3"],
 )
 
 
+def _without_runtime(out):
+    return re.sub(r'"runtime_ms":\d+', "", out)
+
+
 def _parse_and_run(parser, argv):
-    """(namespace or None, exit code, stdout without runtime_ms, stderr)."""
+    """(namespace or None, exit code, stdout without runtime_ms, stderr), by argparse alone."""
     out, err = io.StringIO(), io.StringIO()
     namespace = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             args = parser.parse_args(argv)
             namespace = vars(args)
-            code = cli._COMMANDS[args.command][1](parser, args)
+            try:
+                code = cli._COMMANDS[args.command].run(args)
+            except cli.UsageError as exc:
+                parser.error(str(exc))
         except SystemExit as exc:
             code = exc.code
-    return namespace, code, re.sub(r'"runtime_ms":\d+', "", out.getvalue()), err.getvalue()
+    return namespace, code, _without_runtime(out.getvalue()), err.getvalue()
+
+
+def _run_main(argv):
+    """(exit code, stdout without runtime_ms, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _without_runtime(out.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
@@ -428,6 +489,95 @@ def test_one_command_parser_matches_the_full_parser(argv, monkeypatch):
     command = argv[0] if argv else None
     assert (_parse_and_run(cli.build_parser(command), argv)
             == _parse_and_run(cli.build_parser(), argv))
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_fast_path_parses_exactly_its_corpus_as_argparse_does(argv, monkeypatch):
+    # The fast path takes the FAST_PATH_CORPUS lines, to argparse's namespace,
+    # and leaves every other line to argparse; main() answers each line as
+    # argparse alone does.
+    monkeypatch.setenv("COLUMNS", "80")
+    namespace, *answer = _parse_and_run(cli.build_parser(), argv)
+    fast = cli._fast_parse(argv)
+    if argv in FAST_PATH_CORPUS:
+        assert vars(fast) == namespace
+    else:
+        assert fast is None
+    assert _run_main(argv) == tuple(answer)
+
+
+def _argparse_vocabulary():
+    """Each subcommand's argparse actions, help excluded."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+            for name, subparser in sub.choices.items()}
+
+
+def test_fast_path_agrees_with_argparse_on_drawn_command_lines():
+    # Command lines drawn from argparse's own vocabulary: well-formed lines
+    # with small bounds, plus prefixes, = forms, signed, underscored and junk
+    # ints, bad choices, stray positionals, -h and --.  Where the fast path
+    # accepts a line its namespace is argparse's, and main() always gives
+    # argparse's exit code, stdout and stderr.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vocabulary = _argparse_vocabulary()
+    small = st.integers(0, 12).map(str)
+    ints = st.one_of(small, small, small,
+                     st.sampled_from(["-1", "-0", "+3", "1_0", "007", " 4", "x", "", "2.5",
+                                      "0x10", "\u0663"]))
+
+    def values(action):
+        if action.choices is None:
+            return ints
+        return st.sampled_from([*action.choices] * 2 + ["bogus", action.choices[0][:3]])
+
+    @st.composite
+    def option(draw, action, noisy=False):
+        # noisy: maybe a prefix of the name, maybe the --name=value form
+        name = draw(st.sampled_from(action.option_strings))
+        if noisy and draw(st.booleans()):
+            name = name[:draw(st.integers(3, len(name) - 1))]
+        if action.nargs == 0:
+            return [name]
+        value = draw(values(action))
+        if noisy and draw(st.booleans()):
+            return [f"{name}={value}"]
+        return [name, value]
+
+    @st.composite
+    def command_lines(draw):
+        command = draw(st.sampled_from(sorted(vocabulary)))
+        actions = vocabulary[command]
+        items = []
+        for action in actions:
+            # a required action is mostly given once; any action may be
+            # missing or repeated
+            times = [0, 1, 1, 1, 1, 1, 1, 2] if action.required else [0, 0, 0, 1, 1, 2]
+            for _ in range(draw(st.sampled_from(times))):
+                items.append(draw(option(action)) if action.option_strings
+                             else [draw(values(action))])
+        flagged = [a for a in actions if a.option_strings]
+        noise = st.one_of(
+            st.sampled_from(["-h", "--help", "--", "--bogus", "extra", "sum-power", "-1"])
+            .map(lambda token: [token]),
+            st.sampled_from(flagged).flatmap(lambda action: option(action, noisy=True)))
+        items += [draw(noise) for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+        items = draw(st.permutations(items))
+        return [command] + [token for item in items for token in item]
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(command_lines())
+    def check(argv):
+        namespace, *answer = _parse_and_run(cli.build_parser(argv[0]), argv)
+        fast = cli._fast_parse(argv)
+        if fast is not None:
+            assert vars(fast) == namespace
+        assert _run_main(argv) == tuple(answer)
+
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        check()
 
 
 def test_one_command_parser_registers_one_subcommand():
@@ -478,15 +628,28 @@ for argv in (["search", "sum-power", "--max-index", "12", "--workers", "1"],
              ["search", "special-form", "--kind", "balancing", "--max-index", "40"]):
     with contextlib.redirect_stdout(io.StringIO()):
         ballab.cli.main(argv)
-print(json.dumps({"pool": pool, "new": sorted(set(sys.modules) - before)}))
+new = sorted(set(sys.modules) - before)
+parsers = sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    try:
+        ballab.cli.main(["search", "sum-power", "--max-index", "0"])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"pool": pool, "new": new, "parsers": parsers, "usage": [code, err.getvalue()]}))
 """
 
 
 def test_import_hygiene():
-    # A fresh interpreter: the CLI loads no process-pool machinery, and a
-    # search imports nothing the CLI's own import did not, so no module load
-    # lands inside the timed main().
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
+    # A fresh interpreter: the CLI loads no process-pool machinery, a search
+    # imports nothing the CLI's own import did not (so no module load lands
+    # inside the timed main()), and an accepted command line never loads
+    # argparse or what it pulls in.  A usage error still gets argparse's text.
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"pool": [], "new": []}
+    assert json.loads(proc.stdout) == {
+        "pool": [], "new": [], "parsers": [],
+        "usage": [2, "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
+                     "ballab: error: --max-index must be >= 1\n"]}
