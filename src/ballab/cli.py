@@ -49,8 +49,8 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
 # verify --max-n ceilings.  identities and gcd (and so all) are quadratic in
-# --max-n with big-integer work per case: all takes about 9.5 s at 1000 on a
-# 2-core VM.  modular is linear: about 1 s at 10**6.
+# --max-n with big-integer work per case: all takes about 6 s at 1000 on a
+# 2-core VM.  modular is linear: about 0.5 s at 10**6.
 MAX_VERIFY_N = 1000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  The walk is linear in the period it finds, which
@@ -240,8 +240,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise UsageError(f"--max-n must be <= {ceiling} for --suite {args.suite}, got {args.max_n}")
     checks = run_suite(args.suite, args.max_n)
     results = [c.to_dict() for c in checks]
-    config = {"suite": args.suite, "max_n": args.max_n}
-    print(canonical_json(_report("verify", config, results, started)))
+    report = _report("verify", {"suite": args.suite, "max_n": args.max_n}, results, started)
+    report["timings_ms"] = {c.name: round(c.ms, 3) for c in checks}
+    print(canonical_json(report))
     return 0 if all(c.passed for c in checks) else 1
 
 

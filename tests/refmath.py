@@ -4,8 +4,12 @@ Each function here is an independent way to compute something the library
 computes another way, kept as the slow side of an equivalence test.
 """
 
-from ballab.bigmath import integer_kth_root, primes_up_to
-from ballab.sequences import RECURRENCE
+from math import gcd
+from typing import Iterable, Iterator
+
+from ballab.bigmath import integer_kth_root, primes_up_to, strip_prime
+from ballab.sequences import RECURRENCE, SequenceKind, values_up_to
+from ballab.verify import CheckResult
 
 
 def perfect_power_decompose(n: int) -> tuple[int, int]:
@@ -56,3 +60,106 @@ def term_mod(kind, n: int, modulus: int) -> int:
         if bit == "1":
             u, v = v, (c1 * v + c2 * u) % modulus
     return (s1 * u + s0 * (v - c1 * u)) % modulus
+
+
+# ---------------------------------------------------------------------------
+# The quadratic verify checks as one generator step per ordered case, each
+# decided on its own.  ballab.verify decides the symmetric ones once per
+# unordered pair and records failing cases by key; these are the slow side
+# of that equivalence.
+
+
+def _run_check(name: str, bound: str, cases: Iterable[str | None]) -> CheckResult:
+    checked = 0
+    failed = 0
+    failures: list[str] = []
+    for checked, failure in enumerate(cases, 1):
+        if failure is not None:
+            failed += 1
+            if len(failures) < 5:
+                failures.append(failure)
+    return CheckResult(name, bound, checked, passed=failed == 0, failures=failures)
+
+
+def check_half_index_sum(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(max_n + 1):
+            bn = b[n]
+            for m in range(n % 2, n + 1, 2):
+                a, d = (n + m) // 2, (n - m) // 2
+                yield None if bn + b[m] == 2 * b[a] * c[d] else f"B_{n} + B_{m} != 2*B_{a}*C_{d}"
+
+    return _run_check("half-index-sum", f"0 <= m <= n <= {max_n}, same parity", cases())
+
+
+def check_half_index_diff(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(max_n + 1):
+            bn = b[n]
+            for m in range(n % 2, n + 1, 2):
+                a, d = (n + m) // 2, (n - m) // 2
+                yield None if bn - b[m] == 2 * b[d] * c[a] else f"B_{n} - B_{m} != 2*B_{d}*C_{a}"
+
+    return _run_check("half-index-diff", f"0 <= m <= n <= {max_n}, same parity", cases())
+
+
+def check_addition_formula(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for x in range(max_n + 1):
+            bx, cx = b[x], c[x]
+            for y in range(max_n + 1):
+                yield (None if b[x + y] == bx * c[y] + cx * b[y]
+                       else f"B_{x + y} != B_{x}*C_{y} + C_{x}*B_{y}")
+
+    return _run_check("addition-formula", f"0 <= x, y <= {max_n}", cases())
+
+
+def check_gcd_balancing(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            bn = b[n]
+            for m in range(1, max_n + 1):
+                yield (None if gcd(bn, b[m]) == b[gcd(n, m)]
+                       else f"gcd(B_{n}, B_{m}) != B_gcd({n},{m})")
+
+    return _run_check("gcd-balancing", f"1 <= n, m <= {max_n}", cases())
+
+
+def check_gcd_lucas(max_n: int) -> CheckResult:
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    v2 = [0] + [strip_prime(2, n)[0] for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            cn, vn = c[n], v2[n]
+            for m in range(1, max_n + 1):
+                want = c[gcd(n, m)] if vn == v2[m] else 1
+                yield None if gcd(cn, c[m]) == want else f"gcd(C_{n}, C_{m}) != expected"
+
+    return _run_check("gcd-lucas", f"1 <= n, m <= {max_n}", cases())
+
+
+def check_gcd_mixed(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    v2 = [0] + [strip_prime(2, n)[0] for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            bn, vn = b[n], v2[n]
+            for m in range(1, max_n + 1):
+                want = c[gcd(n, m)] if vn > v2[m] else 1
+                yield None if gcd(bn, c[m]) == want else f"gcd(B_{n}, C_{m}) != expected"
+
+    return _run_check("gcd-mixed", f"1 <= n, m <= {max_n}", cases())

@@ -137,6 +137,19 @@ class TestVerify:
         code, out = run_cli(capsys, ["verify", "--suite", "modular", "--max-n", "60"])
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["identities", "gcd", "modular", "all"])
+    def test_timings_have_one_key_per_result(self, capsys, suite):
+        code, out = run_cli(capsys, ["verify", "--suite", suite, "--max-n", "12"])
+        assert code == 0
+        report = json.loads(out)
+        names = [r["name"] for r in report["results"]]
+        # canonical JSON sorts object keys, so the map reads in name order
+        assert list(report["timings_ms"]) == sorted(names)
+        assert len(names) == len(set(names))
+        assert all(isinstance(ms, (int, float)) and ms >= 0
+                   for ms in report["timings_ms"].values())
+        assert "timings_ms" not in report["results"][0]
+
     def test_bad_suite_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["verify", "--suite", "bogus", "--max-n", "10"])
         assert code == 2
@@ -450,7 +463,8 @@ PARSER_CORPUS = (
 
 
 def _without_runtime(out):
-    return re.sub(r'"runtime_ms":\d+', "", out)
+    """Output without runtime_ms or verify's timings_ms, the two fields that vary by run."""
+    return re.sub(r'"runtime_ms":\d+|"timings_ms":\{[^}]*\}', "", out)
 
 
 def _parse_and_run(parser, argv):
