@@ -14,6 +14,7 @@ errors, so its text is the one users see.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -40,6 +41,9 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Callable
 
+# Freeze the imports' objects, so a call's collections do not depend on them.
+gc.freeze()
+
 SCHEMA_VERSION = 1
 
 _KINDS = {k.value: k for k in SequenceKind}
@@ -57,6 +61,11 @@ MAX_VERIFY_N_MODULAR = 10 ** 6
 # reaches mu + 1 for some primes: the worst modulus just below this ceiling,
 # 9999973 (period 9999974), takes about 1.4 s on a 2-core VM.
 MAX_PERIOD_MOD = 10 ** 7
+# search --max-index ceilings, per equation (costs differ by over 4x at one
+# bound).  At the ceiling on a 2-core VM: square-diff 39 s and 0.6 GB peak,
+# sum-power 31 s, cube forms 29 s, product-form 47 s, special-form 59 s.
+MAX_SEARCH_INDEX = dict.fromkeys(_SEARCH_EQUATIONS, 20_000) | {
+    "product-form": 15_000, "special-form": 40_000}
 
 
 def canonical_json(obj) -> str:
@@ -326,6 +335,9 @@ def _cmd_search(args: SimpleNamespace) -> int:
 
     if args.max_index < 1:
         raise UsageError("--max-index must be >= 1")
+    if args.max_index > MAX_SEARCH_INDEX[eq]:
+        raise UsageError(f"--max-index must be <= {MAX_SEARCH_INDEX[eq]} for {eq}, "
+                         f"got {args.max_index}")
     min_exp = args.min_exp if args.min_exp is not None else (3 if is_cube else 2)
     if min_exp < 2:
         raise UsageError("--min-exp must be >= 2")

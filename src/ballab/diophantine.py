@@ -32,9 +32,8 @@ and the gcd laws (Panda 2009) name the common factor of the two terms, with
 d the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
 v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even (v2(N) > v2(M)),
 else 1.  The rest of a term is what is left once the primes <= 199 are
-divided out; per-index tables hold each rest's perfect-power exponent and the
-term's valuations at those primes.  A q-th power has q dividing its valuation
-at every prime, so a pair is rejected without building its value when
+divided out.  A q-th power has q dividing its valuation at every prime, so a
+pair is rejected without building its value when
 - the common factor's rest is 1, so the two rests share no prime and both
   must be q-th powers, and their exponents have gcd 1; or
 - the two terms' summed valuations at the primes <= 199 have gcd 1 (not for
@@ -43,16 +42,35 @@ at every prime, so a pair is rejected without building its value when
 
 The searches walk index space by rows: a row is one index b of one term (t,
 or M for product-form), and its pairs run over the other index a (s, or N).
-When the row term's rest exponent is 1, the first rule rejects every pair
-whose common factor is 1 by the gcd laws, so the row visits only
-- the multiples of 2**(v2(b)+1), i.e. v2(a) > v2(b), for B_n + B_m (and the
-  plus cube form through it) and for product-form;
-- the a with v2(a) < v2(b) for B_n - B_m;
-- no a at all for B_n +- B_m with odd t, since s and t then are both odd;
-- no a at all under coprime terms, since gcd(s, t) | 2 and B_1, B_2, Q_1, Q_2
-  have rest 1.
-Other rows visit every pair.  --parity selects rows (same parity is even t),
-and the coprime-terms filter is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
+Lazily filled per-index tables decide the rules from exact certificates and
+read a costly quantity only where the answer can change:
+1. Strip by gcd.  g = gcd(term, product of the primes <= 199) holds each
+   small prime of the term once; dividing by g, then by gcd(what is left,
+   g) until that is 1, leaves the rest.  The valued primes of g are the
+   support; those not dividing term // g have valuation 1 (the lone part).
+2. Lone primes first.  A lone prime of one term that does not divide the
+   other makes the summed valuation there 1, so the rows skip a pair unless
+   each lone part divides the other term's support; only the pairs kept get
+   the valuation gcd.
+3. Exponents only where read.  The row term's exponent e_y picks its row; a
+   partner is asked only when the common factor's rest is 1, and only
+   whether its rest is a q-th power for a prime q | e_y (any q for e_y = 0):
+   _root_out takes every such root, so that is gcd(e_x, e_y) != 1.
+4. Exponent 1 by inheritance.  If rest_d has exponent 1 and divides rest_k
+   with a quotient coprime to it, rest_k has exponent 1, since the maximal
+   exponent of a product of coprime factors is the gcd of theirs.  Both
+   conditions are checked; d = k/p, p the smallest prime of k (odd for C
+   and Q), is tried since then term d divides term k.
+5. Sparse rows by common factor.  When the row term's exponent is 1, the
+   first rule keeps a pair only if the gcd law names a common factor whose
+   rest is not 1, so the row visits only: for B_n + B_m (and the plus cube
+   form) and product-form, the multiples a of 2d with gcd(a, b) = d, for
+   the divisors d of b with v2(d) = v2(b) and such a factor; the a with
+   v2(a) < v2(b) for B_n - B_m; no a for B_n +- B_m with odd t (s, t both
+   odd) or under coprime terms (gcd(s, t) | 2; B_1, B_2, Q_1, Q_2 have rest
+   1).  Other rows visit every pair.
+--parity selects rows (same parity is even t), and the coprime-terms filter
+is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
 
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
@@ -61,7 +79,7 @@ family (all q >= the configured minimum) instead of infinitely many tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from .bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
@@ -106,12 +124,12 @@ class SearchConfig:
             raise ValueError("min_exponent must be >= 2")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["parity_filter"] = self.parity_filter.value
-        # The residue sieve always runs; the key is a constant that keeps
-        # record bounds and summary configs byte-stable for their readers.
-        d["sieve_enabled"] = True
-        return d
+        # Built by hand, as asdict deep-copies.  The residue sieve always runs;
+        # sieve_enabled keeps record bounds and summary configs byte-stable.
+        return {"max_index": self.max_index, "min_exponent": self.min_exponent,
+                "parity_filter": self.parity_filter.value,
+                "coprimality_required": self.coprimality_required,
+                "coprime_zero_exempt": self.coprime_zero_exempt, "sieve_enabled": True}
 
 
 @dataclass(frozen=True)
@@ -250,9 +268,27 @@ def _coprime_ok(n: int, m: int, cfg: SearchConfig) -> bool:
     return math.gcd(n, m) == 1
 
 
-# Primes stripped by trial division before any root is taken.  What is left
-# has only prime factors >= 211, so a p-th root of it is >= 211.
+# Primes divided out before any root is taken.  What is left has only prime
+# factors >= 211, so a p-th root of it is >= 211.
 _SMALL_PRIMES = primes_up_to(199)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+
+def _strip_small(v: int, valued: int = _PRIMORIAL) -> tuple[int, int, int]:
+    """(rest, support, lone) of v >= 1 for the primes of valued: the module docstring's step 1."""
+    g = h = math.gcd(v, _PRIMORIAL)
+    v //= g
+    once = v
+    while h > 1:
+        h = math.gcd(v, h)
+        v //= h
+    support = math.gcd(g, valued)
+    return v, support, support // math.gcd(once, support)
+
+
+def _valuations(v: int, support: int) -> dict[int, int]:
+    """Prime -> valuation of v, for the primes dividing support."""
+    return {ell: strip_prime(ell, v)[0] for ell in _SMALL_PRIMES if support % ell == 0}
 
 
 def _root_exponent_cap(rest: int) -> int:
@@ -289,33 +325,23 @@ def _maybe_decompose(value: int) -> tuple[int, int] | None:
     """Maximal (base, exponent) of value >= 2, or None when value is no perfect power.
 
     If value = x**q, then q divides the valuation of value at every prime.
-    The valuations at the primes <= 199 are folded into their gcd g: a single
-    valuation of 1 rejects value outright, and otherwise only the primes
+    The valuations at the primes <= 199 are folded into their gcd g: a lone
+    small prime (valuation 1) rejects value outright, and otherwise only the primes
     dividing g (every prime when g = 0) remain candidate exponents for what
     is left.
     """
-    g = 0
-    small = []
-    rest = value
-    for ell in _SMALL_PRIMES:
-        if rest % ell == 0:
-            rest //= ell
-            e = 1
-            while rest % ell == 0:
-                rest //= ell
-                e += 1
-            g = math.gcd(g, e)
-            if g == 1:
-                return None
-            small.append((ell, e))
-    if rest == 1:
-        exponent = g
-    else:
-        rest, exponent = _root_out(rest, g)
+    rest, support, lone = _strip_small(value)
+    if lone > 1:
+        return None
+    small = _valuations(value, support)
+    g = math.gcd(*small.values())
+    if g == 1:
+        return None
+    rest, exponent = (1, g) if rest == 1 else _root_out(rest, g)
     if exponent == 1:
         return None
     base = rest
-    for ell, e in small:
+    for ell, e in small.items():
         base *= ell ** (e // exponent)
     return base, exponent
 
@@ -343,56 +369,93 @@ def _verified(records: list) -> list:
 # index space
 
 
+class _Entry:
+    """A term's rest, support and lone part, and its rest exponent (0 for rest 1) once read."""
+
+    __slots__ = ("value", "rest", "support", "lone", "exponent", "prior", "_vals", "_roots")
+
+    # prior: the entry of a term dividing this one, if there was one
+    def __init__(self, value: int, valued: int, prior: _Entry | None = None) -> None:
+        self.value, self.prior = value, prior
+        self.rest, self.support, self.lone = _strip_small(value, valued)
+        self.exponent = 0 if self.rest == 1 else None
+        self._vals: dict[int, int] | None = None
+        self._roots: dict[int, bool] = {}
+
+    def valuations(self) -> dict[int, int]:
+        if self._vals is None:
+            self._vals = _valuations(self.value, self.support)
+        return self._vals
+
+    def full_exponent(self) -> int:
+        """The rest's exponent, certified 1 by inheritance from prior (step 4) where it can."""
+        if self.exponent is None:
+            prior, r, left = self.prior, 0, 1
+            if prior is not None and prior.full_exponent() == 1:
+                r, left = divmod(self.rest, prior.rest)
+            inherits = left == 0 and math.gcd(r, prior.rest) == 1
+            self.exponent = 1 if inherits else _root_out(self.rest, 0)[1]
+        return self.exponent
+
+    def shares_root(self, e: int) -> bool:
+        """gcd(exponent, e) != 1, trying only the primes of e (all of them for e = 0)."""
+        if self.exponent is None and e != 0:
+            if e not in self._roots:
+                self._roots[e] = e != 1 and _root_out(self.rest, e)[1] != 1
+            return self._roots[e]
+        return math.gcd(self.full_exponent(), e) != 1
+
+
 class _Terms(dict):
-    """Index k -> (rest exponent, small-prime valuations) of one sequence's k-th term.
+    """Index k -> _Entry of one sequence's k-th term (nonzero), filled on first use."""
 
-    The rest is the term with the primes <= 199 divided out; exponent 0
-    stands for rest 1, which is an e-th power for every e.  The valuations
-    map each prime of `valued` that divides the term to its exponent.
-    Entries are filled on first use; the term must be nonzero.
-    """
-
-    def __init__(self, kind: SequenceKind, hi: int,
-                 valued: tuple[int, ...] = _SMALL_PRIMES) -> None:
+    def __init__(self, kind: SequenceKind, hi: int, valued: int = _PRIMORIAL) -> None:
         super().__init__()
         self.values = values_up_to(kind, hi)
         self.valued = valued
+        # term k/p divides term k for a prime p | k; for C and Q only when p is odd
+        self.primes = _SMALL_PRIMES[kind in (SequenceKind.LUCAS_BALANCING,
+                                             SequenceKind.ASSOCIATED_PELL):]
 
-    def __missing__(self, k: int) -> tuple[int, dict[int, int]]:
-        rest = self.values[k]
-        vals = {}
-        for ell in _SMALL_PRIMES:
-            if rest % ell == 0:
-                e = 0
-                while rest % ell == 0:
-                    rest //= ell
-                    e += 1
-                if ell in self.valued:
-                    vals[ell] = e
-        entry = self[k] = (0 if rest == 1 else _root_out(rest, 0)[1], vals)
+    def __missing__(self, k: int) -> _Entry:
+        p = next((ell for ell in self.primes if k % ell == 0), k // (k & -k) if k else 0)
+        entry = self[k] = _Entry(self.values[k], self.valued, self[k // p] if 1 < p < k else None)
         return entry
+
+
+def _sparse_row(common: _Terms, b: int, lo: int, hi: int) -> list[int]:
+    """The a in [lo, hi] with v2(a) > v2(b) and common[gcd(a, b)].rest > 1 (step 5)."""
+    low = b & -b
+    odd = b // low
+    row = []
+    for f in range(1, math.isqrt(odd) + 1, 2):
+        if odd % f:
+            continue
+        for d in {f * low, odd // f * low}:
+            if common[d].rest > 1:
+                row.extend(a for a in range(-(-lo // (2 * d)) * 2 * d, hi + 1, 2 * d)
+                           if math.gcd(a, b) == d)
+    return row
 
 
 def _scan(visits, solve) -> list:
     """Records of solve(n, m) over the visited pairs that index space cannot reject, verified.
 
     visits yields (n, m, x, y, shared): the table entries of the two terms
-    whose product is the pair's value, and the rest exponent of their common
-    factor (0 for rest 1); x is None for a pair that is not split (m = 0).
-    The two rejection rules are the module docstring's.  Survivors are
-    solved in (n, m) order, so records come out sorted.
+    whose product is the pair's value, y's exponent known, and whether their
+    common factor's rest is not 1; x is None for a pair that is not split
+    (m = 0).  The rules are the module docstring's, after the rows' step 2.
+    Survivors are solved in (n, m) order, so records come out sorted.
     """
     keep = []
     for n, m, x, y, shared in visits:
         if x is not None:
-            (ex, vx), (ey, vy) = x, y
-            if shared == 0 and math.gcd(ex, ey) == 1:
+            if not shared and not x.shares_root(y.exponent):
                 continue
-            g = 0
-            for ell in vx.keys() | vy.keys():
-                g = math.gcd(g, vx.get(ell, 0) + vy.get(ell, 0))
-            if g == 1:
-                continue
+            if x.support > 1 or y.support > 1:
+                vx, vy = x.valuations(), y.valuations()
+                if math.gcd(*(vx.get(ell, 0) + vy.get(ell, 0) for ell in vx | vy)) == 1:
+                    continue
         keep.append((n, m))
     out = []
     for n, m in sorted(keep):
@@ -413,7 +476,7 @@ def _pair_visits(tag: EquationTag, cfg: SearchConfig):
     if square:
         p = q = _Terms(SequenceKind.BALANCING, hi)
     else:
-        valued = _SMALL_PRIMES if tag is EquationTag.SUM_POWER else ()
+        valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else 1
         p = _Terms(SequenceKind.PELL, hi, valued)
         q = _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued)
     for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
@@ -424,34 +487,39 @@ def _pair_visits(tag: EquationTag, cfg: SearchConfig):
         xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
         y, low = ys[t], t & -t
         row = range(t + 2, hi - t + 1, 2)
-        if y[0] == 1:
+        if y.full_exponent() == 1:
             # gcd(x, 1) = 1 for every s: only a common factor other than 1 keeps a pair
             if cfg.coprimality_required or (t % 2 and not square):
                 continue
             if minus:
                 row = [s for s in row if s % low]  # v2(s) < v2(t)
             elif not square:
-                row = range(t + low, hi - t + 1, 2 * low)  # v2(s) > v2(t)
+                row = _sparse_row(q, t, t + 1, hi - t)
+        # step 2: each lone part divides the other term's support
+        row = [s for s in row if y.support % xs[s].lone == 0 and xs[s].support % y.lone == 0]
         for s in row:
             n, m = (s + t) // 2, (s - t) // 2
             if not _coprime_ok(n, m, cfg):
                 continue
             # x & -x is 2**v2(x); B_gcd(s,t) is the common factor of every square-diff pair
             law = (s & -s) < low if minus else 0 < low < (s & -s)
-            yield n, m, xs[s], y, q[math.gcd(s, t)][0] if square or law else 0
+            yield n, m, xs[s], y, (square or law) and q[math.gcd(s, t)].rest > 1
 
 
 def _product_visits(max_index: int):
     """Visits (see _scan) of product-form, by rows M over N."""
-    odd = _SMALL_PRIMES[1:]
+    odd = _PRIMORIAL // 2
     b = _Terms(SequenceKind.BALANCING, max_index, odd)
     c = _Terms(SequenceKind.LUCAS_BALANCING, max_index, odd)
     for m in range(1, max_index + 1):
         y, low = c[m], m & -m
         # gcd(x, 1) = 1 for every N: only a common factor other than 1 keeps a pair
-        row = range(2 * low, max_index + 1, 2 * low) if y[0] == 1 else range(1, max_index + 1)
+        row = range(1, max_index + 1)
+        if y.full_exponent() == 1:
+            row = _sparse_row(c, m, 1, max_index)
+        row = [n for n in row if y.support % b[n].lone == 0 and b[n].support % y.lone == 0]
         for n in row:
-            yield n, m, b[n], y, c[math.gcd(n, m)][0] if (n & -n) > low else 0
+            yield n, m, b[n], y, (n & -n) > low and c[math.gcd(n, m)].rest > 1
 
 
 def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:

@@ -338,6 +338,36 @@ class TestSearch:
         assert code == 0
         assert last_json_line(out)["config"]["prime"] == cli.MAX_PRIME
 
+    @pytest.mark.parametrize("eq", cli._SEARCH_EQUATIONS)
+    def test_max_index_above_ceiling_is_refused_up_front(self, capsys, monkeypatch, eq):
+        monkeypatch.setenv("COLUMNS", "80")
+        over = cli.MAX_SEARCH_INDEX[eq] + 1
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", eq, "--max-index", str(over)])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
+            f"ballab: error: --max-index must be <= {over - 1} for {eq}, got {over}\n")
+
+    @pytest.mark.parametrize("eq, flags", [
+        ("sum-power", []), ("square-diff", ["--parity", "same"]),
+        ("cube-sum-plus", ["--parity", "same"]), ("cube-sum-minus", ["--parity", "same"]),
+        ("product-form", ["--min-exp", "3"]), ("special-form", ["--kind", "balancing"]),
+    ], ids=["sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus", "product-form",
+            "special-form"])
+    def test_max_index_at_ceiling_is_accepted(self, capsys, monkeypatch, eq, flags):
+        # the searches are stubbed: only the bound check runs (flags that
+        # attach no claims block, which an empty result would not match)
+        for name in ("search_sum_power", "search_square_diff", "search_cube_sum",
+                     "search_product_form", "search_special_form"):
+            monkeypatch.setattr(cli, name, lambda *args: [])
+        ceiling = cli.MAX_SEARCH_INDEX[eq]
+        code, out = run_cli(capsys, ["search", eq, "--max-index", str(ceiling), *flags])
+        assert code == 0
+        assert last_json_line(out)["config"]["max_index"] == ceiling
+
     def test_csv_not_available_for_search(self, capsys):
         code, _ = run_cli(capsys, ["search", "sum-power", "--max-index", "20",
                                    "--format", "csv"])
@@ -667,3 +697,13 @@ def test_import_hygiene():
         "pool": [], "new": [], "parsers": [],
         "usage": [2, "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
                      "ballab: error: --max-index must be >= 1\n"]}
+
+
+def test_import_freezes_what_it_allocated():
+    # A fresh interpreter: importing the CLI leaves its objects in the
+    # permanent generation, so a call's collections do not depend on them.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
+    probe = "import gc, ballab.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) > 0

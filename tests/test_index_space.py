@@ -16,6 +16,7 @@ from functools import lru_cache
 import pytest
 
 from ballab.bigmath import primes_up_to
+from ballab import diophantine
 from ballab.diophantine import (
     EquationTag,
     Parity,
@@ -23,7 +24,9 @@ from ballab.diophantine import (
     _coprime_ok,
     _pair_visits,
     _product_visits,
+    _root_out,
     _scan,
+    _Entry,
     _Terms,
 )
 from ballab.sequences import SequenceKind, values_up_to
@@ -130,6 +133,7 @@ def test_cube_factors_of_coprime_terms_share_at_most_three(sign):
 SMALL_PRIMES = primes_up_to(199)
 SPLIT_MAX = 60
 VISIT_MAX = 150
+STRIP_MAX = 2000
 
 
 def strip_small(value):
@@ -149,23 +153,84 @@ def rest_exponent(value):
     return 0 if rest == 1 else perfect_power_decompose(rest)[1]
 
 
+def assert_entry_matches(entry, value, valued=SMALL_PRIMES):
+    """entry agrees with trial division: rest, support, lone part, valuations, exponent if known."""
+    rest, vals = strip_small(value)
+    vals = {ell: e for ell, e in vals.items() if ell in valued}
+    assert (entry.rest, entry.valuations()) == (rest, vals), value
+    assert entry.support == math.prod(vals), value
+    assert entry.lone == math.prod(ell for ell, e in vals.items() if e == 1), value
+    if entry.exponent is not None:
+        assert entry.exponent == rest_exponent(value), value
+
+
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
 def test_rest_table_matches_direct_decomposition(kind):
     terms = values_up_to(kind, 2 * SPLIT_MAX)
     table = _Terms(kind, 2 * SPLIT_MAX)
     first = 1 if terms[0] == 0 else 0
     for k in range(first, 2 * SPLIT_MAX + 1):
-        assert table[k] == (rest_exponent(terms[k]), strip_small(terms[k])[1]), (kind, k)
+        assert table[k].full_exponent() == rest_exponent(terms[k]), (kind, k)
+        assert_entry_matches(table[k], terms[k])
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_strip_by_gcd_matches_trial_division(kind):
+    terms = values_up_to(kind, STRIP_MAX)
+    for k in range(1 if terms[0] == 0 else 0, STRIP_MAX + 1):
+        assert_entry_matches(_Entry(terms[k], math.prod(SMALL_PRIMES)), terms[k])
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_exponent_one_by_inheritance_agrees_with_root_out(kind, monkeypatch):
+    # Step 4 certifies exponent 1 without a root; every certificate must be
+    # what _root_out(rest, 0) would have said.
+    rooted = set()
+
+    def recording_root_out(rest, g):
+        rooted.add(rest)
+        return _root_out(rest, g)
+
+    monkeypatch.setattr(diophantine, "_root_out", recording_root_out)
+    table = _Terms(kind, STRIP_MAX)
+    inherited = 0
+    for k in range(1, STRIP_MAX + 1):
+        if table[k].full_exponent() == 1 and table[k].rest not in rooted:
+            assert _root_out(table[k].rest, 0)[1] == 1, (kind, k)
+            inherited += 1
+    assert inherited > STRIP_MAX // 2
+
+
+@pytest.mark.parametrize("rest, prior_rest, exponent", [
+    (211 * 223, 211, 1),       # inherited: 211 has exponent 1, the quotient 223 is coprime
+    (211, 211, 1),             # quotient 1
+    (211 ** 2, 211, 2),        # quotient 211 shares the prior's prime: no inheritance
+    (211 ** 3 * 223 ** 3, 211, 3),
+    (223 ** 2, 211, 2),        # the prior does not divide
+], ids=["coprime-quotient", "quotient-1", "shared-prime", "shared-cube", "no-division"])
+def test_inheritance_needs_a_dividing_prior_and_a_coprime_quotient(rest, prior_rest, exponent):
+    prior = _Entry(prior_rest, 1)
+    assert _Entry(rest, 1, prior).full_exponent() == exponent
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_partner_roots_read_only_the_asked_exponent(kind):
+    # Step 3: a partner asked with e says whether gcd(its exponent, e) != 1,
+    # before and after its full exponent is known.
+    terms = values_up_to(kind, 2 * SPLIT_MAX)
+    table = _Terms(kind, 2 * SPLIT_MAX)
+    for k in range(1 if terms[0] == 0 else 0, 2 * SPLIT_MAX + 1):
+        expected = rest_exponent(terms[k])
+        for e in (1, 2, 3, 4, 6, 12, 0, 5):
+            assert table[k].shares_root(e) == (math.gcd(expected, e) != 1), (kind, k, e)
+        assert table[k].exponent == expected
 
 
 def test_term_table_keeps_only_the_valued_primes():
-    table = _Terms(SequenceKind.BALANCING, 12, valued=(3,))
-    assert table[12] == (rest_exponent(B[12]), {3: strip_small(B[12])[1][3]})
-    assert _Terms(SequenceKind.BALANCING, 12, valued=())[12][1] == {}
-
-
-def direct_split(x, y):
-    return rest_exponent(x), rest_exponent(y), rest_exponent(math.gcd(x, y))
+    table = _Terms(SequenceKind.BALANCING, 12, valued=3)
+    assert_entry_matches(table[12], B[12], valued=(3,))
+    assert table[12].valuations() == {3: strip_small(B[12])[1][3]}
+    assert _Terms(SequenceKind.BALANCING, 12, valued=1)[12].valuations() == {}
 
 
 def factors(tag, n, m):
@@ -180,55 +245,74 @@ def factors(tag, n, m):
     return Q[s], P[t]
 
 
+def valued_primes(tag):
+    """The primes whose summed valuations the valuation rule reads."""
+    if tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS):
+        return ()
+    return SMALL_PRIMES[1:] if tag is None else SMALL_PRIMES
+
+
 def visits(tag, cfg):
     return _product_visits(cfg.max_index) if tag is None else _pair_visits(tag, cfg)
+
+
+def assert_visits_match_direct_factors(tag):
+    # Each visit carries the entries of the pair's two factors, the row
+    # term's exponent, and whether the factors' gcd has a rest other than 1.
+    # The cube forms keep no valuations; product-form leaves out the 2.
+    seen = 0
+    for n, m, x, y, shared in visits(tag, SearchConfig(max_index=VISIT_MAX)):
+        if m == 0:
+            assert x is None
+            continue
+        fx, fy = factors(tag, n, m)
+        assert_entry_matches(x, fx, valued_primes(tag))
+        assert_entry_matches(y, fy, valued_primes(tag))
+        assert y.exponent == rest_exponent(fy), (n, m)
+        assert shared == (strip_small(math.gcd(fx, fy))[0] != 1), (n, m)
+        seen += 1
+    assert seen > 25
 
 
 @pytest.mark.parametrize("tag", [EquationTag.SUM_POWER, EquationTag.CUBE_SUM_MINUS,
                                  EquationTag.SQUARE_DIFF], ids=lambda t: t.value)
 def test_pair_split_matches_direct_factors(tag):
-    # Each visit carries the rest exponents of the pair's two factors and of
-    # their gcd, so 0 in the last entry means the factors' rests share no
-    # prime.  The cube forms keep no valuations.
-    seen = 0
-    for n, m, x, y, shared in _pair_visits(tag, SearchConfig(max_index=SPLIT_MAX)):
-        if m == 0:
-            assert x is None
-            continue
-        fx, fy = factors(tag, n, m)
-        assert (x[0], y[0], shared) == direct_split(fx, fy), (n, m)
-        if tag is EquationTag.CUBE_SUM_MINUS:
-            assert x[1] == y[1] == {}, (n, m)
-        else:
-            assert (x[1], y[1]) == (strip_small(fx)[1], strip_small(fy)[1]), (n, m)
-        seen += 1
-    assert seen > 100
+    assert_visits_match_direct_factors(tag)
 
 
 def test_product_split_matches_direct_factors():
-    seen = 0
-    for n, m, x, y, shared in _product_visits(SPLIT_MAX):
-        assert (x[0], y[0], shared) == direct_split(B[n], C[m]), (n, m)
-        odd = [{ell: e for ell, e in strip_small(v)[1].items() if ell != 2} for v in (B[n], C[m])]
-        assert [x[1], y[1]] == odd, (n, m)
-        seen += 1
-    assert seen > 100
+    assert_visits_match_direct_factors(None)
 
 
 @lru_cache(maxsize=None)
-def literal_rule_keeps(tag, n, m):
+def literal_exponent_rule_keeps(tag, n, m):
     """The per-pair exponent rule, on direct factors: False when it rejects (n, m)."""
     if m == 0:
         return True
-    x, y, shared = direct_split(*factors(tag, n, m))
-    return not (shared == 0 and math.gcd(x, y) == 1)
+    fx, fy = factors(tag, n, m)
+    shared = strip_small(math.gcd(fx, fy))[0] != 1
+    return shared or math.gcd(rest_exponent(fx), rest_exponent(fy)) != 1
+
+
+@lru_cache(maxsize=None)
+def literal_valuation_rule_keeps(tag, n, m):
+    """The per-pair valuation rule on the built value: False when it rejects (n, m)."""
+    if m == 0:
+        return True
+    fx, fy = factors(tag, n, m)
+    vals = strip_small(fx * fy)[1]
+    return math.gcd(*(e for ell, e in vals.items() if ell in valued_primes(tag))) != 1
+
+
+def literal_rules_keep(tag, n, m):
+    return literal_exponent_rule_keeps(tag, n, m) and literal_valuation_rule_keeps(tag, n, m)
 
 
 def literal_keeps(tag, cfg):
-    """Every pair the per-pair parity, coprime and exponent rules keep."""
+    """Every pair the per-pair parity, coprime, exponent and valuation rules keep."""
     if tag is None:
         indices = range(1, cfg.max_index + 1)
-        return {(n, m) for n in indices for m in indices if literal_rule_keeps(None, n, m)}
+        return {(n, m) for n in indices for m in indices if literal_rules_keep(None, n, m)}
     kept = set()
     for n in range(cfg.max_index + 1):
         for m in range(n + 1 if tag is EquationTag.SUM_POWER else n):
@@ -238,7 +322,7 @@ def literal_keeps(tag, cfg):
             if cfg.coprimality_required and math.gcd(B[n], B[m]) != 1 and \
                     not (cfg.coprime_zero_exempt and B[m] == 0 and B[n] == 6):
                 continue
-            if literal_rule_keeps(tag, n, m):
+            if literal_rules_keep(tag, n, m):
                 kept.add((n, m))
     return kept
 
@@ -259,21 +343,36 @@ def every_visit_setting(tag):
                            coprimality_required=coprime, coprime_zero_exempt=zero_exempt)
 
 
-@pytest.mark.parametrize("tag", [*EquationTag, None],
-                         ids=[*(t.value for t in EquationTag), "product-form"])
+ALL_TAGS = pytest.mark.parametrize("tag", [*EquationTag, None],
+                                   ids=[*(t.value for t in EquationTag), "product-form"])
+
+
+@ALL_TAGS
 def test_row_visits_cover_every_pair_the_literal_rule_keeps(tag):
-    # The row and stride rules only skip pairs the exponent rule rejects:
-    # the visited pairs include every pair the literal per-pair rule keeps,
-    # and applying that rule to the visits leaves exactly those pairs.
+    # The row, stride and lone-prime rules only skip pairs the exponent or
+    # valuation rule rejects: the visited pairs include every pair the
+    # literal per-pair rules keep, and applying those rules to the visits
+    # leaves exactly those pairs.
     for cfg in every_visit_setting(tag):
-        visited, kept = set(), set()
-        for n, m, x, y, shared in visits(tag, cfg):
-            visited.add((n, m))
-            if m == 0 or not (shared == 0 and math.gcd(x[0], y[0]) == 1):
-                kept.add((n, m))
+        visited = {(n, m) for n, m, *_ in visits(tag, cfg)}
         expected = literal_keeps(tag, cfg)
         assert expected <= visited, (cfg, sorted(expected - visited)[:5])
-        assert kept == expected, cfg
+        assert {pair for pair in visited if literal_rules_keep(tag, *pair)} == expected, cfg
+
+
+@ALL_TAGS
+def test_scan_solves_exactly_the_pairs_the_literal_rules_keep(tag):
+    for cfg in every_visit_setting(tag):
+        solved = []
+        _scan(visits(tag, cfg), lambda n, m: solved.append((n, m)) or [])
+        assert solved == sorted(literal_keeps(tag, cfg)), cfg
+
+
+def entry(value, valued=math.prod(SMALL_PRIMES)):
+    """A table entry of value, its exponent known as for a row term."""
+    e = _Entry(value, valued)
+    e.exponent = rest_exponent(value)
+    return e
 
 
 @pytest.mark.parametrize("tag, coprime", [
@@ -283,13 +382,22 @@ def test_row_visits_cover_every_pair_the_literal_rule_keeps(tag):
 def test_valuation_rule_rejects_only_small_prime_gcd_one(tag, coprime):
     # Every pair the scan drops after the exponent rule kept it was dropped by
     # the valuation rule; dividing its built value by the primes <= 199 must
-    # give valuations with gcd 1 (product-form: of the odd part).
+    # give valuations with gcd 1 (product-form: of the odd part).  The rows
+    # already skip most such pairs, so the scan is handed every pair of the
+    # bound that the exponent rule keeps, split into entries of its factors.
     cfg = SearchConfig(max_index=SPLIT_MAX, coprimality_required=coprime)
+    valued = math.prod(valued_primes(tag))
+    if tag is None:
+        pairs = itertools.product(range(1, SPLIT_MAX + 1), repeat=2)
+    else:
+        pairs = ((n, m) for n in range(2, SPLIT_MAX + 1)
+                 for m in range(1, n + (tag is EquationTag.SUM_POWER)) if _coprime_ok(n, m, cfg))
     passed, solved = [], []
-    for visit in visits(tag, cfg):
-        n, m, x, y, shared = visit
-        if m and not (shared == 0 and math.gcd(x[0], y[0]) == 1):
-            passed.append(visit)
+    for n, m in pairs:
+        if literal_exponent_rule_keeps(tag, n, m):
+            fx, fy = factors(tag, n, m)
+            shared = strip_small(math.gcd(fx, fy))[0] != 1
+            passed.append((n, m, _Entry(fx, valued), entry(fy, valued), shared))
     _scan(passed, lambda n, m: solved.append((n, m)) or [])
     rejected = {(n, m) for n, m, *_ in passed} - set(solved)
     for n, m in rejected:
@@ -297,11 +405,8 @@ def test_valuation_rule_rejects_only_small_prime_gcd_one(tag, coprime):
         value = fx * fy
         if tag is None:
             value //= value & -value
-        g = 0
-        for e in strip_small(value)[1].values():
-            g = math.gcd(g, e)
-        assert g == 1, (n, m)
-    assert rejected
+        assert math.gcd(*strip_small(value)[1].values()) == 1, (n, m)
+    assert len(rejected) > len(passed) // 2
 
 
 class Hit:
@@ -313,13 +418,13 @@ class Hit:
 
 
 @pytest.mark.parametrize("split, solved", [
-    # rests sharing no prime, exponents with gcd 1: no q >= 2 fits both
-    ((1, 1, 0), [(0, 0)]),
-    ((0, 3, 0), [(0, 0), (2, 1)]),  # rest 1 is a cube, like the other rest
-    ((2, 4, 0), [(0, 0), (2, 1)]),
+    # (x, y, shared): rests sharing no prime, exponents with gcd 1: no q >= 2 fits both
+    ((211 * 223, 227 * 229, False), [(0, 0)]),
+    ((1, 211 ** 3, False), [(0, 0), (2, 1)]),  # rest 1 is a cube, like the other rest
+    ((211 ** 2, 223 ** 4, False), [(0, 0), (2, 1)]),
     # rests that may share a prime: 211 * 211 is a square although each
     # factor's rest exponent is 1, so the pair must reach the power test
-    ((1, 1, 1), [(0, 0), (2, 1)]),
+    ((211, 211, True), [(0, 0), (2, 1)]),
 ])
 def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
     calls = []
@@ -329,8 +434,10 @@ def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
         return [Hit((n, m))]
 
     x, y, shared = split
+    # the partner's exponent is left for the scan to read
+    x = _Entry(x, 1)
     # listed out of order: survivors are solved in (n, m) order
-    found = _scan([(2, 1, (x, {}), (y, {}), shared), (0, 0, None, None, None)], solve)
+    found = _scan([(2, 1, x, entry(y, 1), shared), (0, 0, None, None, None)], solve)
     # m = 0 is never split: it always reaches the power test
     assert calls == solved and [h.pair for h in found] == solved
 
@@ -344,8 +451,9 @@ def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
     ({3: 3}, {5: 4}, False),
 ])
 def test_scan_rejects_summed_valuations_with_gcd_one(vx, vy, kept):
-    # the rests may share a prime (shared != 0), so only the valuations decide
-    found = _scan([(2, 1, (1, vx), (1, vy), 1)], lambda n, m: [Hit((n, m))])
+    # the rests may share a prime (shared is True), so only the valuations decide
+    x, y = (211 * math.prod(ell ** e for ell, e in v.items()) for v in (vx, vy))
+    found = _scan([(2, 1, entry(x), entry(y), True)], lambda n, m: [Hit((n, m))])
     assert bool(found) is kept
 
 

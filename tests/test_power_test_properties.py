@@ -2,7 +2,8 @@
 
 The valuation restriction may only ever reject values that are no perfect
 power: x**q must pass for every x >= 2 and prime q, whether x is made of
-the stripped small primes, of primes above them, or of both.
+the stripped small primes, of primes above them, or of both.  The gcd strip
+that computes those valuations must equal trial division.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ballab.bigmath import primes_up_to  # noqa: E402
-from ballab.diophantine import _maybe_decompose  # noqa: E402
+from ballab.diophantine import _maybe_decompose, _strip_small, _valuations  # noqa: E402
 from refmath import perfect_power_decompose  # noqa: E402
 
 SMALL_PRIMES = primes_up_to(199)
@@ -81,3 +82,35 @@ def test_agrees_with_decompose_on_random_values(n):
 def test_agrees_with_decompose_on_near_powers(x, q, ell):
     n = x ** q * ell
     assert _maybe_decompose(n) == reference(n)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 10 ** 6), st.integers(2, 13), st.sampled_from(SMALL_PRIMES),
+       st.one_of(st.just(1), products_of(LARGE_PRIMES, 2, 2)))
+def test_agrees_with_decompose_with_a_lone_small_prime(x, q, ell, cofactor):
+    while x % ell == 0:
+        x //= ell
+    n = x ** q * ell * cofactor ** q
+    assert _maybe_decompose(n) is None
+    assert reference(n) is None
+
+
+def trial_valuations(n):
+    vals = {}
+    for ell in SMALL_PRIMES:
+        while n % ell == 0:
+            n //= ell
+            vals[ell] = vals.get(ell, 0) + 1
+    return vals
+
+
+@PROPERTY_SETTINGS
+@given(products_of(SMALL_PRIMES), st.one_of(st.just(1), products_of(LARGE_PRIMES, 3, 4)),
+       st.one_of(st.just(math.prod(SMALL_PRIMES)),
+                 st.lists(st.sampled_from(SMALL_PRIMES), unique=True).map(math.prod)))
+def test_strip_by_gcd_matches_trial_division(small, large, valued):
+    vals = {ell: e for ell, e in trial_valuations(small).items() if valued % ell == 0}
+    support = math.prod(vals)
+    lone = math.prod(ell for ell, e in vals.items() if e == 1)
+    assert _strip_small(small * large, valued) == (large, support, lone)
+    assert _valuations(small * large, support) == vals
