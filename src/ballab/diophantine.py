@@ -79,9 +79,9 @@ family (all q >= the configured minimum) instead of infinitely many tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from . import Value
 from .bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
 from .modular import power_residue_sieve
 from .sequences import SequenceKind, term, values_up_to
@@ -109,31 +109,32 @@ class EquationTag(Enum):
     CUBE_SUM_MINUS = "cube-sum-minus"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_index: int
-    min_exponent: int = 2
-    parity_filter: Parity = Parity.ANY
-    coprimality_required: bool = False
-    coprime_zero_exempt: bool = True
+class SearchConfig(Value):
+    __slots__ = ("max_index", "min_exponent", "parity_filter", "coprimality_required",
+                 "coprime_zero_exempt")
 
-    def __post_init__(self) -> None:
-        if self.max_index < 1:
+    def __init__(self, max_index: int, min_exponent: int = 2,
+                 parity_filter: Parity = Parity.ANY, coprimality_required: bool = False,
+                 coprime_zero_exempt: bool = True) -> None:
+        if max_index < 1:
             raise ValueError("max_index must be >= 1")
-        if self.min_exponent < 2:
+        if min_exponent < 2:
             raise ValueError("min_exponent must be >= 2")
+        self.max_index, self.min_exponent, self.parity_filter = (
+            max_index, min_exponent, parity_filter)
+        self.coprimality_required, self.coprime_zero_exempt = (
+            coprimality_required, coprime_zero_exempt)
 
     def to_dict(self) -> dict:
-        # Built by hand, as asdict deep-copies.  The residue sieve always runs;
-        # sieve_enabled keeps record bounds and summary configs byte-stable.
+        # The residue sieve always runs; sieve_enabled keeps record bounds and
+        # summary configs byte-stable.
         return {"max_index": self.max_index, "min_exponent": self.min_exponent,
                 "parity_filter": self.parity_filter.value,
                 "coprimality_required": self.coprimality_required,
                 "coprime_zero_exempt": self.coprime_zero_exempt, "sieve_enabled": True}
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(Value):
     """One solution tuple (n, m, x, q), exact or as an exponent family.
 
     Exactly one of exponent / family_min_exponent is set.  Family records
@@ -141,17 +142,15 @@ class SolutionRecord:
     exponents q >= family_min_exponent.
     """
 
-    equation: EquationTag
-    n: int
-    m: int
-    x: int
-    exponent: int | None
-    family_min_exponent: int | None
-    bounds: SearchConfig
+    __slots__ = ("equation", "n", "m", "x", "exponent", "family_min_exponent", "bounds")
 
-    def __post_init__(self) -> None:
-        if (self.exponent is None) == (self.family_min_exponent is None):
+    def __init__(self, equation: EquationTag, n: int, m: int, x: int, exponent: int | None,
+                 family_min_exponent: int | None, bounds: SearchConfig) -> None:
+        if (exponent is None) == (family_min_exponent is None):
             raise ValueError("exactly one of exponent / family_min_exponent must be set")
+        self.equation, self.n, self.m, self.x = equation, n, m, x
+        self.exponent, self.family_min_exponent, self.bounds = (
+            exponent, family_min_exponent, bounds)
 
     @property
     def is_family(self) -> bool:
@@ -181,17 +180,16 @@ class SolutionRecord:
         return d
 
 
-@dataclass(frozen=True)
-class SpecialFormRecord:
+class SpecialFormRecord(Value):
     """Index n where the sequence term equals prime**s * x**b."""
 
-    kind: SequenceKind
-    prime: int
-    n: int
-    prime_exponent: int
-    x: int
-    exponent: int | None
-    family_min_exponent: int | None
+    __slots__ = ("kind", "prime", "n", "prime_exponent", "x", "exponent",
+                 "family_min_exponent")
+
+    def __init__(self, kind: SequenceKind, prime: int, n: int, prime_exponent: int, x: int,
+                 exponent: int | None, family_min_exponent: int | None) -> None:
+        self.kind, self.prime, self.n, self.prime_exponent = kind, prime, n, prime_exponent
+        self.x, self.exponent, self.family_min_exponent = x, exponent, family_min_exponent
 
     def verify(self) -> bool:
         value = term(self.kind, self.n)
@@ -210,15 +208,14 @@ class SpecialFormRecord:
         return d
 
 
-@dataclass(frozen=True)
-class ProductFormRecord:
+class ProductFormRecord(Value):
     """Pair (N, M) with B_N * C_M = 2**two_exponent * x**exponent-th power."""
 
-    n: int
-    m: int
-    two_exponent: int
-    x: int
-    exponent: int
+    __slots__ = ("n", "m", "two_exponent", "x", "exponent")
+
+    def __init__(self, n: int, m: int, two_exponent: int, x: int, exponent: int) -> None:
+        self.n, self.m, self.two_exponent, self.x, self.exponent = (
+            n, m, two_exponent, x, exponent)
 
     def verify(self) -> bool:
         value = term(SequenceKind.BALANCING, self.n) * term(SequenceKind.LUCAS_BALANCING, self.m)
@@ -277,6 +274,8 @@ _PRIMORIAL = math.prod(_SMALL_PRIMES)
 def _strip_small(v: int, valued: int = _PRIMORIAL) -> tuple[int, int, int]:
     """(rest, support, lone) of v >= 1 for the primes of valued: the module docstring's step 1."""
     g = h = math.gcd(v, _PRIMORIAL)
+    if g == 1:
+        return v, 1, 1  # v itself, not a copy: v // 1 would build a second big integer
     v //= g
     once = v
     while h > 1:

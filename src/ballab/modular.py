@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from . import Value
 from .bigmath import is_prime
 from .sequences import RECURRENCE, SequenceKind
 
@@ -32,11 +32,12 @@ def residue_range(kind: SequenceKind, hi: int, modulus: int) -> list[int]:
     return out[: hi + 1]
 
 
-@dataclass(frozen=True)
-class PeriodResult:
-    modulus: int
-    period: int
-    prefix_checked: int  # indices over which restart <=> divisibility was confirmed
+class PeriodResult(Value):
+    __slots__ = ("modulus", "period", "prefix_checked")
+
+    # prefix_checked: indices over which restart <=> divisibility was confirmed
+    def __init__(self, modulus: int, period: int, prefix_checked: int) -> None:
+        self.modulus, self.period, self.prefix_checked = modulus, period, prefix_checked
 
 
 def period(modulus: int) -> PeriodResult:

@@ -11,15 +11,16 @@ The unit 1 + sqrt(2), whose square is alpha, gives the Pell pair the same way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from . import Value
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Value):
     """a + b*sqrt(2) with integer coordinates."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a, self.b = a, b
 
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         # (a+b√2)(c+d√2) = (ac+2bd) + (ad+bc)√2

@@ -16,26 +16,36 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable
 
+from . import Value
 from .bigmath import strip_prime
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
 from .quadring import ALPHA, binet_extract, qpow
 from .sequences import SequenceKind, values_up_to
 
+# typing.TYPE_CHECKING without importing typing: type checkers read it as True
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 
 
-@dataclass
-class CheckResult:
-    name: str
-    bound: str
-    checked: int
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-    ms: float = field(default=0.0, compare=False)  # wall time, set by _timed
+class CheckResult(Value):
+    __slots__ = ("name", "bound", "checked", "passed", "failures", "ms")
+
+    # ms: wall time, set by _timed and left out of ==
+    def __init__(self, name: str, bound: str, checked: int, passed: bool,
+                 failures: list[str] | None = None, ms: float = 0.0) -> None:
+        self.name, self.bound, self.checked, self.passed = name, bound, checked, passed
+        self.failures = [] if failures is None else failures
+        self.ms = ms
+
+    def _key(self) -> tuple:
+        return self.name, self.bound, self.checked, self.passed, self.failures
+
+    __hash__ = None  # mutable: _timed sets ms
 
     def to_dict(self) -> dict:
         return {"name": self.name, "bound": self.bound, "checked": self.checked,

@@ -707,3 +707,15 @@ def test_import_freezes_what_it_allocated():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) > 0
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # A fresh interpreter without site, which could import typing itself:
+    # every call pays for what importing the CLI loads, and dataclasses
+    # (with the inspect it pulls in) and typing cost milliseconds each.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
+    probe = ("import json, sys, ballab.cli; print(json.dumps("
+             "[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []

@@ -182,6 +182,18 @@ def test_strip_by_gcd_matches_trial_division(kind):
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_term_with_no_small_prime_is_its_own_rest(kind):
+    # The entry keeps the table's own integer, not a copy made by dividing by 1.
+    table = _Terms(kind, STRIP_MAX)
+    bare = [k for k in range(1, STRIP_MAX + 1)
+            if math.gcd(table.values[k], math.prod(SMALL_PRIMES)) == 1]
+    assert len(bare) > STRIP_MAX // 10
+    for k in bare:
+        assert table[k].rest is table.values[k], (kind, k)
+        assert (table[k].support, table[k].lone) == (1, 1), (kind, k)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
 def test_exponent_one_by_inheritance_agrees_with_root_out(kind, monkeypatch):
     # Step 4 certifies exponent 1 without a root; every certificate must be
     # what _root_out(rest, 0) would have said.
