@@ -20,6 +20,12 @@ import sys
 import time
 from types import SimpleNamespace
 
+# Every command's modules are imported here, not inside its handler, so that
+# their import counts as start-up: perfbench times main as a job's run time,
+# and a module imported inside main would be compiled there whenever no
+# bytecode cache exists (about 8 ms for diophantine, several times a typical
+# search).  perfbench/tracer.py also wraps run_suite and the search functions
+# under these names.
 from . import __version__
 from .bigmath import is_prime
 from .diophantine import (
@@ -60,7 +66,7 @@ MAX_VERIFY_N = 1000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  The walk is linear in the period it finds, which
 # reaches mu + 1 for some primes: the worst modulus just below this ceiling,
-# 9999973 (period 9999974), takes about 1.4 s on a 2-core VM.
+# 9999973 (period 9999974), takes about 2.5 s on a 2-core VM.
 MAX_PERIOD_MOD = 10 ** 7
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  At the ceiling on a 2-core VM: square-diff 39 s and 0.6 GB peak,

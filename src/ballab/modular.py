@@ -56,26 +56,26 @@ def period(modulus: int) -> PeriodResult:
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     bound = modulus * modulus
-    start = (0, 1 % modulus)
-    prev, cur = start
-    t = 0
-    while True:
+    prev, cur = 0, 1  # the start state (B_0, B_1); modulus >= 2 keeps 1 reduced
+    for t in range(1, bound + 2):
         prev, cur = cur, (6 * cur - prev) % modulus
-        t += 1
-        if (prev, cur) == start:
+        if cur == 1 and prev == 0:
             break
-        if t > bound:
-            raise RuntimeError(
-                f"no restart within {bound} iterations mod {modulus}; state map is broken"
-            )
-    # indices 1..t are settled (t is the first return); the walk goes on from t
+    else:
+        raise RuntimeError(
+            f"no restart within {bound} iterations mod {modulus}; state map is broken"
+        )
+    # indices 1..t are settled (t is the first return); the walk goes on from
+    # t, and 2t is the one multiple of t in (t, 2t], so it must restart there
     prefix = 2 * t
     for k in range(t + 1, prefix + 1):
         prev, cur = cur, (6 * cur - prev) % modulus
-        if ((prev, cur) == start) != (k % t == 0):
-            raise ArithmeticError(
-                f"restart at index {k} is not a multiple of the period {t} mod {modulus}"
-            )
+        if cur == 1 and prev == 0:
+            break
+    if k != prefix or cur != 1 or prev != 0:
+        raise ArithmeticError(
+            f"restart at index {k} is not a multiple of the period {t} mod {modulus}"
+        )
     return PeriodResult(modulus=modulus, period=t, prefix_checked=prefix)
 
 

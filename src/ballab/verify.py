@@ -10,16 +10,27 @@ v_2(n) = v_2(m) ignore the order of n and m.  Those checks decide y >= x
 only and record a failing pair in both orders; `checked` still counts every
 ordered case.  The suites back both the `verify` command and the test
 suite, so a red check here is a red build.
+
+The B and C gcd laws expect gcd 1 for two thirds of their pairs: gcd(B_n,
+C_m) when v_2(n) <= v_2(m), gcd(C_n, C_m) when v_2(n) != v_2(m).  Those
+cases are decided a 2-adic class at a time by the product law:
+gcd(prod a_i, prod b_j) = 1 exactly when every gcd(a_i, b_j) = 1.  For any
+integers, gcd(x, y) = 1 exactly when no prime divides both; a prime
+dividing both products divides some a_i and some b_j (Euclid's lemma), and
+one dividing some a_i and b_j divides both products.  So the law also holds
+for the zero and negative values the tests corrupt the sequences with:
+every prime divides 0, gcd(x, 0) = |x|, and gcd ignores signs.  Only a
+class whose product gcd is not 1 is looked at pair by pair, so the failing
+keys, and with them the result, are those of the pair-by-pair check.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 from . import Value
-from .bigmath import strip_prime
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
 from .quadring import ALPHA, binet_extract, qpow
 from .sequences import SequenceKind, values_up_to
@@ -27,7 +38,7 @@ from .sequences import SequenceKind, values_up_to
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 
@@ -175,15 +186,40 @@ def check_gcd_balancing(max_n: int) -> CheckResult:
                    "gcd(B_{0}, B_{1}) != B_gcd({0},{1})".format)
 
 
+def _product(xs: list[int]) -> int:
+    """prod(xs) by halves, so that big factors meet at like sizes (Karatsuba)."""
+    half = len(xs) // 2
+    return prod(xs) if half < 4 else _product(xs[:half]) * _product(xs[half:])
+
+
+def _two_adic_classes(c: list[int], max_n: int) -> Iterator[tuple[range, int, int, int]]:
+    """(cls, own, above, upto) for each 2-adic class of 1..max_n, from the top down.
+
+    cls is class u, the odd multiples of 2**u.  own, above and upto are the
+    products of c over cls, over the classes above u (the multiples of
+    2**(u + 1)) and over both (the multiples of 2**u).
+    """
+    above = 1
+    for u in reversed(range(max_n.bit_length())):
+        own = _product(c[1 << u::2 << u])
+        upto = own * above
+        yield range(1 << u, max_n + 1, 2 << u), own, above, upto
+        above = upto
+
+
 def check_gcd_lucas(max_n: int) -> CheckResult:
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    v2 = [0] + [strip_prime(2, n)[0] for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
     failing = []
-    for n in range(1, max_n + 1):
-        cn, vn = c[n], v2[n]
-        for m in range(n, max_n + 1):  # gcd and v_2(n) = v_2(m) are symmetric
-            if gcd(cn, c[m]) != (c[gcd(n, m)] if vn == v2[m] else 1):
-                failing += {(n, m), (m, n)}
+    for cls, own, above, _ in _two_adic_classes(c, max_n):
+        for i, n in enumerate(cls):  # same class: expect C_gcd(n, m); gcd is symmetric
+            cn = c[n]
+            for m in cls[i:]:
+                if gcd(cn, c[m]) != c[gcd(n, m)]:
+                    failing += {(n, m), (m, n)}
+        if gcd(own, above) != 1:  # some pair with a higher class (expect 1) shares a prime
+            higher = range(2 * cls.start, max_n + 1, 2 * cls.start)
+            failing += [key for n in cls for m in higher if gcd(c[n], c[m]) != 1
+                        for key in ((n, m), (m, n))]
     return _result("gcd-lucas", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(C_{0}, C_{1}) != expected".format)
 
@@ -191,13 +227,16 @@ def check_gcd_lucas(max_n: int) -> CheckResult:
 def check_gcd_mixed(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    v2 = [0] + [strip_prime(2, n)[0] for n in range(1, max_n + 1)]  # v2[n] = v_2(n)
     failing = []
-    for n in range(1, max_n + 1):
-        bn, vn = b[n], v2[n]
-        for m in range(1, max_n + 1):
-            if gcd(bn, c[m]) != (c[gcd(n, m)] if vn > v2[m] else 1):
-                failing.append((n, m))
+    for cls, _, _, upto in _two_adic_classes(c, max_n):
+        low = cls.start  # 2**v_2(n) for n in cls
+        lower = [m for m in range(1, max_n + 1) if m % low]  # v_2(m) < v_2(n): expect C_gcd(n, m)
+        for n in cls:
+            bn = b[n]
+            failing += [(n, m) for m in lower if gcd(bn, c[m]) != c[gcd(n, m)]]
+        if gcd(_product(b[low::2 * low]), upto) != 1:  # v_2(m) >= v_2(n): expect 1 for all
+            failing += [(n, m) for n in cls for m in range(low, max_n + 1, low)
+                        if gcd(b[n], c[m]) != 1]
     return _result("gcd-mixed", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(B_{0}, C_{1}) != expected".format)
 

@@ -8,6 +8,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from ballab.bigmath import integer_kth_root, primes_up_to, strip_prime
+from ballab.modular import PeriodResult
 from ballab.sequences import RECURRENCE, SequenceKind, values_up_to
 from ballab.verify import CheckResult
 
@@ -60,6 +61,33 @@ def term_mod(kind, n: int, modulus: int) -> int:
         if bit == "1":
             u, v = v, (c1 * v + c2 * u) % modulus
     return (s1 * u + s0 * (v - c1 * u)) % modulus
+
+
+def period(modulus: int) -> PeriodResult:
+    """ballab.modular.period by tuple states, testing t | k at every k in (t, 2t]."""
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    bound = modulus * modulus
+    start = (0, 1 % modulus)
+    prev, cur = start
+    t = 0
+    while True:
+        prev, cur = cur, (6 * cur - prev) % modulus
+        t += 1
+        if (prev, cur) == start:
+            break
+        if t > bound:
+            raise RuntimeError(
+                f"no restart within {bound} iterations mod {modulus}; state map is broken"
+            )
+    prefix = 2 * t
+    for k in range(t + 1, prefix + 1):
+        prev, cur = cur, (6 * cur - prev) % modulus
+        if ((prev, cur) == start) != (k % t == 0):
+            raise ArithmeticError(
+                f"restart at index {k} is not a multiple of the period {t} mod {modulus}"
+            )
+    return PeriodResult(modulus=modulus, period=t, prefix_checked=prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ballab.modular import (
     residue_range,
 )
 from ballab.sequences import SequenceKind, values_up_to
+import refmath
 from refmath import term_mod
 
 
@@ -75,6 +76,16 @@ class TestPeriod:
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             period(1)
+        with pytest.raises(ValueError):
+            refmath.period(1)
+
+    def test_matches_tuple_state_walk(self):
+        # every small modulus, and the 2**a * 5**b <= 10**5, whose periods
+        # are long for their size (period(10**5) = 60000)
+        smooth = [2 ** a * 5 ** b for a in range(17) for b in range(8)
+                  if 2 <= 2 ** a * 5 ** b <= 10 ** 5]
+        for mu in [*range(2, 2001), *smooth]:
+            assert period(mu) == refmath.period(mu), mu
 
 
 class TestMod9Table:

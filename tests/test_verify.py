@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 import ballab.verify
@@ -171,3 +173,26 @@ def test_failures_are_counted_and_reported(monkeypatch):
     monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
     got = [(r.name, r.checked, r.passed, r.failures) for r in run_suite("all", 60)]
     assert got == CORRUPTED_RESULTS
+
+
+def test_gcd_laws_decide_coprime_cases_by_class(monkeypatch):
+    # On the true sequences every class product gcd is 1, so the only other
+    # gcd calls are the pair-by-pair cases whose expected gcd is C_gcd(n, m):
+    # two calls each, one for the values and one for their indices.
+    calls = []
+
+    def counted_gcd(x, y):
+        calls.append((x, y))
+        return gcd(x, y)
+
+    monkeypatch.setattr(ballab.verify, "gcd", counted_gcd)
+    max_n = 64
+    classes = max_n.bit_length()  # v_2(n) = 0..6 for 1 <= n <= 64
+    v2 = {n: (n & -n).bit_length() - 1 for n in range(1, max_n + 1)}
+    lower = sum(v2[n] > v2[m] for n in v2 for m in v2)
+    same = sum(v2[n] == v2[m] for n in v2 for m in v2 if n <= m)
+    for check, per_pair in ((ballab.verify.check_gcd_mixed, lower),
+                            (ballab.verify.check_gcd_lucas, same)):
+        calls.clear()
+        assert check(max_n).passed
+        assert len(calls) == classes + 2 * per_pair, check.__name__

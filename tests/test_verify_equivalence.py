@@ -33,6 +33,11 @@ corruptions = st.dictionaries(
 
 HEAVY = {B: {3: 1, 8: -1, 40: 2}, C: {5: 1, 33: -3}}
 
+# C_2 = 17 becomes 18 = 2 * 3**2, which shares 3 with C_1 = 3 (2-adic classes
+# 1 and 0) and 2 with B_2 = 6 (class 1), so both class-product gcds of the
+# C and mixed laws meet a prime and their classes are checked pair by pair.
+SHARED = {C: {2: 1}}
+
 
 def corrupted(corrupt):
     def corrupt_values(kind, hi):
@@ -52,8 +57,20 @@ def results(module, max_n, corrupt):
 @example(9, {B: {1: 1}})
 @example(70, {C: {1: 2}})
 @example(70, {})
+@example(100, HEAVY)
 def test_quadratic_checks_match_their_references(max_n, corrupt):
     assert results(ballab.verify, max_n, corrupt) == results(refmath, max_n, corrupt)
+
+
+def test_classes_sharing_a_prime_fall_back_to_pairs():
+    checks = ("check_gcd_lucas", "check_gcd_mixed")
+    with mock.patch.object(ballab.verify, "values_up_to", corrupted(SHARED)):
+        got = [getattr(ballab.verify, name)(64).to_dict() for name in checks]
+    with mock.patch.object(refmath, "values_up_to", corrupted(SHARED)):
+        want = [getattr(refmath, name)(64).to_dict() for name in checks]
+    assert got == want
+    assert "gcd(C_1, C_2) != expected" in got[0]["failures"]
+    assert "gcd(B_2, C_2) != expected" in got[1]["failures"]
 
 
 def test_heavy_example_has_more_than_five_failures_in_every_check():
