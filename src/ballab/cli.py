@@ -60,8 +60,10 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
 # verify --max-n ceilings.  identities and gcd (and so all) are quadratic in
-# --max-n with big-integer work per case: all takes about 6 s at 1000 on a
-# 2-core VM.  modular is linear: about 0.5 s at 10**6.
+# --max-n with big-integer work per case.  Wall time of `python -m ballab.cli
+# verify --suite S --max-n 1000` on a 2-core VM (nproc 2, Python 3.11.7)
+# whose speed varied about 2x from run to run: identities 0.3-0.7 s, gcd
+# 5-10.5 s, all 5.3-11.1 s.  modular is linear: about 0.5 s at 10**6.
 MAX_VERIFY_N = 1000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  The walk is linear in the period it finds, which

@@ -22,6 +22,23 @@ for the zero and negative values the tests corrupt the sequences with:
 every prime divides 0, gcd(x, 0) = |x|, and gcd ignores signs.  Only a
 class whose product gcd is not 1 is looked at pair by pair, so the failing
 keys, and with them the result, are those of the pair-by-pair check.
+
+The addition formula and the half-index identities compare left sides with
+rows of right-hand sides, and carry each row along the recurrence instead
+of multiplying it out.  If B_x = 6*B_{x-1} - B_{x-2} and C_x = 6*C_{x-1} -
+C_{x-2}, then the row R_x[y] = B_x*C_y + C_x*B_y equals 6*R_{x-1}[y] -
+R_{x-2}[y] for every y, by distributing the products over the sums.  The
+half-index row T_d[a] = 2*C_d*B_a - B_{a-d} is B_{a+d} exactly when B_{a+d}
++ B_{a-d} = 2*B_a*C_d (2*B_d*C_a + B_{a-d} for the difference); T_d =
+6*T_{d-1} - T_{d-2} where C_d (B_d) obeys the recurrence and B does at
+a - d + 2, since B_{a-d} = 6*B_{a-d+1} - B_{a-d+2} is B's recurrence there.
+This is algebra on the given integers, whatever they are, so each check
+tests the recurrence exactly where it relies on it: at each row index
+j >= 2, and for the half-index rows at every index of B.  It builds rows 0
+and 1, and every row it may not carry, term by term, so every row equals
+its term-by-term value.  A row is compared with its left side as one list;
+only a row that differs is decided case by case with the exact test, so the
+failing keys are those of the case-by-case check.
 """
 
 from __future__ import annotations
@@ -29,6 +46,7 @@ from __future__ import annotations
 import random
 import time
 from math import gcd, prod
+from operator import add, and_, sub
 
 from . import Value
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
@@ -38,7 +56,7 @@ from .sequences import SequenceKind, values_up_to
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
 
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 
@@ -81,16 +99,55 @@ def _timed(check: Callable[..., CheckResult], *args: int) -> CheckResult:
 # identity checks
 
 
+def _obeys(s: list[int], hi: int) -> list[bool]:
+    """[j >= 2 and s_j = 6*s_{j-1} - s_{j-2} for j < max(hi, 2)]."""
+    return [False, False] + [w == 6 * v - u for u, v, w in zip(s, s[1:], s[2:hi])]
+
+
+def _rows(stops: Iterable[int], carried: list[bool],
+          by_products: Callable[[int], list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """(j, row j) for j = 0, 1, ...: row j is a right-hand side over range(j, stops[j]).
+
+    by_products(j) builds row j term by term.  Where carried[j] holds (never
+    for j < 2), row j is 6*row[j-1] - row[j-2] instead, aligned on the row's
+    index (see the module docstring); stops never grow, so the rows before
+    cover row j.
+    """
+    prev = prev2 = []
+    for j, stop in enumerate(stops):
+        if carried[j]:  # zip stops at the shorter input, prev2's slice
+            row = [6 * u - v for u, v in zip(prev[1:], prev2[2:2 + stop - j])]
+        else:
+            row = by_products(j)
+        yield j, row
+        prev2, prev = prev, row
+
+
+def _half_index(max_n: int, op: Callable[[int, int], int], inv: Callable[[int, int], int],
+                b: list[int], scale: list[int], terms: list[int]) -> tuple[int, list[tuple]]:
+    """Cases and failing (n, m, a, d) of op(B_n, B_m) = 2*scale_d*terms_a, n, m = a + d, a - d.
+
+    Row d runs over d <= a <= max_n - d and holds inv(2*scale_d*terms_a,
+    B_{a-d}), inv undoing op, so a case holds exactly when its entry is
+    B_{a+d}.  It is carried where scale obeys the recurrence at d and B at
+    every index.
+    """
+    checked, failing = 0, []
+    carried = _obeys(scale, max_n + 1) if all(_obeys(b, max_n + 1)[2:]) else [False] * (max_n + 1)
+    rows = _rows(range(max_n + 1, max_n - max_n // 2, -1), carried,
+                 lambda d: [inv(2 * scale[d] * t, u) for t, u in zip(terms[d:max_n + 1 - d], b)])
+    for d, row in rows:
+        checked += len(row)
+        if row != b[2 * d:]:
+            failing += [(a + d, a - d, a, d) for a in range(d, max_n + 1 - d)
+                        if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
+    return checked, failing
+
+
 def check_half_index_sum(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = 0, []
-    for n in range(max_n + 1):
-        bn = b[n]
-        checked += n // 2 + 1
-        for m in range(n % 2, n + 1, 2):
-            if bn + b[m] != 2 * b[(n + m) // 2] * c[(n - m) // 2]:
-                failing.append((n, m, (n + m) // 2, (n - m) // 2))
+    checked, failing = _half_index(max_n, add, sub, b, c, b)
     return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
                    "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
 
@@ -98,15 +155,9 @@ def check_half_index_sum(max_n: int) -> CheckResult:
 def check_half_index_diff(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = 0, []
-    for n in range(max_n + 1):
-        bn = b[n]
-        checked += n // 2 + 1
-        for m in range(n % 2, n + 1, 2):
-            if bn - b[m] != 2 * b[(n - m) // 2] * c[(n + m) // 2]:
-                failing.append((n, m, (n - m) // 2, (n + m) // 2))
+    checked, failing = _half_index(max_n, sub, add, b, b, c)
     return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
-                   "B_{0} - B_{1} != 2*B_{2}*C_{3}".format)
+                   "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
 
 
 def check_pell_product(max_n: int) -> CheckResult:
@@ -138,11 +189,15 @@ def check_addition_formula(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
     failing = []
-    for x in range(max_n + 1):
-        bx, cx = b[x], c[x]
-        for y in range(x, max_n + 1):  # (y, x) sums the same two products
-            if b[x + y] != bx * c[y] + cx * b[y]:
-                failing += {(x, y, x + y), (y, x, x + y)}
+    carried = list(map(and_, _obeys(b, max_n + 1), _obeys(c, max_n + 1)))
+    rows = _rows([max_n + 1] * (max_n + 1), carried,
+                 lambda x: [b[x] * cy + c[x] * by for by, cy in zip(b[x:max_n + 1], c[x:])])
+    for x, row in rows:  # row x runs over y >= x: (y, x) sums the same two products
+        if row != b[2 * x:x + max_n + 1]:
+            bx, cx = b[x], c[x]
+            for y in range(x, max_n + 1):
+                if b[x + y] != bx * c[y] + cx * b[y]:
+                    failing += {(x, y, x + y), (y, x, x + y)}
     return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
                    "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
 
