@@ -71,8 +71,11 @@ MAX_VERIFY_N_MODULAR = 10 ** 6
 # 9999973 (period 9999974), takes about 2.5 s on a 2-core VM.
 MAX_PERIOD_MOD = 10 ** 7
 # search --max-index ceilings, per equation (costs differ by over 4x at one
-# bound).  At the ceiling on a 2-core VM: square-diff 39 s and 0.6 GB peak,
-# sum-power 31 s, cube forms 29 s, product-form 47 s, special-form 59 s.
+# bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`
+# with default options (special-form: --kind balancing --prime 2), one run
+# each on a 2-vCPU Intel Xeon VM with Python 3.11.7: sum-power 50 s (26 s
+# with --parity same), square-diff 72 s and 0.57 GB peak RSS, cube-sum-plus
+# 44 s, cube-sum-minus 49 s, product-form 77 s, special-form 96 s.
 MAX_SEARCH_INDEX = dict.fromkeys(_SEARCH_EQUATIONS, 20_000) | {
     "product-form": 15_000, "special-form": 40_000}
 
@@ -125,29 +128,18 @@ class UsageError(Exception):
     """A handler's refusal of its arguments; main renders it as argparse's usage error."""
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ballab parser; when command names a subcommand, only that one is registered.
-
-    The metavar keeps the usage line naming every subcommand.  It is set only
-    on the one-command parser: on Python 3.11 it would also rename the
-    argument in the full parser's "required" and "invalid choice" errors.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ballab argparse parser, built from _COMMANDS."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="ballab",
         description="balancing-number sequences, identity suites, and bounded power searches",
     )
-    if command in _COMMANDS:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        names = (command,)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = _COMMANDS
-    for name in names:
-        p = sub.add_parser(name, help=_COMMANDS[name].help)
-        for opt in _COMMANDS[name].options:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
             if opt.kind is bool:
                 kind = {"action": argparse.BooleanOptionalAction}
             elif opt.kind is int:
@@ -429,7 +421,7 @@ def _cmd_search(args: SimpleNamespace) -> int:
 _KIND_OPTION = _Option("--kind", "kind", tuple(sorted(_KINDS)), required=True)
 
 # Each subcommand's help, options (in the order its help lists them) and
-# handler, in the order the full parser lists them.
+# handler, in the order the parser lists them.
 _COMMANDS = {
     "seq": _Command("dump a sequence range", (
         _KIND_OPTION,
@@ -473,12 +465,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv else None)
-        args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         return _COMMANDS[args.command].run(args)
     except UsageError as exc:
-        build_parser(args.command).error(str(exc))
+        build_parser().error(str(exc))
 
 
 def console_main() -> None:

@@ -28,8 +28,12 @@ each value is a product of two terms of known index (Behera-Panda 1999):
     B_n**3 +- B_m**3 = (B_n +- B_m) * F,  gcd(B_n +- B_m, F) | 3 for coprime terms
     B_N * C_M        itself
 
-and the gcd laws (Panda 2009) name the common factor of the two terms, with
-d the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
+A pair with m = 0 is the point s = t of its row, B_t + B_0 = P_t Q_t.  For
+the cube forms gcd(B_t, F) = B_t there (6 at t = 2), but coprime terms keep
+only t = 1, 2 at m = 0, and B_1 = P_1 Q_1, B_2 = P_2 Q_2 have rest 1.
+
+The gcd laws (Panda 2009) name the common factor of the two terms, with d
+the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
 v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even (v2(N) > v2(M)),
 else 1.  The rest of a term is what is left once the primes <= 199 are
 divided out.  A q-th power has q dividing its valuation at every prime, so a
@@ -53,9 +57,8 @@ read a costly quantity only where the answer can change:
    each lone part divides the other term's support; only the pairs kept get
    the valuation gcd.
 3. Exponents only where read.  The row term's exponent e_y picks its row; a
-   partner is asked only when the common factor's rest is 1, and only
-   whether its rest is a q-th power for a prime q | e_y (any q for e_y = 0):
-   _root_out takes every such root, so that is gcd(e_x, e_y) != 1.
+   partner's exponent e_x is read only when the common factor's rest is 1
+   and e_y != 1, and the pair is kept when gcd(e_x, e_y) != 1.
 4. Exponent 1 by inheritance.  If rest_d has exponent 1 and divides rest_k
    with a quotient coprime to it, rest_k has exponent 1, since the maximal
    exponent of a product of coprime factors is the gcd of theirs.  Both
@@ -371,7 +374,7 @@ def _verified(records: list) -> list:
 class _Entry:
     """A term's rest, support and lone part, and its rest exponent (0 for rest 1) once read."""
 
-    __slots__ = ("value", "rest", "support", "lone", "exponent", "prior", "_vals", "_roots")
+    __slots__ = ("value", "rest", "support", "lone", "exponent", "prior", "_vals")
 
     # prior: the entry of a term dividing this one, if there was one
     def __init__(self, value: int, valued: int, prior: _Entry | None = None) -> None:
@@ -379,7 +382,6 @@ class _Entry:
         self.rest, self.support, self.lone = _strip_small(value, valued)
         self.exponent = 0 if self.rest == 1 else None
         self._vals: dict[int, int] | None = None
-        self._roots: dict[int, bool] = {}
 
     def valuations(self) -> dict[int, int]:
         if self._vals is None:
@@ -395,14 +397,6 @@ class _Entry:
             inherits = left == 0 and math.gcd(r, prior.rest) == 1
             self.exponent = 1 if inherits else _root_out(self.rest, 0)[1]
         return self.exponent
-
-    def shares_root(self, e: int) -> bool:
-        """gcd(exponent, e) != 1, trying only the primes of e (all of them for e = 0)."""
-        if self.exponent is None and e != 0:
-            if e not in self._roots:
-                self._roots[e] = e != 1 and _root_out(self.rest, e)[1] != 1
-            return self._roots[e]
-        return math.gcd(self.full_exponent(), e) != 1
 
 
 class _Terms(dict):
@@ -442,19 +436,19 @@ def _scan(visits, solve) -> list:
 
     visits yields (n, m, x, y, shared): the table entries of the two terms
     whose product is the pair's value, y's exponent known, and whether their
-    common factor's rest is not 1; x is None for a pair that is not split
-    (m = 0).  The rules are the module docstring's, after the rows' step 2.
+    common factor's rest is not 1.  The rules are the module docstring's,
+    after the rows' step 2; x's exponent is read only when y's is not 1.
     Survivors are solved in (n, m) order, so records come out sorted.
     """
     keep = []
     for n, m, x, y, shared in visits:
-        if x is not None:
-            if not shared and not x.shares_root(y.exponent):
+        e = y.exponent
+        if not shared and (e == 1 or math.gcd(x.full_exponent(), e) == 1):
+            continue
+        if x.support > 1 or y.support > 1:
+            vx, vy = x.valuations(), y.valuations()
+            if math.gcd(*(vx.get(ell, 0) + vy.get(ell, 0) for ell in vx | vy)) == 1:
                 continue
-            if x.support > 1 or y.support > 1:
-                vx, vy = x.valuations(), y.valuations()
-                if math.gcd(*(vx.get(ell, 0) + vy.get(ell, 0) for ell in vx | vy)) == 1:
-                    continue
         keep.append((n, m))
     out = []
     for n, m in sorted(keep):
@@ -465,10 +459,12 @@ def _scan(visits, solve) -> list:
 def _pair_visits(tag: EquationTag, cfg: SearchConfig):
     """Visits (see _scan) of a pair search, by rows t = n - m over s = n + m.
 
-    The cube forms are split by their first factor B_n +- B_m.  They require
-    coprime terms, so its gcd with the second factor divides 3: at every
-    prime >= 211 the value's valuation is one factor's alone, and the value
-    is a q-th power only if the first factor's rest is.
+    A row starts at s = t, which is m = 0; sum-power's n = m = 0 has value
+    0 and is not visited.  The cube forms are split by their first factor
+    B_n +- B_m.  They require coprime terms, so for m > 0 its gcd with the
+    second factor divides 3: at every prime >= 211 the value's valuation is
+    one factor's alone, and the value is a q-th power only if the first
+    factor's rest is.  The module docstring gives the case m = 0.
     """
     hi = 2 * cfg.max_index
     minus, square = tag is EquationTag.CUBE_SUM_MINUS, tag is EquationTag.SQUARE_DIFF
@@ -481,11 +477,9 @@ def _pair_visits(tag: EquationTag, cfg: SearchConfig):
     for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
         if not _parity_ok(cfg.parity_filter, t, 0):
             continue
-        if _coprime_ok(t, 0, cfg):
-            yield t, 0, None, None, None
         xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
         y, low = ys[t], t & -t
-        row = range(t + 2, hi - t + 1, 2)
+        row = range(t or 2, hi - t + 1, 2)
         if y.full_exponent() == 1:
             # gcd(x, 1) = 1 for every s: only a common factor other than 1 keeps a pair
             if cfg.coprimality_required or (t % 2 and not square):

@@ -526,16 +526,6 @@ def _run_main(argv):
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(argv, monkeypatch):
-    # main() builds only argv[0]'s subparser; it must parse, run and fail
-    # exactly as the full parser does.
-    monkeypatch.setenv("COLUMNS", "80")
-    command = argv[0] if argv else None
-    assert (_parse_and_run(cli.build_parser(command), argv)
-            == _parse_and_run(cli.build_parser(), argv))
-
-
-@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_fast_path_parses_exactly_its_corpus_as_argparse_does(argv, monkeypatch):
     # The fast path takes the FAST_PATH_CORPUS lines, to argparse's namespace,
     # and leaves every other line to argparse; main() answers each line as
@@ -548,6 +538,27 @@ def test_fast_path_parses_exactly_its_corpus_as_argparse_does(argv, monkeypatch)
     else:
         assert fast is None
     assert _run_main(argv) == tuple(answer)
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_main_builds_the_full_parser_only_for_lines_the_fast_path_cannot_answer(
+        argv, monkeypatch):
+    # An accepted fast-path line runs without argparse; every other line
+    # (argparse's forms and the handlers' usage errors) builds the one full
+    # parser, with every subcommand, to parse or to report.
+    monkeypatch.setenv("COLUMNS", "80")
+    built, build_parser = [], cli.build_parser
+
+    def recording_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    code, _, _ = _run_main(argv)
+    assert (built == []) == (argv in FAST_PATH_CORPUS and code == 0), code
+    for parser in built:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(CLI_SURFACE)
 
 
 def _argparse_vocabulary():
@@ -614,7 +625,7 @@ def test_fast_path_agrees_with_argparse_on_drawn_command_lines():
     @hypothesis.settings(max_examples=400, deadline=None, database=None)
     @hypothesis.given(command_lines())
     def check(argv):
-        namespace, *answer = _parse_and_run(cli.build_parser(argv[0]), argv)
+        namespace, *answer = _parse_and_run(cli.build_parser(), argv)
         fast = cli._fast_parse(argv)
         if fast is not None:
             assert vars(fast) == namespace
@@ -624,21 +635,9 @@ def test_fast_path_agrees_with_argparse_on_drawn_command_lines():
         check()
 
 
-def test_one_command_parser_registers_one_subcommand():
-    full = cli.build_parser()
-    (full_sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
-    for command in CLI_SURFACE:
-        parser = cli.build_parser(command)
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == [command]
-        assert parser.format_usage() == full.format_usage()
-        assert sub.choices[command].format_usage() == full_sub.choices[command].format_usage()
-        assert sub.choices[command].format_help() == full_sub.choices[command].format_help()
-
-
 def test_full_parser_names_the_subcommand_argument_command(capsys):
-    # The one-command parser's metavar must not reach the full parser, where
-    # some Python versions would print it in place of "command".
+    # The subcommand argument has no metavar, which some Python versions
+    # would print in place of "command".
     for argv, message in (([], "required: command\n"),
                           (["bogus"], "argument command: invalid choice")):
         with pytest.raises(SystemExit):

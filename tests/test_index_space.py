@@ -213,6 +213,17 @@ def test_exponent_one_by_inheritance_agrees_with_root_out(kind, monkeypatch):
     assert inherited > STRIP_MAX // 2
 
 
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_every_term_rest_has_exponent_zero_or_one(kind):
+    # Rule 1 reads the row term's whole exponent e and, where e > 1, the
+    # partner's whole exponent.  No term to STRIP_MAX has a rest that is a
+    # proper power, so e is 0 or 1 and the partner's exponent is never read
+    # for a row of these sequences.
+    table = _Terms(kind, STRIP_MAX)
+    for k in range(1, STRIP_MAX + 1):
+        assert table[k].full_exponent() in (0, 1), (kind, k)
+
+
 @pytest.mark.parametrize("rest, prior_rest, exponent", [
     (211 * 223, 211, 1),       # inherited: 211 has exponent 1, the quotient 223 is coprime
     (211, 211, 1),             # quotient 1
@@ -223,19 +234,6 @@ def test_exponent_one_by_inheritance_agrees_with_root_out(kind, monkeypatch):
 def test_inheritance_needs_a_dividing_prior_and_a_coprime_quotient(rest, prior_rest, exponent):
     prior = _Entry(prior_rest, 1)
     assert _Entry(rest, 1, prior).full_exponent() == exponent
-
-
-@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
-def test_partner_roots_read_only_the_asked_exponent(kind):
-    # Step 3: a partner asked with e says whether gcd(its exponent, e) != 1,
-    # before and after its full exponent is known.
-    terms = values_up_to(kind, 2 * SPLIT_MAX)
-    table = _Terms(kind, 2 * SPLIT_MAX)
-    for k in range(1 if terms[0] == 0 else 0, 2 * SPLIT_MAX + 1):
-        expected = rest_exponent(terms[k])
-        for e in (1, 2, 3, 4, 6, 12, 0, 5):
-            assert table[k].shares_root(e) == (math.gcd(expected, e) != 1), (kind, k, e)
-        assert table[k].exponent == expected
 
 
 def test_term_table_keeps_only_the_valued_primes():
@@ -270,20 +268,20 @@ def visits(tag, cfg):
 
 def assert_visits_match_direct_factors(tag):
     # Each visit carries the entries of the pair's two factors, the row
-    # term's exponent, and whether the factors' gcd has a rest other than 1.
-    # The cube forms keep no valuations; product-form leaves out the 2.
-    seen = 0
+    # term's exponent, and whether the factors' gcd has a rest other than 1;
+    # a pair with m = 0 is split like every other.  The cube forms keep no
+    # valuations; product-form leaves out the 2.
+    seen = zeros = 0
     for n, m, x, y, shared in visits(tag, SearchConfig(max_index=VISIT_MAX)):
-        if m == 0:
-            assert x is None
-            continue
         fx, fy = factors(tag, n, m)
         assert_entry_matches(x, fx, valued_primes(tag))
         assert_entry_matches(y, fy, valued_primes(tag))
         assert y.exponent == rest_exponent(fy), (n, m)
         assert shared == (strip_small(math.gcd(fx, fy))[0] != 1), (n, m)
         seen += 1
+        zeros += m == 0
     assert seen > 25
+    assert zeros > 1 or tag is None
 
 
 @pytest.mark.parametrize("tag", [EquationTag.SUM_POWER, EquationTag.CUBE_SUM_MINUS,
@@ -299,8 +297,6 @@ def test_product_split_matches_direct_factors():
 @lru_cache(maxsize=None)
 def literal_exponent_rule_keeps(tag, n, m):
     """The per-pair exponent rule, on direct factors: False when it rejects (n, m)."""
-    if m == 0:
-        return True
     fx, fy = factors(tag, n, m)
     shared = strip_small(math.gcd(fx, fy))[0] != 1
     return shared or math.gcd(rest_exponent(fx), rest_exponent(fy)) != 1
@@ -309,8 +305,6 @@ def literal_exponent_rule_keeps(tag, n, m):
 @lru_cache(maxsize=None)
 def literal_valuation_rule_keeps(tag, n, m):
     """The per-pair valuation rule on the built value: False when it rejects (n, m)."""
-    if m == 0:
-        return True
     fx, fy = factors(tag, n, m)
     vals = strip_small(fx * fy)[1]
     return math.gcd(*(e for ell, e in vals.items() if ell in valued_primes(tag))) != 1
@@ -321,12 +315,15 @@ def literal_rules_keep(tag, n, m):
 
 
 def literal_keeps(tag, cfg):
-    """Every pair the per-pair parity, coprime, exponent and valuation rules keep."""
+    """Every pair the per-pair parity, coprime, exponent and valuation rules keep.
+
+    Sum-power's n = m = 0 is left out: its value is 0, which no search reports.
+    """
+    indices = range(1, cfg.max_index + 1)
     if tag is None:
-        indices = range(1, cfg.max_index + 1)
         return {(n, m) for n in indices for m in indices if literal_rules_keep(None, n, m)}
     kept = set()
-    for n in range(cfg.max_index + 1):
+    for n in indices:
         for m in range(n + 1 if tag is EquationTag.SUM_POWER else n):
             if cfg.parity_filter is not Parity.ANY and \
                     ((n - m) % 2 == 0) != (cfg.parity_filter is Parity.SAME):
@@ -403,7 +400,7 @@ def test_valuation_rule_rejects_only_small_prime_gcd_one(tag, coprime):
         pairs = itertools.product(range(1, SPLIT_MAX + 1), repeat=2)
     else:
         pairs = ((n, m) for n in range(2, SPLIT_MAX + 1)
-                 for m in range(1, n + (tag is EquationTag.SUM_POWER)) if _coprime_ok(n, m, cfg))
+                 for m in range(n + (tag is EquationTag.SUM_POWER)) if _coprime_ok(n, m, cfg))
     passed, solved = [], []
     for n, m in pairs:
         if literal_exponent_rule_keeps(tag, n, m):
@@ -431,12 +428,12 @@ class Hit:
 
 @pytest.mark.parametrize("split, solved", [
     # (x, y, shared): rests sharing no prime, exponents with gcd 1: no q >= 2 fits both
-    ((211 * 223, 227 * 229, False), [(0, 0)]),
-    ((1, 211 ** 3, False), [(0, 0), (2, 1)]),  # rest 1 is a cube, like the other rest
-    ((211 ** 2, 223 ** 4, False), [(0, 0), (2, 1)]),
+    ((211 * 223, 227 * 229, False), [(1, 0)]),
+    ((1, 211 ** 3, False), [(1, 0), (2, 1)]),  # rest 1 is a cube, like the other rest
+    ((211 ** 2, 223 ** 4, False), [(1, 0), (2, 1)]),
     # rests that may share a prime: 211 * 211 is a square although each
     # factor's rest exponent is 1, so the pair must reach the power test
-    ((211, 211, True), [(0, 0), (2, 1)]),
+    ((211, 211, True), [(1, 0), (2, 1)]),
 ])
 def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
     calls = []
@@ -448,10 +445,30 @@ def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
     x, y, shared = split
     # the partner's exponent is left for the scan to read
     x = _Entry(x, 1)
-    # listed out of order: survivors are solved in (n, m) order
-    found = _scan([(2, 1, x, entry(y, 1), shared), (0, 0, None, None, None)], solve)
-    # m = 0 is never split: it always reaches the power test
+    # listed out of order: survivors are solved in (n, m) order.  The second
+    # visit's rests may share a prime and it has no valuations, so it is kept.
+    kept = (1, 0, _Entry(211, 1), entry(211, 1), True)
+    found = _scan([(2, 1, x, entry(y, 1), shared), kept], solve)
     assert calls == solved and [h.pair for h in found] == solved
+
+
+@pytest.mark.parametrize("tag", [EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS],
+                         ids=lambda t: t.value)
+def test_cube_forms_split_m_zero_only_into_rest_one_factors(tag):
+    # The cube forms are split by B_n +- B_m, on the grounds that its gcd with
+    # the second factor F divides 3.  At m = 0 that fails: F = B_n**2, and at
+    # (2, 0) the gcd is 6.  The rule stays sound only because the searches'
+    # coprime terms keep just n = 1, 2 at m = 0, whose factors have rest 1.
+    assert math.gcd(B[2], B[2] ** 2) == 6
+    seen = set()
+    for cfg in every_visit_setting(tag):
+        if not cfg.coprimality_required or cfg.min_exponent < 3:
+            continue  # settings search_cube_sum refuses
+        for n, m, x, y, _ in visits(tag, cfg):
+            if m == 0:
+                assert x.rest == y.rest == 1, (cfg, n)
+                seen.add(n)
+    assert seen == {1, 2}
 
 
 @pytest.mark.parametrize("vx, vy, kept", [
