@@ -40,9 +40,9 @@ divided out.  A q-th power has q dividing its valuation at every prime, so a
 pair is rejected without building its value when
 - the common factor's rest is 1, so the two rests share no prime and both
   must be q-th powers, and their exponents have gcd 1; or
-- the two terms' summed valuations at the primes <= 199 have gcd 1 (not for
-  the cube forms, whose second factor has no table; product-form leaves out
-  the 2, which it splits off).
+- a prime <= 199 divides one term exactly once and not the other, so it
+  divides the value exactly once (not for the cube forms, whose second
+  factor has no table; product-form leaves out the 2, which it splits off).
 
 The searches walk index space by rows: a row is one index b of one term (t,
 or M for product-form), and its pairs run over the other index a (s, or N).
@@ -52,10 +52,8 @@ read a costly quantity only where the answer can change:
    small prime of the term once; dividing by g, then by gcd(what is left,
    g) until that is 1, leaves the rest.  The valued primes of g are the
    support; those not dividing term // g have valuation 1 (the lone part).
-2. Lone primes first.  A lone prime of one term that does not divide the
-   other makes the summed valuation there 1, so the rows skip a pair unless
-   each lone part divides the other term's support; only the pairs kept get
-   the valuation gcd.
+2. Lone primes in the rows.  The second rule is decided on the table: the
+   rows skip a pair unless each lone part divides the other term's support.
 3. Exponents only where read.  The row term's exponent e_y picks its row; a
    partner's exponent e_x is read only when the common factor's rest is 1
    and e_y != 1, and the pair is kept when gcd(e_x, e_y) != 1.
@@ -256,16 +254,14 @@ def _coprime_ok(n: int, m: int, cfg: SearchConfig) -> bool:
 
     gcd(B_n, B_m) = B_gcd(n,m), and B_k = 1 only at k = 1.  For m = 0 the
     literal test reads gcd(B_n, 0) = B_n, which lets a zero term sit next to
-    B_1 = 1 only.  The exemption additionally accepts B_2 = 6, the one extra
-    shared factor the index-halving factorization tolerates; this is what
-    keeps the published (2, 0) square-difference solution in scope without
-    admitting the trivial B_n**2 - 0 squares for every n.
+    B_1 = 1 only; on the indices gcd(n, 0) = n says the same.  The exemption
+    additionally accepts B_2 = 6, the one extra shared factor the
+    index-halving factorization tolerates; this is what keeps the published
+    (2, 0) square-difference solution in scope without admitting the trivial
+    B_n**2 - 0 squares for every n.
     """
-    if not cfg.coprimality_required:
-        return True
-    if m == 0:
-        return n in (1, 2) if cfg.coprime_zero_exempt else n == 1
-    return math.gcd(n, m) == 1
+    return not cfg.coprimality_required or math.gcd(n, m) == 1 or (
+        cfg.coprime_zero_exempt and (n, m) == (2, 0))
 
 
 # Primes divided out before any root is taken.  What is left has only prime
@@ -275,7 +271,11 @@ _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def _strip_small(v: int, valued: int = _PRIMORIAL) -> tuple[int, int, int]:
-    """(rest, support, lone) of v >= 1 for the primes of valued: the module docstring's step 1."""
+    """(rest, support, lone) of v >= 1: the module docstring's step 1.
+
+    support and lone count only the primes of valued; in index space these
+    are the primes of the lone-prime rule.
+    """
     g = h = math.gcd(v, _PRIMORIAL)
     if g == 1:
         return v, 1, 1  # v itself, not a copy: v // 1 would build a second big integer
@@ -374,19 +374,13 @@ def _verified(records: list) -> list:
 class _Entry:
     """A term's rest, support and lone part, and its rest exponent (0 for rest 1) once read."""
 
-    __slots__ = ("value", "rest", "support", "lone", "exponent", "prior", "_vals")
+    __slots__ = ("rest", "support", "lone", "exponent", "prior")
 
     # prior: the entry of a term dividing this one, if there was one
     def __init__(self, value: int, valued: int, prior: _Entry | None = None) -> None:
-        self.value, self.prior = value, prior
+        self.prior = prior
         self.rest, self.support, self.lone = _strip_small(value, valued)
         self.exponent = 0 if self.rest == 1 else None
-        self._vals: dict[int, int] | None = None
-
-    def valuations(self) -> dict[int, int]:
-        if self._vals is None:
-            self._vals = _valuations(self.value, self.support)
-        return self._vals
 
     def full_exponent(self) -> int:
         """The rest's exponent, certified 1 by inheritance from prior (step 4) where it can."""
@@ -436,24 +430,14 @@ def _scan(visits, solve) -> list:
 
     visits yields (n, m, x, y, shared): the table entries of the two terms
     whose product is the pair's value, y's exponent known, and whether their
-    common factor's rest is not 1.  The rules are the module docstring's,
-    after the rows' step 2; x's exponent is read only when y's is not 1.
-    Survivors are solved in (n, m) order, so records come out sorted.
+    common factor's rest is not 1.  The rows have applied the module
+    docstring's second rule (step 2); the scan applies the first, reading
+    x's exponent only when y's is not 1.  Survivors are solved in (n, m)
+    order, so records come out sorted.
     """
-    keep = []
-    for n, m, x, y, shared in visits:
-        e = y.exponent
-        if not shared and (e == 1 or math.gcd(x.full_exponent(), e) == 1):
-            continue
-        if x.support > 1 or y.support > 1:
-            vx, vy = x.valuations(), y.valuations()
-            if math.gcd(*(vx.get(ell, 0) + vy.get(ell, 0) for ell in vx | vy)) == 1:
-                continue
-        keep.append((n, m))
-    out = []
-    for n, m in sorted(keep):
-        out.extend(solve(n, m))
-    return _verified(out)
+    keep = [(n, m) for n, m, x, y, shared in visits
+            if shared or y.exponent != 1 and math.gcd(x.full_exponent(), y.exponent) != 1]
+    return _verified([rec for n, m in sorted(keep) for rec in solve(n, m)])
 
 
 def _pair_visits(tag: EquationTag, cfg: SearchConfig):

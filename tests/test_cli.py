@@ -274,6 +274,38 @@ class TestSearch:
         assert record == {"kind": "lucas-balancing", "prime": 3, "n": 1, "s": 1,
                           "x": "1", "b_family_min": 2}
 
+    @pytest.mark.parametrize("kind, prime, lines", [
+        ("balancing", "239",
+         ['{"b_family_min":2,"kind":"balancing","n":1,"prime":239,"s":0,"x":"1"}',
+          '{"b":2,"kind":"balancing","n":7,"prime":239,"s":1,"x":"13"}']),
+        ("lucas-balancing", "11",
+         ['{"b":2,"kind":"lucas-balancing","n":3,"prime":11,"s":1,"x":"3"}']),
+    ], ids=["balancing-239", "lucas-balancing-11"])
+    def test_special_form_prints_exponent_records(self, capsys, kind, prime, lines):
+        # B_7 = 239 * 13**2 and C_3 = 11 * 3**2: records with x > 1 carry b
+        code, out = run_cli(capsys, ["search", "special-form", "--max-index", "60",
+                                     "--kind", kind, "--prime", prime])
+        assert code == 0
+        assert out.splitlines()[:-1] == lines
+        assert last_json_line(out)["result_count"] == len(lines)
+
+    def test_claims_mismatch_exits_one(self, capsys, monkeypatch):
+        # a search that misses the published solution: the verdict says so
+        monkeypatch.setattr(cli, "search_sum_power", lambda cfg: [])
+        code, out = run_cli(capsys, ["search", "sum-power", "--parity", "same",
+                                     "--max-index", "5"])
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        claims = last_json_line(out)["claims"]
+        assert claims["verdict"] == "MISMATCH" and claims["found"] == []
+        assert claims["expected"] == [{"n": 3, "m": 1, "x": "6", "q": 2}]
+
+    def test_min_exp_below_two_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "sum-power", "--max-index", "5", "--min-exp", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("\nballab: error: --min-exp must be >= 2\n")
+
     def test_opposite_parity_is_exploratory(self, capsys):
         code, out = run_cli(capsys, ["search", "sum-power", "--max-index", "30",
                                      "--parity", "opposite"])

@@ -13,6 +13,7 @@ from ballab.diophantine import (
     ProductFormRecord,
     SearchConfig,
     SolutionRecord,
+    SpecialFormRecord,
     _maybe_decompose,
     _pair_value,
     _parity_ok,
@@ -149,6 +150,26 @@ class TestSpecialForm:
         out = search_special_form(SequenceKind.LUCAS_BALANCING, 3, SearchConfig(max_index=60))
         assert [(r.n, r.prime_exponent, r.x, r.family_min_exponent) for r in out] == \
             [(1, 1, 1, 2)]
+
+    # The only hits with x > 1 for the primes <= 300 and 2^31 - 1 up to N = 60:
+    # B_7 = 40391 = 239 * 13**2, where 239 is no small prime, so only the
+    # strip of p takes it out; and C_3 = 99 = 11 * 3**2.
+    @pytest.mark.parametrize("kind, p, n, x, families", [
+        (SequenceKind.BALANCING, 239, 7, 13, [(1, 0)]),
+        (SequenceKind.LUCAS_BALANCING, 11, 3, 3, []),
+    ], ids=["balancing-239", "lucas-balancing-11"])
+    def test_prime_times_a_square(self, kind, p, n, x, families):
+        out = search_special_form(kind, p, SearchConfig(max_index=60))
+        hit = SpecialFormRecord(kind, p, n, 1, x=x, exponent=2, family_min_exponent=None)
+        assert [(r.n, r.prime_exponent) for r in out if r.x == 1] == families
+        assert [r for r in out if r.x > 1] == [hit]
+        assert hit.verify()
+        assert not SpecialFormRecord(kind, p, n, 1, x=x + 1, exponent=2,
+                                     family_min_exponent=None).verify()
+        assert hit.to_dict() == {"kind": kind.value, "prime": p, "n": n, "s": 1,
+                                 "x": str(x), "b": 2}
+        cubes = search_special_form(kind, p, SearchConfig(max_index=60, min_exponent=3))
+        assert [(r.n, r.prime_exponent, r.x) for r in cubes] == [(*f, 1) for f in families]
 
     def test_exploratory_prime(self):
         # no completeness claim for other primes; records still verify

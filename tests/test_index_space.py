@@ -4,9 +4,9 @@ Each rejection rule in diophantine rests on a balancing identity that splits
 a pair's value into two terms of known index, and on a gcd law that names
 the common factor of those terms.  These tests check every identity and law
 the rules use, at bounds beyond the searches' default ones, and then check
-the code that applies them (the term tables, the row visits, the scan's two
-rules and the index-space coprime filter) against direct big-integer
-arithmetic and the literal per-pair rule.
+the code that applies them (the term tables, the row visits with their
+lone-prime rule, the scan's exponent rule and the index-space coprime
+filter) against direct big-integer arithmetic and the literal per-pair rules.
 """
 
 import itertools
@@ -22,6 +22,7 @@ from ballab.diophantine import (
     Parity,
     SearchConfig,
     _coprime_ok,
+    _maybe_decompose,
     _pair_visits,
     _product_visits,
     _root_out,
@@ -154,10 +155,10 @@ def rest_exponent(value):
 
 
 def assert_entry_matches(entry, value, valued=SMALL_PRIMES):
-    """entry agrees with trial division: rest, support, lone part, valuations, exponent if known."""
+    """entry agrees with trial division: rest, support, lone part, exponent if known."""
     rest, vals = strip_small(value)
     vals = {ell: e for ell, e in vals.items() if ell in valued}
-    assert (entry.rest, entry.valuations()) == (rest, vals), value
+    assert entry.rest == rest, value
     assert entry.support == math.prod(vals), value
     assert entry.lone == math.prod(ell for ell, e in vals.items() if e == 1), value
     if entry.exponent is not None:
@@ -237,10 +238,13 @@ def test_inheritance_needs_a_dividing_prior_and_a_coprime_quotient(rest, prior_r
 
 
 def test_term_table_keeps_only_the_valued_primes():
-    table = _Terms(SequenceKind.BALANCING, 12, valued=3)
-    assert_entry_matches(table[12], B[12], valued=(3,))
-    assert table[12].valuations() == {3: strip_small(B[12])[1][3]}
-    assert _Terms(SequenceKind.BALANCING, 12, valued=1)[12].valuations() == {}
+    # B_12 = 2**2 * 3**2 * 5 * 7 * 11 * 17 * 1153: of the valued 3 and 5 only
+    # 5 is lone, and the unvalued 7 is left out although it divides once
+    table = _Terms(SequenceKind.BALANCING, 12, valued=3 * 5)
+    assert_entry_matches(table[12], B[12], valued=(3, 5))
+    assert (table[12].support, table[12].lone) == (15, 5)
+    unvalued = _Terms(SequenceKind.BALANCING, 12, valued=1)[12]
+    assert (unvalued.support, unvalued.lone) == (1, 1)
 
 
 def factors(tag, n, m):
@@ -256,7 +260,7 @@ def factors(tag, n, m):
 
 
 def valued_primes(tag):
-    """The primes whose summed valuations the valuation rule reads."""
+    """The primes the lone-prime rule reads."""
     if tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS):
         return ()
     return SMALL_PRIMES[1:] if tag is None else SMALL_PRIMES
@@ -269,8 +273,8 @@ def visits(tag, cfg):
 def assert_visits_match_direct_factors(tag):
     # Each visit carries the entries of the pair's two factors, the row
     # term's exponent, and whether the factors' gcd has a rest other than 1;
-    # a pair with m = 0 is split like every other.  The cube forms keep no
-    # valuations; product-form leaves out the 2.
+    # a pair with m = 0 is split like every other.  The cube forms have no
+    # valued primes; product-form leaves out the 2.
     seen = zeros = 0
     for n, m, x, y, shared in visits(tag, SearchConfig(max_index=VISIT_MAX)):
         fx, fy = factors(tag, n, m)
@@ -303,19 +307,19 @@ def literal_exponent_rule_keeps(tag, n, m):
 
 
 @lru_cache(maxsize=None)
-def literal_valuation_rule_keeps(tag, n, m):
-    """The per-pair valuation rule on the built value: False when it rejects (n, m)."""
+def literal_lone_prime_rule_keeps(tag, n, m):
+    """The per-pair lone-prime rule on the built value: False when it rejects (n, m)."""
     fx, fy = factors(tag, n, m)
     vals = strip_small(fx * fy)[1]
-    return math.gcd(*(e for ell, e in vals.items() if ell in valued_primes(tag))) != 1
+    return all(vals.get(ell) != 1 for ell in valued_primes(tag))
 
 
 def literal_rules_keep(tag, n, m):
-    return literal_exponent_rule_keeps(tag, n, m) and literal_valuation_rule_keeps(tag, n, m)
+    return literal_exponent_rule_keeps(tag, n, m) and literal_lone_prime_rule_keeps(tag, n, m)
 
 
 def literal_keeps(tag, cfg):
-    """Every pair the per-pair parity, coprime, exponent and valuation rules keep.
+    """Every pair the per-pair parity, coprime, exponent and lone-prime rules keep.
 
     Sum-power's n = m = 0 is left out: its value is 0, which no search reports.
     """
@@ -358,10 +362,11 @@ ALL_TAGS = pytest.mark.parametrize("tag", [*EquationTag, None],
 
 @ALL_TAGS
 def test_row_visits_cover_every_pair_the_literal_rule_keeps(tag):
-    # The row, stride and lone-prime rules only skip pairs the exponent or
-    # valuation rule rejects: the visited pairs include every pair the
-    # literal per-pair rules keep, and applying those rules to the visits
-    # leaves exactly those pairs.
+    # The row and stride rules only skip pairs the exponent rule rejects, and
+    # the rows' lone-prime test only pairs the literal lone-prime rule
+    # rejects: the visited pairs include every pair the literal per-pair
+    # rules keep, and applying those rules to the visits leaves exactly
+    # those pairs.
     for cfg in every_visit_setting(tag):
         visited = {(n, m) for n, m, *_ in visits(tag, cfg)}
         expected = literal_keeps(tag, cfg)
@@ -382,40 +387,6 @@ def entry(value, valued=math.prod(SMALL_PRIMES)):
     e = _Entry(value, valued)
     e.exponent = rest_exponent(value)
     return e
-
-
-@pytest.mark.parametrize("tag, coprime", [
-    (EquationTag.SUM_POWER, False), (EquationTag.SUM_POWER, True),
-    (EquationTag.SQUARE_DIFF, False), (EquationTag.SQUARE_DIFF, True), (None, False),
-], ids=["sum-power", "sum-power-coprime", "square-diff-any", "square-diff", "product-form"])
-def test_valuation_rule_rejects_only_small_prime_gcd_one(tag, coprime):
-    # Every pair the scan drops after the exponent rule kept it was dropped by
-    # the valuation rule; dividing its built value by the primes <= 199 must
-    # give valuations with gcd 1 (product-form: of the odd part).  The rows
-    # already skip most such pairs, so the scan is handed every pair of the
-    # bound that the exponent rule keeps, split into entries of its factors.
-    cfg = SearchConfig(max_index=SPLIT_MAX, coprimality_required=coprime)
-    valued = math.prod(valued_primes(tag))
-    if tag is None:
-        pairs = itertools.product(range(1, SPLIT_MAX + 1), repeat=2)
-    else:
-        pairs = ((n, m) for n in range(2, SPLIT_MAX + 1)
-                 for m in range(n + (tag is EquationTag.SUM_POWER)) if _coprime_ok(n, m, cfg))
-    passed, solved = [], []
-    for n, m in pairs:
-        if literal_exponent_rule_keeps(tag, n, m):
-            fx, fy = factors(tag, n, m)
-            shared = strip_small(math.gcd(fx, fy))[0] != 1
-            passed.append((n, m, _Entry(fx, valued), entry(fy, valued), shared))
-    _scan(passed, lambda n, m: solved.append((n, m)) or [])
-    rejected = {(n, m) for n, m, *_ in passed} - set(solved)
-    for n, m in rejected:
-        fx, fy = factors(tag, n, m)
-        value = fx * fy
-        if tag is None:
-            value //= value & -value
-        assert math.gcd(*strip_small(value)[1].values()) == 1, (n, m)
-    assert len(rejected) > len(passed) // 2
 
 
 class Hit:
@@ -446,7 +417,7 @@ def test_scan_rejects_only_pairs_whose_rests_cannot_combine(split, solved):
     # the partner's exponent is left for the scan to read
     x = _Entry(x, 1)
     # listed out of order: survivors are solved in (n, m) order.  The second
-    # visit's rests may share a prime and it has no valuations, so it is kept.
+    # visit's rests may share a prime, so it is kept.
     kept = (1, 0, _Entry(211, 1), entry(211, 1), True)
     found = _scan([(2, 1, x, entry(y, 1), shared), kept], solve)
     assert calls == solved and [h.pair for h in found] == solved
@@ -471,7 +442,7 @@ def test_cube_forms_split_m_zero_only_into_rest_one_factors(tag):
     assert seen == {1, 2}
 
 
-@pytest.mark.parametrize("vx, vy, kept", [
+@pytest.mark.parametrize("vx, vy, power", [
     ({3: 1}, {3: 1}, True),            # 3**2: a square
     ({3: 1}, {5: 2}, False),           # 3 * 5**2: valuations 1 and 2
     ({3: 2}, {5: 4, 7: 2}, True),      # gcd 2
@@ -479,11 +450,14 @@ def test_cube_forms_split_m_zero_only_into_rest_one_factors(tag):
     ({3: 3}, {3: 1, 5: 4}, True),      # 3**4 * 5**4
     ({3: 3}, {5: 4}, False),
 ])
-def test_scan_rejects_summed_valuations_with_gcd_one(vx, vy, kept):
-    # the rests may share a prime (shared is True), so only the valuations decide
+def test_scan_leaves_small_prime_valuations_to_the_power_test(vx, vy, power):
+    # The rests may share a prime (shared is True), so the scan solves the
+    # pair whatever its small primes are; the power test on the built value
+    # 211**2 * 3**a * 5**b * ... rejects it exactly when their gcd is 1.
     x, y = (211 * math.prod(ell ** e for ell, e in v.items()) for v in (vx, vy))
     found = _scan([(2, 1, entry(x), entry(y), True)], lambda n, m: [Hit((n, m))])
-    assert bool(found) is kept
+    assert [h.pair for h in found] == [(2, 1)]
+    assert (_maybe_decompose(x * y) is not None) is power
 
 
 @pytest.mark.parametrize("zero_exempt", [True, False])
