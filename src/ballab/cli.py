@@ -59,16 +59,18 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 # is_prime trial-divides up to sqrt(--prime): about 23k steps at this ceiling,
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
-# verify --max-n ceilings.  identities and gcd (and so all) are quadratic in
-# --max-n with big-integer work per case.  Wall time of `python -m ballab.cli
-# verify --suite S --max-n 1000` on a 2-core VM (nproc 2, Python 3.11.7)
-# whose speed varied about 2x from run to run: identities 0.3-0.7 s, gcd
-# 5-10.5 s, all 5.3-11.1 s.  modular is linear: about 0.5 s at 10**6.
+# verify --max-n ceilings.  gcd (and so all) is quadratic in --max-n with
+# big-integer work per case; identities is not on sound sequences, where the
+# carried identity rows are settled without being compared.  Wall time of
+# `python -m ballab.cli verify --suite S --max-n 1000`, three runs each on a
+# 2-vCPU Intel Xeon VM with Python 3.11.7: identities 0.19-0.23 s, gcd
+# 8.3-9.8 s, all 8.4-9.5 s.  modular is linear: 1.2-1.3 s at 10**6.
 MAX_VERIFY_N = 1000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  The walk is linear in the period it finds, which
 # reaches mu + 1 for some primes: the worst modulus just below this ceiling,
-# 9999973 (period 9999974), takes about 2.5 s on a 2-core VM.
+# 9999973 (period 9999974), takes 2.3-2.8 s of wall time for `python -m
+# ballab.cli period --mod 9999973` (three runs, same VM).
 MAX_PERIOD_MOD = 10 ** 7
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`

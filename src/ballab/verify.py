@@ -39,14 +39,25 @@ and 1, and every row it may not carry, term by term, so every row equals
 its term-by-term value.  A row is compared with its left side as one list;
 only a row that differs is decided case by case with the exact test, so the
 failing keys are those of the case-by-case check.
+
+A carried row whose two predecessors equal their left sides is settled by
+induction, neither built nor compared: entry by entry it is 6*s_{k-1} -
+s_{k-2} for the left-side sequence s, which is s_k wherever s obeys the
+recurrence.  Addition row x stands against B_{x+y} for x <= y <= N, so it is
+settled where B obeys at every index in [2x, x + N]; half-index row d
+stands against B_{a+d} for d <= a <= N - d, so at every index in [2d, N],
+which carrying it already requires.  A settled row's left side stands in
+for it when the next row is carried.  So rows 0 and 1, the rows that may not
+be carried and the rows after one that differed are built and compared.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import accumulate
 from math import gcd, prod
-from operator import add, and_, sub
+from operator import add, and_, not_, sub
 
 from . import Value
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
@@ -104,22 +115,35 @@ def _obeys(s: list[int], hi: int) -> list[bool]:
     return [False, False] + [w == 6 * v - u for u, v, w in zip(s, s[1:], s[2:hi])]
 
 
-def _rows(stops: Iterable[int], carried: list[bool],
-          by_products: Callable[[int], list[int]]) -> Iterator[tuple[int, list[int]]]:
-    """(j, row j) for j = 0, 1, ...: row j is a right-hand side over range(j, stops[j]).
+def _rows(stops: Iterable[int], carried: list[bool], s: list[int], obeys: list[bool],
+          by_products: Callable[[int], list[int]]) -> Iterator[int]:
+    """The j, in order, whose row differs from its left side s[2*j:j + stops[j]].
 
-    by_products(j) builds row j term by term.  Where carried[j] holds (never
-    for j < 2), row j is 6*row[j-1] - row[j-2] instead, aligned on the row's
-    index (see the module docstring); stops never grow, so the rows before
-    cover row j.
+    Row j is a right-hand side over range(j, stops[j]).  by_products(j)
+    builds it term by term.  Where carried[j] holds (never for j < 2), row j
+    is 6*row[j-1] - row[j-2] instead, aligned on the row's index; stops never
+    grow, so the rows before cover row j.  A carried row is settled, neither
+    built nor compared, when rows j-1 and j-2 equal their left sides and
+    obeys[k] holds (s_k = 6*s_{k-1} - s_{k-2}) for every k in its left side,
+    2*j <= k < j + stops[j]; its left side stands in for it (see the module
+    docstring).
     """
+    bad = list(accumulate(map(not_, obeys), initial=0))  # bad[k]: failing indices below k
     prev = prev2 = []
+    matched = 0  # how many rows just before row j equal their left sides
     for j, stop in enumerate(stops):
-        if carried[j]:  # zip stops at the shorter input, prev2's slice
+        left = s[2 * j:j + stop]
+        if carried[j] and matched >= 2 and bad[2 * j] == bad[j + stop]:
+            row = left
+        elif carried[j]:  # zip stops at the shorter input, prev2's slice
             row = [6 * u - v for u, v in zip(prev[1:], prev2[2:2 + stop - j])]
         else:
             row = by_products(j)
-        yield j, row
+        if row is left or row == left:
+            matched += 1
+        else:
+            matched = 0
+            yield j
         prev2, prev = prev, row
 
 
@@ -130,18 +154,17 @@ def _half_index(max_n: int, op: Callable[[int, int], int], inv: Callable[[int, i
     Row d runs over d <= a <= max_n - d and holds inv(2*scale_d*terms_a,
     B_{a-d}), inv undoing op, so a case holds exactly when its entry is
     B_{a+d}.  It is carried where scale obeys the recurrence at d and B at
-    every index.
+    every index, so it is settled wherever rows d-1 and d-2 matched.  Row d
+    has max_n + 1 - 2*d cases.
     """
-    checked, failing = 0, []
-    carried = _obeys(scale, max_n + 1) if all(_obeys(b, max_n + 1)[2:]) else [False] * (max_n + 1)
-    rows = _rows(range(max_n + 1, max_n - max_n // 2, -1), carried,
-                 lambda d: [inv(2 * scale[d] * t, u) for t, u in zip(terms[d:max_n + 1 - d], b)])
-    for d, row in rows:
-        checked += len(row)
-        if row != b[2 * d:]:
-            failing += [(a + d, a - d, a, d) for a in range(d, max_n + 1 - d)
-                        if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
-    return checked, failing
+    failing = []
+    obeys = _obeys(b, max_n + 1)
+    carried = _obeys(scale, max_n + 1) if all(obeys[2:]) else [False] * (max_n + 1)
+    for d in _rows(range(max_n + 1, max_n - max_n // 2, -1), carried, b, obeys,
+                   lambda d: [inv(2 * scale[d] * t, u) for t, u in zip(terms[d:max_n + 1 - d], b)]):
+        failing += [(a + d, a - d, a, d) for a in range(d, max_n + 1 - d)
+                    if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
+    return sum(range(max_n + 1, 0, -2)), failing
 
 
 def check_half_index_sum(max_n: int) -> CheckResult:
@@ -186,18 +209,18 @@ def check_square_plus_one(max_n: int) -> CheckResult:
 
 
 def check_addition_formula(max_n: int) -> CheckResult:
+    """B_{x+y} = B_x*C_y + C_x*B_y; row x may be settled where B obeys on [2x, x + max_n]."""
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
     failing = []
-    carried = list(map(and_, _obeys(b, max_n + 1), _obeys(c, max_n + 1)))
-    rows = _rows([max_n + 1] * (max_n + 1), carried,
-                 lambda x: [b[x] * cy + c[x] * by for by, cy in zip(b[x:max_n + 1], c[x:])])
-    for x, row in rows:  # row x runs over y >= x: (y, x) sums the same two products
-        if row != b[2 * x:x + max_n + 1]:
-            bx, cx = b[x], c[x]
-            for y in range(x, max_n + 1):
-                if b[x + y] != bx * c[y] + cx * b[y]:
-                    failing += {(x, y, x + y), (y, x, x + y)}
+    obeys = _obeys(b, 2 * max_n + 1)
+    carried = list(map(and_, obeys, _obeys(c, max_n + 1)))
+    for x in _rows([max_n + 1] * (max_n + 1), carried, b, obeys,
+                   lambda x: [b[x] * cy + c[x] * by for by, cy in zip(b[x:max_n + 1], c[x:])]):
+        bx, cx = b[x], c[x]  # row x runs over y >= x: (y, x) sums the same two products
+        for y in range(x, max_n + 1):
+            if b[x + y] != bx * c[y] + cx * b[y]:
+                failing += {(x, y, x + y), (y, x, x + y)}
     return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
                    "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
 

@@ -1,7 +1,8 @@
 """The quadratic verify checks against their one-case-at-a-time references.
 
 ballab.verify decides the symmetric checks once per unordered pair, carries
-the identities' right-hand-side rows along the recurrence and keeps only the
+the identities' right-hand-side rows along the recurrence, settles a carried
+row whose two predecessors matched without comparing it, and keeps only the
 keys of failing cases; refmath decides and describes every ordered case in
 turn.  Under any corruption of the sequences they read, both must
 give the same result dict: the same count, verdict and first five failures
@@ -83,32 +84,79 @@ def test_quadratic_checks_match_their_references(max_n, corrupt, mix):
     assert results(ballab.verify, max_n, corrupt, mix) == want
 
 
+def rows_seen(max_n, corrupt, mix):
+    """Per carried check: (rows, carried, built, compared, differ, truth).
+
+    built are the rows by_products made, compared the rows _rows compared
+    with their left sides, differ the rows it yielded, and truth[j] whether
+    row j's products equal its left side.
+    """
+    real_rows, seen = ballab.verify._rows, []
+
+    def rows_logged(stops, carried, s, obeys, by_products):
+        stops, built, compared = list(stops), [], []
+
+        class Left(list):  # a row's left side, logging each comparison
+            def __eq__(self, row):
+                compared.append(self.j)
+                return list(self) == row
+
+        class Seq(list):  # s, handing out its slices as Left
+            def __getitem__(self, i):
+                if not isinstance(i, slice):
+                    return super().__getitem__(i)
+                left = Left(super().__getitem__(i))
+                left.j = i.start // 2
+                return left
+
+        differ = list(real_rows(stops, carried, Seq(s), obeys,
+                                lambda j: built.append(j) or by_products(j)))
+        truth = [by_products(j) == s[2 * j:j + stop] for j, stop in enumerate(stops)]
+        seen.append((range(len(stops)), carried, built, compared, differ, truth))
+        yield from differ
+
+    with mock.patch.object(ballab.verify, "_rows", rows_logged):
+        results(ballab.verify, max_n, corrupt, mix, CARRIED)
+    assert len(seen) == len(CARRIED)
+    return seen
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 70), corruptions, mixes)
 @example(70, {}, {})
+@example(200, {}, {})
 @example(70, {}, {C: (1, 0)})
 @example(70, {C: {5: 1}}, {})  # B's recurrence holds at 5: only C's test sees it
 @example(70, {B: {1: 1}, C: {0: -1, 2: 3}}, {})
+@example(70, {B: {100: 1}}, {})  # B's recurrence breaks only above max_n
 def test_every_row_equals_its_products(max_n, corrupt, mix):
-    """Each row _rows yields equals its by_products row; sound inputs need rows 0 and 1 only."""
-    real_rows, built = ballab.verify._rows, []
+    """_rows yields the rows whose products differ from their left sides.
 
-    def rows_checked(stops, carried, by_products):
-        built.append([])
-        for j, row in real_rows(stops, carried, lambda j: built[-1].append(j) or by_products(j)):
-            assert row == by_products(j), f"row {j}"
-            yield j, row
-
-    with mock.patch.object(ballab.verify, "_rows", rows_checked):
-        results(ballab.verify, max_n, corrupt, mix, CARRIED)
-    assert len(built) == len(CARRIED)
-    if not corrupt:
-        assert built == [[0, 1][:max_n // 2 + 1], [0, 1][:max_n // 2 + 1], [0, 1][:max_n + 1]]
+    A row it settles, neither built nor compared, equals both; sound inputs
+    build and compare rows 0 and 1 only, and under C + B every row differs,
+    so every carried row is built and compared.
+    """
+    sound = not any(corrupt.values()) and not any(u or v for u, v in mix.values())
+    for rows, carried, built, compared, differ, truth in rows_seen(max_n, corrupt, mix):
+        assert differ == [j for j in rows if not truth[j]]
+        assert built == [j for j in rows if not carried[j]]
+        settled = [j for j in rows if j not in compared]
+        assert all(truth[j] and carried[j] and truth[j - 1] and truth[j - 2] for j in settled)
+        if sound:
+            assert built == compared == [0, 1][:len(rows)]
+        if mix == {C: (1, 0)} and not corrupt:
+            assert compared == list(rows)
 
 
 def test_long_carried_rows_match_their_references():
-    """Rows of up to 201 terms, beyond the cap of 70 above."""
-    for corrupt, mix in (({}, {}), (HEAVY, {}), ({}, {C: (1, 0)})):
+    """Rows of up to 201 terms, beyond the cap of 70 above.
+
+    B_250 and B_399 lie above max_n, where only addition-formula reads B:
+    its rows whose left sides cover them are compared, and the rows around
+    them stay settled.
+    """
+    for corrupt, mix in (({}, {}), (HEAVY, {}), ({}, {C: (1, 0)}),
+                         ({B: {250: -1}}, {}), ({B: {399: 1}}, {})):
         got = results(ballab.verify, 200, corrupt, mix, CARRIED)
         assert got == results(refmath, 200, corrupt, mix, CARRIED)
         assert all(r["passed"] for r in got) == (not corrupt and not mix)
