@@ -3,13 +3,12 @@
 Each check sweeps an index range, counts its cases and records the key of
 each failing case: the indices that name it, such as (n, m), then any
 numbers its description shows.  `_result` sorts the keys into case order and
-formats only the first five.  The addition formula and the B and C gcd laws
-are symmetric: case (y, x) compares the same two integers as (x, y), since
-integer sums and products commute and gcd(B_n, B_m), gcd(n, m) and
-v_2(n) = v_2(m) ignore the order of n and m.  Those checks decide y >= x
-only and record a failing pair in both orders; `checked` still counts every
-ordered case.  The suites back both the `verify` command and the test
-suite, so a red check here is a red build.
+formats only the first five.  The B and C gcd laws are symmetric: case
+(m, n) compares the same two integers as (n, m), since gcd(B_n, B_m),
+gcd(n, m) and v_2(n) = v_2(m) ignore the order of n and m.  Those checks
+decide m >= n only and record a failing pair in both orders; `checked` still
+counts every ordered case.  The suites back both the `verify` command and
+the test suite, so a red check here is a red build.
 
 The B and C gcd laws expect gcd 1 for two thirds of their pairs: gcd(B_n,
 C_m) when v_2(n) <= v_2(m), gcd(C_n, C_m) when v_2(n) != v_2(m).  Those
@@ -23,41 +22,32 @@ every prime divides 0, gcd(x, 0) = |x|, and gcd ignores signs.  Only a
 class whose product gcd is not 1 is looked at pair by pair, so the failing
 keys, and with them the result, are those of the pair-by-pair check.
 
-The addition formula and the half-index identities compare left sides with
-rows of right-hand sides, and carry each row along the recurrence instead
-of multiplying it out.  If B_x = 6*B_{x-1} - B_{x-2} and C_x = 6*C_{x-1} -
-C_{x-2}, then the row R_x[y] = B_x*C_y + C_x*B_y equals 6*R_{x-1}[y] -
-R_{x-2}[y] for every y, by distributing the products over the sums.  The
-half-index row T_d[a] = 2*C_d*B_a - B_{a-d} is B_{a+d} exactly when B_{a+d}
-+ B_{a-d} = 2*B_a*C_d (2*B_d*C_a + B_{a-d} for the difference); T_d =
-6*T_{d-1} - T_{d-2} where C_d (B_d) obeys the recurrence and B does at
-a - d + 2, since B_{a-d} = 6*B_{a-d+1} - B_{a-d+2} is B's recurrence there.
-This is algebra on the given integers, whatever they are, so each check
-tests the recurrence exactly where it relies on it: at each row index
-j >= 2, and for the half-index rows at every index of B.  It builds rows 0
-and 1, and every row it may not carry, term by term, so every row equals
-its term-by-term value.  A row is compared with its left side as one list;
-only a row that differs is decided case by case with the exact test, so the
-failing keys are those of the case-by-case check.
-
-A carried row whose two predecessors equal their left sides is settled by
-induction, neither built nor compared: entry by entry it is 6*s_{k-1} -
-s_{k-2} for the left-side sequence s, which is s_k wherever s obeys the
-recurrence.  Addition row x stands against B_{x+y} for x <= y <= N, so it is
-settled where B obeys at every index in [2x, x + N]; half-index row d
-stands against B_{a+d} for d <= a <= N - d, so at every index in [2d, N],
-which carrying it already requires.  A settled row's left side stands in
-for it when the next row is carried.  So rows 0 and 1, the rows that may not
-be carried and the rows after one that differed are built and compared.
+The addition formula and the half-index identities loop over their cases
+row by row, and stop after rows 0 and 1 when those rows have no failing
+case and the sequences obey the recurrence s_j = 6*s_{j-1} - s_{j-2}
+wherever a later row reads them.  The argument is an induction on each
+case's error, left side minus right side.  Addition row x has the errors
+E_x[y] = B_{x+y} - B_x*C_y - C_x*B_y; where B obeys the recurrence at x + y
+and at x, and C at x, E_x[y] = 6*E_{x-1}[y] - E_{x-2}[y] by distributing the
+products over the sums.  Rows x >= 2 read B at x + y in [2, 2N] and C at x
+in [2, N].  Half-index row d has the errors E_d[a] = op(B_{a+d}, B_{a-d}) -
+2*scale_d*terms_a, op being + or -; E_d[a] = 6*E_{d-1}[a] - E_{d-2}[a] where
+B obeys the recurrence at a + d and at a - d + 2 (B_{a-d} = 6*B_{a-d+1} -
+B_{a-d+2} is B's recurrence there) and scale does at d, since op is linear.
+Rows d >= 2 read B at those indices in [2, N] and scale at d in
+[2, N // 2], and rows d - 1 and d - 2 cover every a of row d.  So where the
+recurrence holds on those spans, zero errors in rows 0 and 1 make every
+error zero.  This is algebra on the given integers, whatever they are;
+where a premise fails, the loop runs every row, as the case-by-case check
+does.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import accumulate
 from math import gcd, prod
-from operator import add, and_, not_, sub
+from operator import add, sub
 
 from . import Value
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
@@ -67,7 +57,7 @@ from .sequences import SequenceKind, values_up_to
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Iterator
+    from collections.abc import Callable, Iterator
 
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 
@@ -110,58 +100,24 @@ def _timed(check: Callable[..., CheckResult], *args: int) -> CheckResult:
 # identity checks
 
 
-def _obeys(s: list[int], hi: int) -> list[bool]:
-    """[j >= 2 and s_j = 6*s_{j-1} - s_{j-2} for j < max(hi, 2)]."""
-    return [False, False] + [w == 6 * v - u for u, v, w in zip(s, s[1:], s[2:hi])]
+def _obeys(s: list[int], hi: int) -> bool:
+    """s_j = 6*s_{j-1} - s_{j-2} for every 2 <= j < hi."""
+    return all(w == 6 * v - u for u, v, w in zip(s, s[1:hi], s[2:hi]))
 
 
-def _rows(stops: Iterable[int], carried: list[bool], s: list[int], obeys: list[bool],
-          by_products: Callable[[int], list[int]]) -> Iterator[int]:
-    """The j, in order, whose row differs from its left side s[2*j:j + stops[j]].
-
-    Row j is a right-hand side over range(j, stops[j]).  by_products(j)
-    builds it term by term.  Where carried[j] holds (never for j < 2), row j
-    is 6*row[j-1] - row[j-2] instead, aligned on the row's index; stops never
-    grow, so the rows before cover row j.  A carried row is settled, neither
-    built nor compared, when rows j-1 and j-2 equal their left sides and
-    obeys[k] holds (s_k = 6*s_{k-1} - s_{k-2}) for every k in its left side,
-    2*j <= k < j + stops[j]; its left side stands in for it (see the module
-    docstring).
-    """
-    bad = list(accumulate(map(not_, obeys), initial=0))  # bad[k]: failing indices below k
-    prev = prev2 = []
-    matched = 0  # how many rows just before row j equal their left sides
-    for j, stop in enumerate(stops):
-        left = s[2 * j:j + stop]
-        if carried[j] and matched >= 2 and bad[2 * j] == bad[j + stop]:
-            row = left
-        elif carried[j]:  # zip stops at the shorter input, prev2's slice
-            row = [6 * u - v for u, v in zip(prev[1:], prev2[2:2 + stop - j])]
-        else:
-            row = by_products(j)
-        if row is left or row == left:
-            matched += 1
-        else:
-            matched = 0
-            yield j
-        prev2, prev = prev, row
-
-
-def _half_index(max_n: int, op: Callable[[int, int], int], inv: Callable[[int, int], int],
-                b: list[int], scale: list[int], terms: list[int]) -> tuple[int, list[tuple]]:
+def _half_index(max_n: int, op: Callable[[int, int], int], b: list[int], scale: list[int],
+                terms: list[int]) -> tuple[int, list[tuple]]:
     """Cases and failing (n, m, a, d) of op(B_n, B_m) = 2*scale_d*terms_a, n, m = a + d, a - d.
 
-    Row d runs over d <= a <= max_n - d and holds inv(2*scale_d*terms_a,
-    B_{a-d}), inv undoing op, so a case holds exactly when its entry is
-    B_{a+d}.  It is carried where scale obeys the recurrence at d and B at
-    every index, so it is settled wherever rows d-1 and d-2 matched.  Row d
-    has max_n + 1 - 2*d cases.
+    Row d runs over d <= a <= max_n - d, so it has max_n + 1 - 2*d cases.
+    The rows from d = 2 on are left out when rows 0 and 1 have no failing
+    case, B obeys the recurrence on [2, max_n] and scale on [2, max_n // 2]
+    (see the module docstring).
     """
     failing = []
-    obeys = _obeys(b, max_n + 1)
-    carried = _obeys(scale, max_n + 1) if all(obeys[2:]) else [False] * (max_n + 1)
-    for d in _rows(range(max_n + 1, max_n - max_n // 2, -1), carried, b, obeys,
-                   lambda d: [inv(2 * scale[d] * t, u) for t, u in zip(terms[d:max_n + 1 - d], b)]):
+    for d in range(max_n // 2 + 1):
+        if d == 2 and not failing and _obeys(b, max_n + 1) and _obeys(scale, max_n // 2 + 1):
+            break
         failing += [(a + d, a - d, a, d) for a in range(d, max_n + 1 - d)
                     if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
     return sum(range(max_n + 1, 0, -2)), failing
@@ -170,7 +126,7 @@ def _half_index(max_n: int, op: Callable[[int, int], int], inv: Callable[[int, i
 def check_half_index_sum(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = _half_index(max_n, add, sub, b, c, b)
+    checked, failing = _half_index(max_n, add, b, c, b)
     return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
                    "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
 
@@ -178,7 +134,7 @@ def check_half_index_sum(max_n: int) -> CheckResult:
 def check_half_index_diff(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = _half_index(max_n, sub, add, b, b, c)
+    checked, failing = _half_index(max_n, sub, b, b, c)
     return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
                    "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
 
@@ -209,18 +165,20 @@ def check_square_plus_one(max_n: int) -> CheckResult:
 
 
 def check_addition_formula(max_n: int) -> CheckResult:
-    """B_{x+y} = B_x*C_y + C_x*B_y; row x may be settled where B obeys on [2x, x + max_n]."""
+    """B_{x+y} = B_x*C_y + C_x*B_y, row x over every y.
+
+    The rows from x = 2 on are left out when rows 0 and 1 have no failing
+    case, B obeys the recurrence on [2, 2*max_n] and C on [2, max_n] (see the
+    module docstring).
+    """
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
     failing = []
-    obeys = _obeys(b, 2 * max_n + 1)
-    carried = list(map(and_, obeys, _obeys(c, max_n + 1)))
-    for x in _rows([max_n + 1] * (max_n + 1), carried, b, obeys,
-                   lambda x: [b[x] * cy + c[x] * by for by, cy in zip(b[x:max_n + 1], c[x:])]):
-        bx, cx = b[x], c[x]  # row x runs over y >= x: (y, x) sums the same two products
-        for y in range(x, max_n + 1):
-            if b[x + y] != bx * c[y] + cx * b[y]:
-                failing += {(x, y, x + y), (y, x, x + y)}
+    for x in range(max_n + 1):
+        if x == 2 and not failing and _obeys(b, 2 * max_n + 1) and _obeys(c, max_n + 1):
+            break
+        bx, cx = b[x], c[x]
+        failing += [(x, y, x + y) for y in range(max_n + 1) if b[x + y] != bx * c[y] + cx * b[y]]
     return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
                    "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
 

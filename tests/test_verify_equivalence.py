@@ -1,14 +1,15 @@
 """The quadratic verify checks against their one-case-at-a-time references.
 
-ballab.verify decides the symmetric checks once per unordered pair, carries
-the identities' right-hand-side rows along the recurrence, settles a carried
-row whose two predecessors matched without comparing it, and keeps only the
-keys of failing cases; refmath decides and describes every ordered case in
-turn.  Under any corruption of the sequences they read, both must
+ballab.verify decides the symmetric gcd checks once per unordered pair,
+stops the identity checks after rows 0 and 1 when those rows hold and the
+sequences obey the recurrence wherever a later row reads them, and keeps
+only the keys of failing cases; refmath decides and describes every ordered
+case in turn.  Under any corruption of the sequences they read, both must
 give the same result dict: the same count, verdict and first five failures
 in case order.
 """
 
+from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -24,7 +25,7 @@ from ballab.sequences import SequenceKind, values_up_to  # noqa: E402
 
 CHECKS = ("check_half_index_sum", "check_half_index_diff", "check_addition_formula",
           "check_gcd_balancing", "check_gcd_lucas", "check_gcd_mixed")
-CARRIED = CHECKS[:3]  # right-hand-side rows carried along the recurrence
+IDENTITIES = CHECKS[:3]  # stop after rows 0 and 1 on the recurrence premise
 B, C = SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING
 
 # {kind: {index: offset}}; the checks read B up to 2 * 70 and C up to 70
@@ -34,8 +35,8 @@ corruptions = st.dictionaries(
     max_size=2)
 
 # {kind: (u, v)}: add u*B + v*C to the kind's values.  Any such sum obeys the
-# recurrence at every index, so the identity checks carry every row from
-# index 2 on and only their row comparisons can find the failures.
+# recurrence at every index, so every premise of the identity checks holds
+# and only rows 0 and 1 can send them to the rows after.
 mixes = st.dictionaries(st.sampled_from([B, C]),
                         st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=2)
 
@@ -79,86 +80,65 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {C: {1: -1}}, {B: (0, 1)})
 @example(70, {C: {2: 1}}, {C: (1, 0)})
 @example(70, {B: {140: 1}}, {B: (0, -1)})
+@example(70, {C: {5: 1}}, {})  # half-index-sum: rows 0 and 1 hold, its premise on C fails
+@example(70, {B: {100: 1}}, {})  # B only above max_n, where only addition-formula reads
 def test_quadratic_checks_match_their_references(max_n, corrupt, mix):
     want = results(refmath, max_n, corrupt, mix)
     assert results(ballab.verify, max_n, corrupt, mix) == want
 
 
-def rows_seen(max_n, corrupt, mix):
-    """Per carried check: (rows, carried, built, compared, differ, truth).
+class Reach(list):
+    """Sound terms that refuse an index above `top` and log the indices read."""
 
-    built are the rows by_products made, compared the rows _rows compared
-    with their left sides, differ the rows it yielded, and truth[j] whether
-    row j's products equal its left side.
+    def __init__(self, values, top):
+        super().__init__(values)
+        self.top, self.read = top, set()
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            assert i <= self.top, f"read term {i} beyond row 1's reach {self.top}"
+            self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 70, 200])
+def test_sound_sequences_read_rows_0_and_1_only(max_n):
+    """Each identity check reads exactly the terms its rows 0 and 1 index.
+
+    Row 1 of the addition formula reads B up to max_n + 1 and C up to max_n;
+    row 1 of the half-index checks reads scale up to index 1.  The
+    half-index-diff scale is a copy of B, so that its reads are told apart
+    from B's.
     """
-    real_rows, seen = ballab.verify._rows, []
+    b, c = values_up_to(B, 2 * max_n), values_up_to(C, max_n)
+    reach = {B: max_n + 1, C: max_n}
+    guarded = {}
 
-    def rows_logged(stops, carried, s, obeys, by_products):
-        stops, built, compared = list(stops), [], []
+    def values(kind, hi):
+        guarded[kind] = Reach(values_up_to(kind, hi), reach[kind])
+        return guarded[kind]
 
-        class Left(list):  # a row's left side, logging each comparison
-            def __eq__(self, row):
-                compared.append(self.j)
-                return list(self) == row
-
-        class Seq(list):  # s, handing out its slices as Left
-            def __getitem__(self, i):
-                if not isinstance(i, slice):
-                    return super().__getitem__(i)
-                left = Left(super().__getitem__(i))
-                left.j = i.start // 2
-                return left
-
-        differ = list(real_rows(stops, carried, Seq(s), obeys,
-                                lambda j: built.append(j) or by_products(j)))
-        truth = [by_products(j) == s[2 * j:j + stop] for j, stop in enumerate(stops)]
-        seen.append((range(len(stops)), carried, built, compared, differ, truth))
-        yield from differ
-
-    with mock.patch.object(ballab.verify, "_rows", rows_logged):
-        results(ballab.verify, max_n, corrupt, mix, CARRIED)
-    assert len(seen) == len(CARRIED)
-    return seen
+    with mock.patch.object(ballab.verify, "values_up_to", values):
+        assert ballab.verify.check_addition_formula(max_n).passed
+    assert guarded[B].read == set(range(max_n + 2))
+    assert guarded[C].read == set(range(max_n + 1))
+    for op, scale, terms in ((add, c, b), (sub, b, c)):
+        seqs = (Reach(b[:max_n + 1], max_n), Reach(scale[:max_n + 1], 1),
+                Reach(terms[:max_n + 1], max_n))
+        assert ballab.verify._half_index(max_n, op, *seqs)[1] == []
+        assert [s.read for s in seqs] == [set(range(max_n + 1)), {0, 1}, set(range(max_n + 1))]
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(st.integers(0, 70), corruptions, mixes)
-@example(70, {}, {})
-@example(200, {}, {})
-@example(70, {}, {C: (1, 0)})
-@example(70, {C: {5: 1}}, {})  # B's recurrence holds at 5: only C's test sees it
-@example(70, {B: {1: 1}, C: {0: -1, 2: 3}}, {})
-@example(70, {B: {100: 1}}, {})  # B's recurrence breaks only above max_n
-def test_every_row_equals_its_products(max_n, corrupt, mix):
-    """_rows yields the rows whose products differ from their left sides.
-
-    A row it settles, neither built nor compared, equals both; sound inputs
-    build and compare rows 0 and 1 only, and under C + B every row differs,
-    so every carried row is built and compared.
-    """
-    sound = not any(corrupt.values()) and not any(u or v for u, v in mix.values())
-    for rows, carried, built, compared, differ, truth in rows_seen(max_n, corrupt, mix):
-        assert differ == [j for j in rows if not truth[j]]
-        assert built == [j for j in rows if not carried[j]]
-        settled = [j for j in rows if j not in compared]
-        assert all(truth[j] and carried[j] and truth[j - 1] and truth[j - 2] for j in settled)
-        if sound:
-            assert built == compared == [0, 1][:len(rows)]
-        if mix == {C: (1, 0)} and not corrupt:
-            assert compared == list(rows)
-
-
-def test_long_carried_rows_match_their_references():
+def test_identities_match_their_references_beyond_the_cap():
     """Rows of up to 201 terms, beyond the cap of 70 above.
 
     B_250 and B_399 lie above max_n, where only addition-formula reads B:
-    its rows whose left sides cover them are compared, and the rows around
-    them stay settled.
+    its premise fails there, so it runs every row.
     """
     for corrupt, mix in (({}, {}), (HEAVY, {}), ({}, {C: (1, 0)}),
                          ({B: {250: -1}}, {}), ({B: {399: 1}}, {})):
-        got = results(ballab.verify, 200, corrupt, mix, CARRIED)
-        assert got == results(refmath, 200, corrupt, mix, CARRIED)
+        got = results(ballab.verify, 200, corrupt, mix, IDENTITIES)
+        assert got == results(refmath, 200, corrupt, mix, IDENTITIES)
         assert all(r["passed"] for r in got) == (not corrupt and not mix)
 
 
