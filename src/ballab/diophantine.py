@@ -28,16 +28,18 @@ each value is a product of two terms of known index (Behera-Panda 1999):
     B_n**3 +- B_m**3 = (B_n +- B_m) * F,  gcd(B_n +- B_m, F) | 3 for coprime terms
     B_N * C_M        itself
 
-A pair with m = 0 is the point s = t of its row, B_t + B_0 = P_t Q_t.  For
-the cube forms gcd(B_t, F) = B_t there (6 at t = 2), but coprime terms keep
-only t = 1, 2 at m = 0, and B_1 = P_1 Q_1, B_2 = P_2 Q_2 have rest 1.
+The cube forms are split by their first factor B_n +- B_m: for m > 0 no
+prime >= 211 divides both factors, so the value is a q-th power only if
+that factor's rest is.  A pair with m = 0 is the point s = t of its row,
+B_t + B_0 = P_t Q_t; there gcd(B_t, F) = B_t (6 at t = 2), but coprime
+terms keep only t = 1, 2, and B_1 = P_1 Q_1, B_2 = P_2 Q_2 have rest 1.
 
 The gcd laws (Panda 2009) name the common factor of the two terms, with d
 the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
-v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when N/d is even (v2(N) > v2(M)),
-else 1.  The rest of a term is what is left once the primes <= 199 are
-divided out.  A q-th power has q dividing its valuation at every prime, so a
-pair is rejected without building its value when
+v2(a) > v2(b), else 1; gcd(B_N, C_M) = C_d when v2(N) > v2(M), else 1.
+The rest of a term is what is left once the primes <= 199 are divided out.
+A q-th power has q dividing its valuation at every prime, so a pair is
+rejected without building its value when
 - the common factor's rest is 1, so the two rests share no prime and both
   must be q-th powers, and their exponents have gcd 1; or
 - a prime <= 199 divides one term exactly once and not the other, so it
@@ -62,14 +64,16 @@ read a costly quantity only where the answer can change:
    exponent of a product of coprime factors is the gcd of theirs.  Both
    conditions are checked; d = k/p, p the smallest prime of k (odd for C
    and Q), is tried since then term d divides term k.
-5. Sparse rows by common factor.  When the row term's exponent is 1, the
-   first rule keeps a pair only if the gcd law names a common factor whose
-   rest is not 1, so the row visits only: for B_n + B_m (and the plus cube
-   form) and product-form, the multiples a of 2d with gcd(a, b) = d, for
-   the divisors d of b with v2(d) = v2(b) and such a factor; the a with
-   v2(a) < v2(b) for B_n - B_m; no a for B_n +- B_m with odd t (s, t both
-   odd) or under coprime terms (gcd(s, t) | 2; B_1, B_2, Q_1, Q_2 have rest
-   1).  Other rows visit every pair.
+5. Sparse rows by common factor.  The gcd law, read by table: the factor
+   comes from one table (Q, B or C), and is named when the other term's
+   index has the larger v2 (v2(0) infinite), or always when both terms are
+   from that table.  When the row term's exponent is 1, the first rule
+   keeps a pair only if the named factor's rest is not 1.  A row whose term
+   alone is from that table visits only the multiples a of 2d with
+   gcd(a, b) = d, for the divisors d of b with v2(d) = v2(b) and such a
+   factor.  A pair row visits no a for odd t (s odd too) unless both terms
+   are B's, nor under coprime terms (gcd(s, t) | 2; B_1, B_2, Q_1, Q_2
+   have rest 1).  Other rows visit every pair.
 --parity selects rows (same parity is even t), and the coprime-terms filter
 is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
 
@@ -410,8 +414,8 @@ class _Terms(dict):
         return entry
 
 
-def _sparse_row(common: _Terms, b: int, lo: int, hi: int) -> list[int]:
-    """The a in [lo, hi] with v2(a) > v2(b) and common[gcd(a, b)].rest > 1 (step 5)."""
+def _sparse_row(common: _Terms, b: int, span: range) -> list[int]:
+    """The a in span with v2(a) > v2(b) and common[gcd(a, b)].rest > 1 (step 5)."""
     low = b & -b
     odd = b // low
     row = []
@@ -420,7 +424,7 @@ def _sparse_row(common: _Terms, b: int, lo: int, hi: int) -> list[int]:
             continue
         for d in {f * low, odd // f * low}:
             if common[d].rest > 1:
-                row.extend(a for a in range(-(-lo // (2 * d)) * 2 * d, hi + 1, 2 * d)
+                row.extend(a for a in range(-(-span.start // (2 * d)) * 2 * d, span.stop, 2 * d)
                            if math.gcd(a, b) == d)
     return row
 
@@ -428,75 +432,72 @@ def _sparse_row(common: _Terms, b: int, lo: int, hi: int) -> list[int]:
 def _scan(visits, solve) -> list:
     """Records of solve(n, m) over the visited pairs that index space cannot reject, verified.
 
-    visits yields (n, m, x, y, shared): the table entries of the two terms
-    whose product is the pair's value, y's exponent known, and whether their
-    common factor's rest is not 1.  The rows have applied the module
-    docstring's second rule (step 2); the scan applies the first, reading
-    x's exponent only when y's is not 1.  Survivors are solved in (n, m)
-    order, so records come out sorted.
+    visits yields (n, m, x, y, shared) as _row_visits does; the scan applies
+    the module docstring's first rule, reading x's exponent only when y's is
+    not 1.  Survivors are solved in (n, m) order, so records come out sorted.
     """
     keep = [(n, m) for n, m, x, y, shared in visits
             if shared or y.exponent != 1 and math.gcd(x.full_exponent(), y.exponent) != 1]
     return _verified([rec for n, m in sorted(keep) for rec in solve(n, m)])
 
 
+def _row_visits(rows, common: _Terms):
+    """Visits (a, b, x, y, shared) of rows (b, ys, xs, span): steps 2 and 5.
+
+    Row b pairs y = ys[b], exponent read, with each x = xs[a], a in span (a
+    range with every even number between its ends if the row can be sparse).
+    shared: the gcd law, from common (ys or xs), names a factor of rest > 1.
+    """
+    for b, ys, xs, span in rows:
+        y = ys[b]
+        # step 5: the gcd law by table, and the sparse rows; x & -x is 2**v2(x)
+        low = b & -b or math.inf
+        above = 0 if xs is common else low
+        below = math.inf if ys is common else low
+        if y.full_exponent() == 1 and xs is not common:
+            span = _sparse_row(common, b, span)
+        for a in span:
+            x = xs[a]
+            if y.support % x.lone == 0 and x.support % y.lone == 0:
+                yield a, b, x, y, above < (a & -a) < below and common[math.gcd(a, b)].rest > 1
+
+
 def _pair_visits(tag: EquationTag, cfg: SearchConfig):
-    """Visits (see _scan) of a pair search, by rows t = n - m over s = n + m.
+    """Visits (see _scan) of a pair search: the walker's rows t = n - m over s = n + m.
 
     A row starts at s = t, which is m = 0; sum-power's n = m = 0 has value
-    0 and is not visited.  The cube forms are split by their first factor
-    B_n +- B_m.  They require coprime terms, so for m > 0 its gcd with the
-    second factor divides 3: at every prime >= 211 the value's valuation is
-    one factor's alone, and the value is a q-th power only if the first
-    factor's rest is.  The module docstring gives the case m = 0.
+    0 and is not visited.
     """
     hi = 2 * cfg.max_index
-    minus, square = tag is EquationTag.CUBE_SUM_MINUS, tag is EquationTag.SQUARE_DIFF
-    if square:
+    if tag is EquationTag.SQUARE_DIFF:
         p = q = _Terms(SequenceKind.BALANCING, hi)
     else:
         valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else 1
         p = _Terms(SequenceKind.PELL, hi, valued)
         q = _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued)
-    for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
-        if not _parity_ok(cfg.parity_filter, t, 0):
-            continue
-        xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
-        y, low = ys[t], t & -t
-        row = range(t or 2, hi - t + 1, 2)
-        if y.full_exponent() == 1:
-            # gcd(x, 1) = 1 for every s: only a common factor other than 1 keeps a pair
-            if cfg.coprimality_required or (t % 2 and not square):
+    minus = tag is EquationTag.CUBE_SUM_MINUS
+
+    def rows():
+        for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
+            if not _parity_ok(cfg.parity_filter, t, 0):
                 continue
-            if minus:
-                row = [s for s in row if s % low]  # v2(s) < v2(t)
-            elif not square:
-                row = _sparse_row(q, t, t + 1, hi - t)
-        # step 2: each lone part divides the other term's support
-        row = [s for s in row if y.support % xs[s].lone == 0 and xs[s].support % y.lone == 0]
-        for s in row:
-            n, m = (s + t) // 2, (s - t) // 2
-            if not _coprime_ok(n, m, cfg):
+            xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
+            # the exponent-1 rows that visit no a (step 5)
+            if ys[t].full_exponent() == 1 and (cfg.coprimality_required or t % 2 and p is not q):
                 continue
-            # x & -x is 2**v2(x); B_gcd(s,t) is the common factor of every square-diff pair
-            law = (s & -s) < low if minus else 0 < low < (s & -s)
-            yield n, m, xs[s], y, (square or law) and q[math.gcd(s, t)].rest > 1
+            span = range(t or 2, hi - t + 1, 2)
+            if cfg.coprimality_required:
+                span = [s for s in span if _coprime_ok((s + t) // 2, (s - t) // 2, cfg)]
+            yield t, ys, xs, span
+
+    for s, t, x, y, shared in _row_visits(rows(), q):
+        yield (s + t) // 2, (s - t) // 2, x, y, shared
 
 
-def _product_visits(max_index: int):
-    """Visits (see _scan) of product-form, by rows M over N."""
-    odd = _PRIMORIAL // 2
-    b = _Terms(SequenceKind.BALANCING, max_index, odd)
-    c = _Terms(SequenceKind.LUCAS_BALANCING, max_index, odd)
-    for m in range(1, max_index + 1):
-        y, low = c[m], m & -m
-        # gcd(x, 1) = 1 for every N: only a common factor other than 1 keeps a pair
-        row = range(1, max_index + 1)
-        if y.full_exponent() == 1:
-            row = _sparse_row(c, m, 1, max_index)
-        row = [n for n in row if y.support % b[n].lone == 0 and b[n].support % y.lone == 0]
-        for n in row:
-            yield n, m, b[n], y, (n & -n) > low and c[math.gcd(n, m)].rest > 1
+def _product_visits(b: _Terms, c: _Terms):
+    """Visits (see _scan) of product-form: the walker's rows M over every N, common from C."""
+    span = range(1, len(b.values))
+    return _row_visits(((m, c, b, span) for m in span), c)
 
 
 def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
@@ -577,19 +578,18 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
 
 def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
     """Pairs (N, M) in [1, max_index]**2 with B_N * C_M = 2**p * x**q, q >= min_exponent."""
-    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, cfg.max_index)
+    b = _Terms(SequenceKind.BALANCING, cfg.max_index, _PRIMORIAL // 2)
+    c = _Terms(SequenceKind.LUCAS_BALANCING, cfg.max_index, _PRIMORIAL // 2)
 
     def solve(n: int, m: int) -> list[ProductFormRecord]:
-        s, odd = strip_prime(2, b[n] * c[m])
+        s, odd = strip_prime(2, b.values[n] * c.values[m])
         if odd == 1:
             # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
             raise ArithmeticError(f"pure power of two at ({n}, {m})")
         return [ProductFormRecord(n=n, m=m, two_exponent=s, x=x, exponent=q)
                 for x, q in _power_hits(_maybe_decompose(odd), cfg.min_exponent)]
 
-    return _scan(_product_visits(cfg.max_index), solve)
-
+    return _scan(_product_visits(b, c), solve)
 
 
 # ---------------------------------------------------------------------------

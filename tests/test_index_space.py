@@ -26,6 +26,7 @@ from ballab.diophantine import (
     _pair_visits,
     _product_visits,
     _root_out,
+    _row_visits,
     _scan,
     _Entry,
     _Terms,
@@ -267,7 +268,11 @@ def valued_primes(tag):
 
 
 def visits(tag, cfg):
-    return _product_visits(cfg.max_index) if tag is None else _pair_visits(tag, cfg)
+    if tag is None:
+        odd = math.prod(SMALL_PRIMES[1:])
+        return _product_visits(_Terms(SequenceKind.BALANCING, cfg.max_index, odd),
+                               _Terms(SequenceKind.LUCAS_BALANCING, cfg.max_index, odd))
+    return _pair_visits(tag, cfg)
 
 
 def assert_visits_match_direct_factors(tag):
@@ -288,14 +293,42 @@ def assert_visits_match_direct_factors(tag):
     assert zeros > 1 or tag is None
 
 
-@pytest.mark.parametrize("tag", [EquationTag.SUM_POWER, EquationTag.CUBE_SUM_MINUS,
-                                 EquationTag.SQUARE_DIFF], ids=lambda t: t.value)
+@pytest.mark.parametrize("tag", list(EquationTag), ids=lambda t: t.value)
 def test_pair_split_matches_direct_factors(tag):
     assert_visits_match_direct_factors(tag)
 
 
 def test_product_split_matches_direct_factors():
     assert_visits_match_direct_factors(None)
+
+
+def test_row_visits_name_the_common_factor_by_table():
+    # Every entry of these hand-built tables but one has a rest of exponent 2
+    # and no small prime, so no row is sparse, every partner passes the
+    # lone-prime test and shared is the gcd law alone, read from the tables:
+    # with the row term from common the factor is named when v2(a) > v2(b),
+    # with the partner from common when v2(a) < v2(b), with both from common
+    # always.  v2(0) is infinite, so row 0 names nothing when its term is
+    # from common.  common[3] has rest 1, so it is never shared.
+    common = {k: entry(211 ** 2) for k in range(33)}
+    common[3] = entry(1)
+    other = {k: entry(223 ** 2) for k in range(33)}
+    span = range(1, 33)
+
+    def v2_or_inf(k):
+        return math.inf if k == 0 else v2(k)
+
+    shapes = [(common, other, lambda a, b: v2_or_inf(a) > v2_or_inf(b)),
+              (other, common, lambda a, b: v2_or_inf(a) < v2_or_inf(b)),
+              (common, common, lambda a, b: True)]
+    for shape, (ys, xs, named) in enumerate(shapes):
+        for b in (0, 1, 2, 3, 4, 6, 8, 12):
+            got = list(_row_visits([(b, ys, xs, span)], common))
+            assert [visit[:4] for visit in got] == [(a, b, xs[a], ys[b]) for a in span], (shape, b)
+            assert [visit[4] for visit in got] == [
+                named(a, b) and math.gcd(a, b) != 3 for a in span], (shape, b)
+            if b == 0 and shape == 0:
+                assert not any(visit[4] for visit in got)
 
 
 @lru_cache(maxsize=None)
