@@ -280,6 +280,8 @@ def _strip_small(v: int, valued: int = _PRIMORIAL) -> tuple[int, int, int]:
     support and lone count only the primes of valued; in index space these
     are the primes of the lone-prime rule.
     """
+    if v < 1:
+        raise ValueError(f"value must be >= 1, got {v}")
     g = h = math.gcd(v, _PRIMORIAL)
     if g == 1:
         return v, 1, 1  # v itself, not a copy: v // 1 would build a second big integer
@@ -462,19 +464,27 @@ def _row_visits(rows, common: _Terms):
                 yield a, b, x, y, above < (a & -a) < below and common[math.gcd(a, b)].rest > 1
 
 
-def _pair_visits(tag: EquationTag, cfg: SearchConfig):
-    """Visits (see _scan) of a pair search: the walker's rows t = n - m over s = n + m.
+def _pair_tables(tag: EquationTag, cfg: SearchConfig) -> tuple[_Terms, _Terms, list[int]]:
+    """(p, q, b): a pair search's two tables over 0..2*max_index, and B over 0..max_index or more.
 
-    A row starts at s = t, which is m = 0; sum-power's n = m = 0 has value
-    0 and is not visited.
+    Square-diff's one table is B itself, so its values serve as b.
     """
     hi = 2 * cfg.max_index
     if tag is EquationTag.SQUARE_DIFF:
         p = q = _Terms(SequenceKind.BALANCING, hi)
-    else:
-        valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else 1
-        p = _Terms(SequenceKind.PELL, hi, valued)
-        q = _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued)
+        return p, q, p.values
+    valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else 1
+    return (_Terms(SequenceKind.PELL, hi, valued), _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued),
+            values_up_to(SequenceKind.BALANCING, cfg.max_index))
+
+
+def _pair_visits(tag: EquationTag, cfg: SearchConfig, p: _Terms, q: _Terms):
+    """Visits (see _scan) of a pair search: the walker's rows t = n - m over s = n + m.
+
+    p and q are _pair_tables' tables.  A row starts at s = t, which is
+    m = 0; sum-power's n = m = 0 has value 0 and is not visited.
+    """
+    hi = 2 * cfg.max_index
     minus = tag is EquationTag.CUBE_SUM_MINUS
 
     def rows():
@@ -501,7 +511,7 @@ def _product_visits(b: _Terms, c: _Terms):
 
 
 def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
-    b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
+    *tables, b = _pair_tables(tag, cfg)
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
         value = _pair_value(tag, b[n], b[m])
@@ -513,7 +523,7 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
         return [SolutionRecord(tag, n, m, x=x, exponent=q, family_min_exponent=None, bounds=cfg)
                 for x, q in _power_hits(_maybe_decompose(value), cfg.min_exponent)]
 
-    return _scan(_pair_visits(tag, cfg), solve)
+    return _scan(_pair_visits(tag, cfg, *tables), solve)
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,30 @@
 Each check sweeps an index range, counts its cases and records the key of
 each failing case: the indices that name it, such as (n, m), then any
 numbers its description shows.  `_result` sorts the keys into case order and
-formats only the first five.  The B and C gcd laws are symmetric: case
-(m, n) compares the same two integers as (n, m), since gcd(B_n, B_m),
-gcd(n, m) and v_2(n) = v_2(m) ignore the order of n and m.  Those checks
-decide m >= n only and record a failing pair in both orders; `checked` still
-counts every ordered case.  The suites back both the `verify` command and
+formats only the first five.  The suites back both the `verify` command and
 the test suite, so a red check here is a red build.
 
-The B and C gcd laws expect gcd 1 for two thirds of their pairs: gcd(B_n,
-C_m) when v_2(n) <= v_2(m), gcd(C_n, C_m) when v_2(n) != v_2(m).  Those
-cases are decided a 2-adic class at a time by the product law:
-gcd(prod a_i, prod b_j) = 1 exactly when every gcd(a_i, b_j) = 1.  For any
-integers, gcd(x, y) = 1 exactly when no prime divides both; a prime
-dividing both products divides some a_i and some b_j (Euclid's lemma), and
-one dividing some a_i and b_j divides both products.  So the law also holds
-for the zero and negative values the tests corrupt the sequences with:
-every prime divides 0, gcd(x, 0) = |x|, and gcd ignores signs.  Only a
-class whose product gcd is not 1 is looked at pair by pair, so the failing
-keys, and with them the result, are those of the pair-by-pair check.
+The three gcd laws (gcd(B_n, B_m) = B_gcd(n,m); gcd(C_n, C_m) = C_gcd(n,m)
+when v_2(n) = v_2(m), else 1; gcd(B_n, C_m) = C_gcd(n,m) when v_2(n) >
+v_2(m), else 1) have no failing case when B_0 = 0, C_0 = 1 and every k <
+N takes the Pell step B_{k+1} = 3*B_k + C_k, C_{k+1} = 8*B_k + 3*C_k.
+Then (B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]], and M**k =
+[[C_k, B_k], [8*B_k, C_k]] for k <= N.  So C_k**2 - 8*B_k**2 = det M**k =
+1, which makes gcd(B_k, C_k) = 1 and C_k odd; B_k >= 0 and C_k >= 1; and
+M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
+C_x*C_y + 8*B_x*B_y for x + y <= N.  These let Euclid's algorithm run on
+the indices (Knuth, TAOCP vol. 1, 1.2.8): for d, b >= 0 with d + b <= N,
+
+    gcd(B_{d+b}, B_b) = gcd(B_d, B_b)    gcd(C_{d+b}, C_b) = gcd(B_d, C_b)
+    gcd(B_{d+b}, C_b) = gcd(C_d, C_b)    gcd(C_{d+b}, B_b) = gcd(C_d, B_b)
+
+each by dropping from the left gcd the product that carries the factor
+B_b or C_b, as C_b is odd and coprime to B_b.  Reducing the larger index
+by the smaller, the walk from (n, m) ends at gcd(B_0, X_g) = X_g with g =
+gcd(n, m), or at a gcd with C_0 = 1.  Which end it reaches depends on the
+indices only, and it is the law the check expects (a lemma about integers,
+checked on every index pair by the tests).  Where the step premise fails,
+each gcd check tests every case.
 
 The addition formula and the half-index identities loop over their cases
 row by row, and stop after rows 0 and 1 when those rows have no failing
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd, prod
+from math import gcd
 from operator import add, sub
 
 from . import Value
@@ -57,7 +63,7 @@ from .sequences import SequenceKind, values_up_to
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable
 
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 
@@ -210,52 +216,31 @@ def check_unit_norm(max_n: int) -> CheckResult:
 # gcd structure checks
 
 
+def _pell_steps(b: list[int], c: list[int]) -> bool:
+    """B_0 = 0, C_0 = 1 and every k takes the Pell step to k + 1 (see the module docstring)."""
+    return b[0] == 0 and c[0] == 1 and all(
+        b1 == 3 * b0 + c0 and c1 == 8 * b0 + 3 * c0
+        for b0, c0, b1, c1 in zip(b, c, b[1:], c[1:]))
+
+
 def check_gcd_balancing(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
-    failing = []
-    for n in range(1, max_n + 1):
-        bn = b[n]
-        for m in range(n, max_n + 1):  # gcd is symmetric
-            if gcd(bn, b[m]) != b[gcd(n, m)]:
-                failing += {(n, m), (m, n)}
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    ns = range(1, max_n + 1)
+    failing = [] if _pell_steps(b, c) else [
+        (n, m) for n in ns for m in ns if gcd(b[n], b[m]) != b[gcd(n, m)]]
     return _result("gcd-balancing", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(B_{0}, B_{1}) != B_gcd({0},{1})".format)
 
 
-def _product(xs: list[int]) -> int:
-    """prod(xs) by halves, so that big factors meet at like sizes (Karatsuba)."""
-    half = len(xs) // 2
-    return prod(xs) if half < 4 else _product(xs[:half]) * _product(xs[half:])
-
-
-def _two_adic_classes(c: list[int], max_n: int) -> Iterator[tuple[range, int, int, int]]:
-    """(cls, own, above, upto) for each 2-adic class of 1..max_n, from the top down.
-
-    cls is class u, the odd multiples of 2**u.  own, above and upto are the
-    products of c over cls, over the classes above u (the multiples of
-    2**(u + 1)) and over both (the multiples of 2**u).
-    """
-    above = 1
-    for u in reversed(range(max_n.bit_length())):
-        own = _product(c[1 << u::2 << u])
-        upto = own * above
-        yield range(1 << u, max_n + 1, 2 << u), own, above, upto
-        above = upto
-
-
 def check_gcd_lucas(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = []
-    for cls, own, above, _ in _two_adic_classes(c, max_n):
-        for i, n in enumerate(cls):  # same class: expect C_gcd(n, m); gcd is symmetric
-            cn = c[n]
-            for m in cls[i:]:
-                if gcd(cn, c[m]) != c[gcd(n, m)]:
-                    failing += {(n, m), (m, n)}
-        if gcd(own, above) != 1:  # some pair with a higher class (expect 1) shares a prime
-            higher = range(2 * cls.start, max_n + 1, 2 * cls.start)
-            failing += [key for n in cls for m in higher if gcd(c[n], c[m]) != 1
-                        for key in ((n, m), (m, n))]
+    ns = range(1, max_n + 1)
+    # n & -n is 2**v_2(n)
+    failing = [] if _pell_steps(b, c) else [
+        (n, m) for n in ns for m in ns
+        if gcd(c[n], c[m]) != (c[gcd(n, m)] if n & -n == m & -m else 1)]
     return _result("gcd-lucas", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(C_{0}, C_{1}) != expected".format)
 
@@ -263,16 +248,10 @@ def check_gcd_lucas(max_n: int) -> CheckResult:
 def check_gcd_mixed(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = []
-    for cls, _, _, upto in _two_adic_classes(c, max_n):
-        low = cls.start  # 2**v_2(n) for n in cls
-        lower = [m for m in range(1, max_n + 1) if m % low]  # v_2(m) < v_2(n): expect C_gcd(n, m)
-        for n in cls:
-            bn = b[n]
-            failing += [(n, m) for m in lower if gcd(bn, c[m]) != c[gcd(n, m)]]
-        if gcd(_product(b[low::2 * low]), upto) != 1:  # v_2(m) >= v_2(n): expect 1 for all
-            failing += [(n, m) for n in cls for m in range(low, max_n + 1, low)
-                        if gcd(b[n], c[m]) != 1]
+    ns = range(1, max_n + 1)
+    failing = [] if _pell_steps(b, c) else [
+        (n, m) for n in ns for m in ns
+        if gcd(b[n], c[m]) != (c[gcd(n, m)] if n & -n > m & -m else 1)]
     return _result("gcd-mixed", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(B_{0}, C_{1}) != expected".format)
 

@@ -114,6 +114,13 @@ class TestPerfectPowerDecompose:
             with pytest.raises(ValueError):
                 perfect_power_decompose(n)
 
+    def test_refuses_values_below_1(self):
+        # 0 is divisible by every power of every small prime: stripping them
+        # would never end
+        for n in (-4, 0):
+            with pytest.raises(ValueError):
+                _maybe_decompose(n)
+
     def test_exponent_is_maximal(self):
         # the base of a maximal decomposition is never itself a power
         for n in (16, 64, 729, 4096, 2 ** 30, 5 ** 12, 223 ** 10):

@@ -167,7 +167,7 @@ class TestVerify:
         assert json.loads(out)["results"][0]["passed"] is False
 
     @pytest.mark.parametrize("suite, ceiling", [
-        ("identities", 1000), ("gcd", 1000), ("all", 1000), ("modular", 10 ** 6)])
+        ("identities", 5000), ("gcd", 5000), ("all", 5000), ("modular", 10 ** 6)])
     def test_max_n_above_ceiling_is_refused_up_front(self, capsys, suite, ceiling):
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
@@ -178,7 +178,7 @@ class TestVerify:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("suite, ceiling", [
-        ("identities", 1000), ("gcd", 1000), ("all", 1000), ("modular", 10 ** 6)])
+        ("identities", 5000), ("gcd", 5000), ("all", 5000), ("modular", 10 ** 6)])
     def test_max_n_at_ceiling_is_accepted(self, capsys, monkeypatch, suite, ceiling):
         # the suites themselves are stubbed: only the bound check runs
         monkeypatch.setattr(cli, "run_suite", lambda name, max_n: [])
@@ -486,7 +486,7 @@ FAST_PATH_CORPUS = (
     ["seq", "--kind", "pell", "--from", "5", "--to", "2"],
     ["term", "--kind", "pell", "--index", " -1"],
     ["verify", "--suite", "gcd", "--max-n", "0"],
-    ["verify", "--suite", "gcd", "--max-n", "1001"],
+    ["verify", "--suite", "gcd", "--max-n", "5001"],
     ["verify", "--suite", "modular", "--max-n", "1000001"],
     ["period", "--mod", "1"],
     ["period", "--mod", "10000001"],

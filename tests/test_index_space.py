@@ -23,6 +23,7 @@ from ballab.diophantine import (
     SearchConfig,
     _coprime_ok,
     _maybe_decompose,
+    _pair_tables,
     _pair_visits,
     _product_visits,
     _root_out,
@@ -272,7 +273,8 @@ def visits(tag, cfg):
         odd = math.prod(SMALL_PRIMES[1:])
         return _product_visits(_Terms(SequenceKind.BALANCING, cfg.max_index, odd),
                                _Terms(SequenceKind.LUCAS_BALANCING, cfg.max_index, odd))
-    return _pair_visits(tag, cfg)
+    *tables, _ = _pair_tables(tag, cfg)
+    return _pair_visits(tag, cfg, *tables)
 
 
 def assert_visits_match_direct_factors(tag):

@@ -175,10 +175,9 @@ def test_failures_are_counted_and_reported(monkeypatch):
     assert got == CORRUPTED_RESULTS
 
 
-def test_gcd_laws_decide_coprime_cases_by_class(monkeypatch):
-    # On the true sequences every class product gcd is 1, so the only other
-    # gcd calls are the pair-by-pair cases whose expected gcd is C_gcd(n, m):
-    # two calls each, one for the values and one for their indices.
+def test_gcd_laws_make_no_gcd_call_on_sound_sequences(monkeypatch):
+    # B and C take their Pell step from (0, 1), so the Euclid argument of
+    # the module docstring settles every case and no gcd is computed.
     calls = []
 
     def counted_gcd(x, y):
@@ -186,13 +185,35 @@ def test_gcd_laws_decide_coprime_cases_by_class(monkeypatch):
         return gcd(x, y)
 
     monkeypatch.setattr(ballab.verify, "gcd", counted_gcd)
-    max_n = 64
-    classes = max_n.bit_length()  # v_2(n) = 0..6 for 1 <= n <= 64
-    v2 = {n: (n & -n).bit_length() - 1 for n in range(1, max_n + 1)}
-    lower = sum(v2[n] > v2[m] for n in v2 for m in v2)
-    same = sum(v2[n] == v2[m] for n in v2 for m in v2 if n <= m)
-    for check, per_pair in ((ballab.verify.check_gcd_mixed, lower),
-                            (ballab.verify.check_gcd_lucas, same)):
-        calls.clear()
-        assert check(max_n).passed
-        assert len(calls) == classes + 2 * per_pair, check.__name__
+    for check in (ballab.verify.check_gcd_balancing, ballab.verify.check_gcd_lucas,
+                  ballab.verify.check_gcd_mixed):
+        result = check(64)
+        assert (result.checked, result.passed, calls) == (64 * 64, True, []), check.__name__
+
+
+def euclid_end(x, n, y, m):
+    """Where the index walk of the verify docstring takes gcd(x_n, y_m): (kind, g) or 1.
+
+    x and y are "B" or "C".  The larger index is reduced by the smaller one,
+    the term at the larger index changing kind as the four steps say, until
+    one index is 0: B_0 = 0 leaves the other term, C_0 = 1 leaves 1.
+    """
+    while n and m:
+        if n < m:
+            x, n, y, m = y, m, x, n
+        # gcd(B_{d+b}, B_b) -> (B_d, B_b); (C_{d+b}, C_b) -> (B_d, C_b);
+        # (B_{d+b}, C_b) -> (C_d, C_b); (C_{d+b}, B_b) -> (C_d, B_b)
+        x, n = "B" if x == y else "C", n - m
+    if n:
+        x, n, y, m = y, m, x, n
+    return (y, m) if x == "B" else 1
+
+
+def test_euclid_walk_on_indices_gives_the_three_gcd_laws():
+    v2 = {n: (n & -n).bit_length() - 1 for n in range(1, 301)}
+    for n in v2:
+        for m in v2:
+            g = gcd(n, m)
+            assert euclid_end("B", n, "B", m) == ("B", g), (n, m)
+            assert euclid_end("C", n, "C", m) == (("C", g) if v2[n] == v2[m] else 1), (n, m)
+            assert euclid_end("B", n, "C", m) == (("C", g) if v2[n] > v2[m] else 1), (n, m)

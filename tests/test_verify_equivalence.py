@@ -1,10 +1,10 @@
 """The quadratic verify checks against their one-case-at-a-time references.
 
-ballab.verify decides the symmetric gcd checks once per unordered pair,
-stops the identity checks after rows 0 and 1 when those rows hold and the
-sequences obey the recurrence wherever a later row reads them, and keeps
-only the keys of failing cases; refmath decides and describes every ordered
-case in turn.  Under any corruption of the sequences they read, both must
+ballab.verify settles the gcd checks when B and C take their Pell step
+from (0, 1), stops the identity checks after rows 0 and 1 when those rows
+hold and the sequences obey the recurrence wherever a later row reads them,
+and keeps only the keys of failing cases; refmath decides and describes
+every ordered case in turn.  Under any corruption of the sequences they read, both must
 give the same result dict: the same count, verdict and first five failures
 in case order.
 """
@@ -42,9 +42,9 @@ mixes = st.dictionaries(st.sampled_from([B, C]),
 
 HEAVY = {B: {3: 1, 8: -1, 40: 2}, C: {5: 1, 33: -3}}
 
-# C_2 = 17 becomes 18 = 2 * 3**2, which shares 3 with C_1 = 3 (2-adic classes
-# 1 and 0) and 2 with B_2 = 6 (class 1), so both class-product gcds of the
-# C and mixed laws meet a prime and their classes are checked pair by pair.
+# C_2 = 17 becomes 18 = 2 * 3**2, which shares 3 with C_1 = 3 and 2 with
+# B_2 = 6, where the C law (v_2(2) != v_2(1)) and the mixed law (v_2(2) =
+# v_2(2)) both expect gcd 1.
 SHARED = {C: {2: 1}}
 
 
@@ -82,6 +82,15 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {B: {140: 1}}, {B: (0, -1)})
 @example(70, {C: {5: 1}}, {})  # half-index-sum: rows 0 and 1 hold, its premise on C fails
 @example(70, {B: {100: 1}}, {})  # B only above max_n, where only addition-formula reads
+# The gcd laws' premise, B_0 = 0, C_0 = 1 and the Pell step (B, C) -> (3B + C,
+# 8B + 3C) up to max_n, broken one clause at a time where the others can hold
+@example(70, {}, {B: (0, 1), C: (8, 0)})  # (B + C, C + 8B) steps from (1, 1): B_0 only
+@example(70, {}, {B: (1, 0), C: (0, 1)})  # (2B, 2C) steps from (0, 2): C_0 only
+@example(70, {}, {B: (-2, 0), C: (0, -2)})  # (-B, -C) steps from (0, -1): C_0 only
+@example(70, {B: {70: 1}}, {})  # the B step into max_n only
+@example(70, {C: {70: 1}}, {})  # the C step into max_n only
+@example(70, {B: {0: 1}}, {})  # B_0 and the B step out of 0
+@example(70, {C: {0: -1}}, {})  # C_0 and both steps out of 0
 def test_quadratic_checks_match_their_references(max_n, corrupt, mix):
     want = results(refmath, max_n, corrupt, mix)
     assert results(ballab.verify, max_n, corrupt, mix) == want
@@ -142,7 +151,7 @@ def test_identities_match_their_references_beyond_the_cap():
         assert all(r["passed"] for r in got) == (not corrupt and not mix)
 
 
-def test_classes_sharing_a_prime_fall_back_to_pairs():
+def test_a_shared_prime_fails_cases_that_expect_gcd_1():
     checks = ("check_gcd_lucas", "check_gcd_mixed")
     with mock.patch.object(ballab.verify, "values_up_to", corrupted(SHARED)):
         got = [getattr(ballab.verify, name)(64).to_dict() for name in checks]
