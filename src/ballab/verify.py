@@ -6,46 +6,41 @@ numbers its description shows.  `_result` sorts the keys into case order and
 formats only the first five.  The suites back both the `verify` command and
 the test suite, so a red check here is a red build.
 
-The three gcd laws (gcd(B_n, B_m) = B_gcd(n,m); gcd(C_n, C_m) = C_gcd(n,m)
-when v_2(n) = v_2(m), else 1; gcd(B_n, C_m) = C_gcd(n,m) when v_2(n) >
-v_2(m), else 1) have no failing case when B_0 = 0, C_0 = 1 and every k <
-N takes the Pell step B_{k+1} = 3*B_k + C_k, C_{k+1} = 8*B_k + 3*C_k.
-Then (B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]], and M**k =
-[[C_k, B_k], [8*B_k, C_k]] for k <= N.  So C_k**2 - 8*B_k**2 = det M**k =
-1, which makes gcd(B_k, C_k) = 1 and C_k odd; B_k >= 0 and C_k >= 1; and
-M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
-C_x*C_y + 8*B_x*B_y for x + y <= N.  These let Euclid's algorithm run on
-the indices (Knuth, TAOCP vol. 1, 1.2.8): for d, b >= 0 with d + b <= N,
+The balancing checks that multiply terms or take gcds (the addition
+formula, the half-index sum and difference, index doubling, square plus
+one and the three gcd laws) first test one premise on the integers they
+read: the given B and C are prefixes of the walk (B_0, C_0) = (0, 1),
+(B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k + 3*C_k).  `_pell_steps` computes
+the walk as it compares, so each check reads exactly its own terms, B and C
+to lengths of their own.  Where the premise holds, the given terms are the
+walk's, and (B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]].  By
+induction on k, M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at
+every index:
 
-    gcd(B_{d+b}, B_b) = gcd(B_d, B_b)    gcd(C_{d+b}, C_b) = gcd(B_d, C_b)
-    gcd(B_{d+b}, C_b) = gcd(C_d, C_b)    gcd(C_{d+b}, B_b) = gcd(C_d, B_b)
+- M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
+  C_x*C_y + 8*B_x*B_y, the addition formula; x = y gives index doubling,
+  B_{2n} = 2*B_n*C_n.
+- det M**n = 1 gives square plus one, C_n**2 - 8*B_n**2 = 1.  So gcd(B_n,
+  C_n) = 1 and C_n is odd; and the walk keeps B_n >= 0, C_n >= 1.
+- The inverse (M**d)**-1 = [[C_d, -B_d], [-8*B_d, C_d]] and M**(a-d) =
+  M**a * (M**d)**-1 give B_{a-d} = B_a*C_d - C_a*B_d.  With the addition
+  formula, the sum and the difference give the half-index identities
+  B_{a+d} + B_{a-d} = 2*B_a*C_d and B_{a+d} - B_{a-d} = 2*C_a*B_d.
+- Euclid's algorithm runs on the indices (Knuth, TAOCP vol. 1, 1.2.8):
+  for d, b >= 0,
 
-each by dropping from the left gcd the product that carries the factor
-B_b or C_b, as C_b is odd and coprime to B_b.  Reducing the larger index
-by the smaller, the walk from (n, m) ends at gcd(B_0, X_g) = X_g with g =
-gcd(n, m), or at a gcd with C_0 = 1.  Which end it reaches depends on the
-indices only, and it is the law the check expects (a lemma about integers,
-checked on every index pair by the tests).  Where the step premise fails,
-each gcd check tests every case.
+      gcd(B_{d+b}, B_b) = gcd(B_d, B_b)    gcd(C_{d+b}, C_b) = gcd(B_d, C_b)
+      gcd(B_{d+b}, C_b) = gcd(C_d, C_b)    gcd(C_{d+b}, B_b) = gcd(C_d, B_b)
 
-The addition formula and the half-index identities loop over their cases
-row by row, and stop after rows 0 and 1 when those rows have no failing
-case and the sequences obey the recurrence s_j = 6*s_{j-1} - s_{j-2}
-wherever a later row reads them.  The argument is an induction on each
-case's error, left side minus right side.  Addition row x has the errors
-E_x[y] = B_{x+y} - B_x*C_y - C_x*B_y; where B obeys the recurrence at x + y
-and at x, and C at x, E_x[y] = 6*E_{x-1}[y] - E_{x-2}[y] by distributing the
-products over the sums.  Rows x >= 2 read B at x + y in [2, 2N] and C at x
-in [2, N].  Half-index row d has the errors E_d[a] = op(B_{a+d}, B_{a-d}) -
-2*scale_d*terms_a, op being + or -; E_d[a] = 6*E_{d-1}[a] - E_{d-2}[a] where
-B obeys the recurrence at a + d and at a - d + 2 (B_{a-d} = 6*B_{a-d+1} -
-B_{a-d+2} is B's recurrence there) and scale does at d, since op is linear.
-Rows d >= 2 read B at those indices in [2, N] and scale at d in
-[2, N // 2], and rows d - 1 and d - 2 cover every a of row d.  So where the
-recurrence holds on those spans, zero errors in rows 0 and 1 make every
-error zero.  This is algebra on the given integers, whatever they are;
-where a premise fails, the loop runs every row, as the case-by-case check
-does.
+  each by dropping from the left gcd the product that carries the factor
+  B_b or C_b, as C_b is odd and coprime to B_b.  Reducing the larger index
+  by the smaller, the walk from (n, m) ends at gcd(B_0, X_g) = X_g with g =
+  gcd(n, m), or at a gcd with C_0 = 1.  Which end it reaches depends on the
+  indices only, and it is the gcd law the check expects (a lemma about
+  integers, checked on every index pair by the tests).
+
+So no case of these checks fails.  Where the premise fails, each check tests
+every case in its literal loop.
 """
 
 from __future__ import annotations
@@ -106,43 +101,42 @@ def _timed(check: Callable[..., CheckResult], *args: int) -> CheckResult:
 # identity checks
 
 
-def _obeys(s: list[int], hi: int) -> bool:
-    """s_j = 6*s_{j-1} - s_{j-2} for every 2 <= j < hi."""
-    return all(w == 6 * v - u for u, v, w in zip(s, s[1:hi], s[2:hi]))
+def _pell_steps(b: list[int], c: list[int]) -> bool:
+    """b and c are prefixes of the walk (B, C) -> (3B + C, 8B + 3C) from (0, 1).
+
+    The lists may differ in length; each term is compared with the walk's
+    as the walk goes (see the module docstring).
+    """
+    x, y = 0, 1
+    for k in range(max(len(b), len(c))):
+        if k < len(b) and b[k] != x or k < len(c) and c[k] != y:
+            return False
+        x, y = 3 * x + y, 8 * x + 3 * y
+    return True
 
 
 def _half_index(max_n: int, op: Callable[[int, int], int], b: list[int], scale: list[int],
-                terms: list[int]) -> tuple[int, list[tuple]]:
-    """Cases and failing (n, m, a, d) of op(B_n, B_m) = 2*scale_d*terms_a, n, m = a + d, a - d.
-
-    Row d runs over d <= a <= max_n - d, so it has max_n + 1 - 2*d cases.
-    The rows from d = 2 on are left out when rows 0 and 1 have no failing
-    case, B obeys the recurrence on [2, max_n] and scale on [2, max_n // 2]
-    (see the module docstring).
-    """
-    failing = []
-    for d in range(max_n // 2 + 1):
-        if d == 2 and not failing and _obeys(b, max_n + 1) and _obeys(scale, max_n // 2 + 1):
-            break
-        failing += [(a + d, a - d, a, d) for a in range(d, max_n + 1 - d)
-                    if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
-    return sum(range(max_n + 1, 0, -2)), failing
+                terms: list[int]) -> list[tuple]:
+    """Failing (n, m, a, d) of op(B_n, B_m) = 2*scale_d*terms_a, n, m = a + d, a - d."""
+    return [(a + d, a - d, a, d) for d in range(max_n // 2 + 1) for a in range(d, max_n + 1 - d)
+            if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
 
 
 def check_half_index_sum(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = _half_index(max_n, add, b, c, b)
-    return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
-                   "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
+    failing = [] if _pell_steps(b, c) else _half_index(max_n, add, b, c, b)
+    # row d has the max_n + 1 - 2*d cases d <= a <= max_n - d
+    return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity",
+                   sum(range(max_n + 1, 0, -2)), failing, "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
 
 
 def check_half_index_diff(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    checked, failing = _half_index(max_n, sub, b, b, c)
-    return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity", checked, failing,
-                   "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
+    failing = [] if _pell_steps(b, c) else _half_index(max_n, sub, b, b, c)
+    return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity",
+                   sum(range(max_n + 1, 0, -2)), failing, "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
 
 
 def check_pell_product(max_n: int) -> CheckResult:
@@ -157,7 +151,8 @@ def check_pell_product(max_n: int) -> CheckResult:
 def check_index_doubling(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [(n, 2 * n) for n in range(max_n + 1) if b[2 * n] != 2 * b[n] * c[n]]
+    failing = [] if _pell_steps(b, c) else [
+        (n, 2 * n) for n in range(max_n + 1) if b[2 * n] != 2 * b[n] * c[n]]
     return _result("index-doubling", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "B_{1} != 2*B_{0}*C_{0}".format)
 
@@ -165,26 +160,18 @@ def check_index_doubling(max_n: int) -> CheckResult:
 def check_square_plus_one(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [(n,) for n in range(max_n + 1) if 8 * b[n] * b[n] + 1 != c[n] * c[n]]
+    failing = [] if _pell_steps(b, c) else [
+        (n,) for n in range(max_n + 1) if 8 * b[n] * b[n] + 1 != c[n] * c[n]]
     return _result("square-plus-one", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "8*B_{0}^2 + 1 != C_{0}^2".format)
 
 
 def check_addition_formula(max_n: int) -> CheckResult:
-    """B_{x+y} = B_x*C_y + C_x*B_y, row x over every y.
-
-    The rows from x = 2 on are left out when rows 0 and 1 have no failing
-    case, B obeys the recurrence on [2, 2*max_n] and C on [2, max_n] (see the
-    module docstring).
-    """
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = []
-    for x in range(max_n + 1):
-        if x == 2 and not failing and _obeys(b, 2 * max_n + 1) and _obeys(c, max_n + 1):
-            break
-        bx, cx = b[x], c[x]
-        failing += [(x, y, x + y) for y in range(max_n + 1) if b[x + y] != bx * c[y] + cx * b[y]]
+    ys = range(max_n + 1)
+    failing = [] if _pell_steps(b, c) else [
+        (x, y, x + y) for x in ys for y in ys if b[x + y] != b[x] * c[y] + c[x] * b[y]]
     return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
                    "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
 
@@ -214,13 +201,6 @@ def check_unit_norm(max_n: int) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # gcd structure checks
-
-
-def _pell_steps(b: list[int], c: list[int]) -> bool:
-    """B_0 = 0, C_0 = 1 and every k takes the Pell step to k + 1 (see the module docstring)."""
-    return b[0] == 0 and c[0] == 1 and all(
-        b1 == 3 * b0 + c0 and c1 == 8 * b0 + 3 * c0
-        for b0, c0, b1, c1 in zip(b, c, b[1:], c[1:]))
 
 
 def check_gcd_balancing(max_n: int) -> CheckResult:

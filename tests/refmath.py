@@ -91,10 +91,10 @@ def period(modulus: int) -> PeriodResult:
 
 
 # ---------------------------------------------------------------------------
-# The quadratic verify checks as one generator step per ordered case, each
-# decided on its own.  ballab.verify decides the symmetric ones once per
-# unordered pair and records failing cases by key; these are the slow side
-# of that equivalence.
+# The verify checks that one premise test settles, as one generator step per
+# ordered case, each decided on its own.  ballab.verify settles every case
+# where the premise holds and records failing cases by key; these are the
+# slow side of that equivalence.
 
 
 def _run_check(name: str, bound: str, cases: Iterable[str | None]) -> CheckResult:
@@ -149,6 +149,28 @@ def check_addition_formula(max_n: int) -> CheckResult:
                        else f"B_{x + y} != B_{x}*C_{y} + C_{x}*B_{y}")
 
     return _run_check("addition-formula", f"0 <= x, y <= {max_n}", cases())
+
+
+def check_index_doubling(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(max_n + 1):
+            yield None if b[2 * n] == 2 * b[n] * c[n] else f"B_{2 * n} != 2*B_{n}*C_{n}"
+
+    return _run_check("index-doubling", f"0 <= n <= {max_n}", cases())
+
+
+def check_square_plus_one(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(max_n + 1):
+            yield None if 8 * b[n] ** 2 + 1 == c[n] ** 2 else f"8*B_{n}^2 + 1 != C_{n}^2"
+
+    return _run_check("square-plus-one", f"0 <= n <= {max_n}", cases())
 
 
 def check_gcd_balancing(max_n: int) -> CheckResult:

@@ -1,15 +1,13 @@
-"""The quadratic verify checks against their one-case-at-a-time references.
+"""The premise-settled verify checks against their one-case-at-a-time references.
 
-ballab.verify settles the gcd checks when B and C take their Pell step
-from (0, 1), stops the identity checks after rows 0 and 1 when those rows
-hold and the sequences obey the recurrence wherever a later row reads them,
-and keeps only the keys of failing cases; refmath decides and describes
-every ordered case in turn.  Under any corruption of the sequences they read, both must
-give the same result dict: the same count, verdict and first five failures
-in case order.
+ballab.verify settles these checks when the B and C they read are prefixes
+of the Pell walk (B, C) -> (3B + C, 8B + 3C) from (0, 1), else runs their
+literal loops, and keeps only the keys of failing cases; refmath decides
+and describes every ordered case in turn.  Under any corruption of the
+sequences they read, both must give the same result dict: the same count,
+verdict and first five failures in case order.
 """
 
-from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -24,23 +22,26 @@ import refmath  # noqa: E402
 from ballab.sequences import SequenceKind, values_up_to  # noqa: E402
 
 CHECKS = ("check_half_index_sum", "check_half_index_diff", "check_addition_formula",
+          "check_index_doubling", "check_square_plus_one",
           "check_gcd_balancing", "check_gcd_lucas", "check_gcd_mixed")
-IDENTITIES = CHECKS[:3]  # stop after rows 0 and 1 on the recurrence premise
+IDENTITIES = CHECKS[:5]  # the identity suite's checks that multiply terms
 B, C = SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING
 
-# {kind: {index: offset}}; the checks read B up to 2 * 70 and C up to 70
+# {kind: {index: offset}}; the checks read C up to 70 and B up to 70, or up
+# to 2 * 70 for addition-formula and index-doubling
 corruptions = st.dictionaries(
     st.sampled_from([B, C]),
     st.dictionaries(st.integers(0, 140), st.integers(-3, 3).filter(bool), max_size=6),
     max_size=2)
 
 # {kind: (u, v)}: add u*B + v*C to the kind's values.  Any such sum obeys the
-# recurrence at every index, so every premise of the identity checks holds
-# and only rows 0 and 1 can send them to the rows after.
+# recurrence s_j = 6*s_{j-1} - s_{j-2}, but a mix other than (0, 0) moves the
+# kind's term at index 0 or 1 off the Pell walk, so the premise fails and the
+# checks run their literal loops, where some identities may still hold.
 mixes = st.dictionaries(st.sampled_from([B, C]),
                         st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=2)
 
-HEAVY = {B: {3: 1, 8: -1, 40: 2}, C: {5: 1, 33: -3}}
+HEAVY = {B: {3: 1, 8: -1, 40: 2}, C: {5: 1, 33: -3, 64: 1}}
 
 # C_2 = 17 becomes 18 = 2 * 3**2, which shares 3 with C_1 = 3 and 2 with
 # B_2 = 6, where the C law (v_2(2) != v_2(1)) and the mixed law (v_2(2) =
@@ -69,10 +70,10 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {C: {1: 2}}, {})
 @example(70, {}, {})
 @example(100, HEAVY, {})
-@example(70, {B: {0: 1}, C: {0: -1}}, {})  # rows start at indices 0, 1 and 2
+@example(70, {B: {0: 1}, C: {0: -1}}, {})  # B_0 and C_0 both off the walk
 @example(70, {B: {1: 2}}, {})
 @example(70, {C: {2: 1}}, {})
-@example(70, {B: {140: -1}}, {})  # B_{2*max_n}, the top term addition-formula reads
+@example(70, {B: {140: -1}}, {})  # B_{2*max_n}, the top term of addition-formula and doubling
 @example(70, {}, {C: (1, 0)})  # C + B
 @example(70, {}, {B: (0, 1)})  # B + C
 @example(70, {}, {B: (1, 0), C: (0, -2)})  # 2*B and -C
@@ -80,8 +81,8 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {C: {1: -1}}, {B: (0, 1)})
 @example(70, {C: {2: 1}}, {C: (1, 0)})
 @example(70, {B: {140: 1}}, {B: (0, -1)})
-@example(70, {C: {5: 1}}, {})  # half-index-sum: rows 0 and 1 hold, its premise on C fails
-@example(70, {B: {100: 1}}, {})  # B only above max_n, where only addition-formula reads
+@example(70, {C: {5: 1}}, {})  # half-index-sum reads C_5 as its scale at d = 5 only
+@example(70, {B: {100: 1}}, {})  # B above max_n: only addition-formula and doubling read it
 # The gcd laws' premise, B_0 = 0, C_0 = 1 and the Pell step (B, C) -> (3B + C,
 # 8B + 3C) up to max_n, broken one clause at a time where the others can hold
 @example(70, {}, {B: (0, 1), C: (8, 0)})  # (B + C, C + 8B) steps from (1, 1): B_0 only
@@ -91,58 +92,42 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {C: {70: 1}}, {})  # the C step into max_n only
 @example(70, {B: {0: 1}}, {})  # B_0 and the B step out of 0
 @example(70, {C: {0: -1}}, {})  # C_0 and both steps out of 0
+# The premise fails but identities hold: only a correct literal loop passes them
+@example(70, {}, {B: (-2, 0)})  # -B: all five identities hold, gcd-balancing fails
+@example(70, {C: {0: -2}}, {})  # C_0 = -1: square-plus-one, doubling and diff hold
 def test_quadratic_checks_match_their_references(max_n, corrupt, mix):
     want = results(refmath, max_n, corrupt, mix)
     assert results(ballab.verify, max_n, corrupt, mix) == want
 
 
-class Reach(list):
-    """Sound terms that refuse an index above `top` and log the indices read."""
-
-    def __init__(self, values, top):
-        super().__init__(values)
-        self.top, self.read = top, set()
-
-    def __getitem__(self, i):
-        if isinstance(i, int):
-            assert i <= self.top, f"read term {i} beyond row 1's reach {self.top}"
-            self.read.add(i)
-        return super().__getitem__(i)
-
-
 @pytest.mark.parametrize("max_n", [2, 3, 70, 200])
-def test_sound_sequences_read_rows_0_and_1_only(max_n):
-    """Each identity check reads exactly the terms its rows 0 and 1 index.
+def test_sound_sequences_multiply_no_given_term(max_n):
+    """The premise settles each identity check that multiplies terms: no product is taken."""
+    products = []
 
-    Row 1 of the addition formula reads B up to max_n + 1 and C up to max_n;
-    row 1 of the half-index checks reads scale up to index 1.  The
-    half-index-diff scale is a copy of B, so that its reads are told apart
-    from B's.
-    """
-    b, c = values_up_to(B, 2 * max_n), values_up_to(C, max_n)
-    reach = {B: max_n + 1, C: max_n}
-    guarded = {}
+    class Logged(int):
+        def __mul__(self, other):
+            products.append((self, other))
+            return int(self) * other
+
+        __rmul__ = __mul__
 
     def values(kind, hi):
-        guarded[kind] = Reach(values_up_to(kind, hi), reach[kind])
-        return guarded[kind]
+        return [Logged(v) for v in values_up_to(kind, hi)]
 
     with mock.patch.object(ballab.verify, "values_up_to", values):
-        assert ballab.verify.check_addition_formula(max_n).passed
-    assert guarded[B].read == set(range(max_n + 2))
-    assert guarded[C].read == set(range(max_n + 1))
-    for op, scale, terms in ((add, c, b), (sub, b, c)):
-        seqs = (Reach(b[:max_n + 1], max_n), Reach(scale[:max_n + 1], 1),
-                Reach(terms[:max_n + 1], max_n))
-        assert ballab.verify._half_index(max_n, op, *seqs)[1] == []
-        assert [s.read for s in seqs] == [set(range(max_n + 1)), {0, 1}, set(range(max_n + 1))]
+        for name in IDENTITIES:
+            result = getattr(ballab.verify, name)(max_n)
+            assert (result.passed, products) == (True, []), name
 
 
 def test_identities_match_their_references_beyond_the_cap():
     """Rows of up to 201 terms, beyond the cap of 70 above.
 
-    B_250 and B_399 lie above max_n, where only addition-formula reads B:
-    its premise fails there, so it runs every row.
+    B_250 and B_399 lie above max_n, where only addition-formula and
+    index-doubling read B: their premise fails there, so they run every
+    case, and index-doubling, which reads B at even indices only, passes
+    with B_399 off.
     """
     for corrupt, mix in (({}, {}), (HEAVY, {}), ({}, {C: (1, 0)}),
                          ({B: {250: -1}}, {}), ({B: {399: 1}}, {})):
