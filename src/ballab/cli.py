@@ -60,11 +60,12 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
 # verify --max-n ceilings.  On sound sequences every check of identities, gcd
-# and all is linear in big-integer operations: one premise test settles those
-# that multiply terms or take gcds.  `python -m ballab.cli verify --suite S
-# --max-n 5000`, four runs each on a 2-vCPU Intel Xeon VM, Python 3.11.7:
-# identities 0.82-1.13 s, gcd 0.33-0.48 s, all 1.27-1.63 s (closed-form-agreement
-# the largest check).  modular is linear: 1.2-1.3 s at 10**6.
+# and all is linear in big-integer operations: one premise test per suite
+# settles those that multiply terms or take gcds.  `python -m ballab.cli verify
+# --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM, Python
+# 3.11.7: identities 0.87-1.11 s, gcd 0.34-0.42 s, all 1.12-1.44 s
+# (closed-form-agreement the largest check), at a peak RSS of 39 MB (23 MB for
+# gcd).  modular is linear: 1.2-1.3 s at 10**6.
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  The walk is linear in the period it finds, which

@@ -515,8 +515,6 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
         value = _pair_value(tag, b[n], b[m])
-        if value <= 0:
-            return []
         if value == 1:
             return [SolutionRecord(tag, n, m, x=1, exponent=None,
                                    family_min_exponent=cfg.min_exponent, bounds=cfg)]

@@ -6,16 +6,19 @@ numbers its description shows.  `_result` sorts the keys into case order and
 formats only the first five.  The suites back both the `verify` command and
 the test suite, so a red check here is a red build.
 
-The balancing checks that multiply terms or take gcds (the addition
-formula, the half-index sum and difference, index doubling, square plus
-one and the three gcd laws) first test one premise on the integers they
-read: the given B and C are prefixes of the walk (B_0, C_0) = (0, 1),
-(B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k + 3*C_k).  `_pell_steps` computes
-the walk as it compares, so each check reads exactly its own terms, B and C
-to lengths of their own.  Where the premise holds, the given terms are the
-walk's, and (B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]].  By
-induction on k, M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at
-every index:
+Each suite reads B and C once (the identity suite B to 2N and C to N, the
+gcd suite both to N) and hands the lists to every check that reads them.
+The checks that multiply terms or take gcds (the addition formula, the
+half-index sum and difference, index doubling, square plus one and the
+three gcd laws) rest on one premise, which the suite tests once and passes
+on as `walk`: the given B and C are prefixes of the walk (B_0, C_0) =
+(0, 1), (B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k + 3*C_k).  `walk` must be
+`_pell_steps` of the very lists passed.  A check's result does not depend
+on how far its suite read, because each literal loop is exact: a B_{2N}
+off the walk sends half-index-sum, which never reads it, to a literal loop
+that passes.  Where the premise holds, the given terms are the walk's, and
+(B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]].  By induction on k,
+M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
 
 - M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
   C_x*C_y + 8*B_x*B_y, the addition formula; x = y gives index doubling,
@@ -90,7 +93,7 @@ def _result(name: str, bound: str, checked: int, failing: list[tuple],
     return CheckResult(name, bound, checked, passed=not failing, failures=failures)
 
 
-def _timed(check: Callable[..., CheckResult], *args: int) -> CheckResult:
+def _timed(check: Callable[..., CheckResult], *args) -> CheckResult:
     started = time.perf_counter()
     result = check(*args)
     result.ms = (time.perf_counter() - started) * 1000
@@ -122,25 +125,20 @@ def _half_index(max_n: int, op: Callable[[int, int], int], b: list[int], scale: 
             if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
 
 
-def check_half_index_sum(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [] if _pell_steps(b, c) else _half_index(max_n, add, b, c, b)
+def check_half_index_sum(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
+    failing = [] if walk else _half_index(max_n, add, b, c, b)
     # row d has the max_n + 1 - 2*d cases d <= a <= max_n - d
     return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity",
                    sum(range(max_n + 1, 0, -2)), failing, "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
 
 
-def check_half_index_diff(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [] if _pell_steps(b, c) else _half_index(max_n, sub, b, b, c)
+def check_half_index_diff(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
+    failing = [] if walk else _half_index(max_n, sub, b, b, c)
     return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity",
                    sum(range(max_n + 1, 0, -2)), failing, "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
 
 
-def check_pell_product(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
+def check_pell_product(max_n: int, b: list[int]) -> CheckResult:
     p = values_up_to(SequenceKind.PELL, max_n)
     q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
     failing = [(m,) for m in range(max_n + 1) if b[m] != p[m] * q[m]]
@@ -148,45 +146,36 @@ def check_pell_product(max_n: int) -> CheckResult:
                    "B_{0} != P_{0}*Q_{0}".format)
 
 
-def check_index_doubling(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [] if _pell_steps(b, c) else [
+def check_index_doubling(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
+    failing = [] if walk else [
         (n, 2 * n) for n in range(max_n + 1) if b[2 * n] != 2 * b[n] * c[n]]
     return _result("index-doubling", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "B_{1} != 2*B_{0}*C_{0}".format)
 
 
-def check_square_plus_one(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    failing = [] if _pell_steps(b, c) else [
+def check_square_plus_one(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
+    failing = [] if walk else [
         (n,) for n in range(max_n + 1) if 8 * b[n] * b[n] + 1 != c[n] * c[n]]
     return _result("square-plus-one", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "8*B_{0}^2 + 1 != C_{0}^2".format)
 
 
-def check_addition_formula(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+def check_addition_formula(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
     ys = range(max_n + 1)
-    failing = [] if _pell_steps(b, c) else [
+    failing = [] if walk else [
         (x, y, x + y) for x in ys for y in ys if b[x + y] != b[x] * c[y] + c[x] * b[y]]
     return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
                    "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
 
 
-def check_lucas_odd(max_n: int) -> CheckResult:
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+def check_lucas_odd(max_n: int, c: list[int]) -> CheckResult:
     failing = [(n,) for n in range(max_n + 1) if c[n] % 2 != 1]
     return _result("lucas-odd", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "C_{0} is even".format)
 
 
-def check_closed_form(max_n: int) -> CheckResult:
+def check_closed_form(max_n: int, b: list[int], c: list[int]) -> CheckResult:
     """Closed-form extraction agrees with plain iteration, term by term."""
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
     failing = [(n,) for n in range(max_n + 1) if binet_extract(n) != (b[n], c[n])]
     return _result("closed-form-agreement", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "closed form disagrees at n={0}".format)
@@ -203,33 +192,27 @@ def check_unit_norm(max_n: int) -> CheckResult:
 # gcd structure checks
 
 
-def check_gcd_balancing(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+def check_gcd_balancing(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
     ns = range(1, max_n + 1)
-    failing = [] if _pell_steps(b, c) else [
+    failing = [] if walk else [
         (n, m) for n in ns for m in ns if gcd(b[n], b[m]) != b[gcd(n, m)]]
     return _result("gcd-balancing", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(B_{0}, B_{1}) != B_gcd({0},{1})".format)
 
 
-def check_gcd_lucas(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+def check_gcd_lucas(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
     ns = range(1, max_n + 1)
     # n & -n is 2**v_2(n)
-    failing = [] if _pell_steps(b, c) else [
+    failing = [] if walk else [
         (n, m) for n in ns for m in ns
         if gcd(c[n], c[m]) != (c[gcd(n, m)] if n & -n == m & -m else 1)]
     return _result("gcd-lucas", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
                    "gcd(C_{0}, C_{1}) != expected".format)
 
 
-def check_gcd_mixed(max_n: int) -> CheckResult:
-    b = values_up_to(SequenceKind.BALANCING, max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+def check_gcd_mixed(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
     ns = range(1, max_n + 1)
-    failing = [] if _pell_steps(b, c) else [
+    failing = [] if walk else [
         (n, m) for n in ns for m in ns
         if gcd(b[n], c[m]) != (c[gcd(n, m)] if n & -n > m & -m else 1)]
     return _result("gcd-mixed", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
@@ -308,27 +291,37 @@ def check_sieve_soundness() -> CheckResult:
 # suites
 
 
+def _read_and_walk(b_hi: int, c_hi: int) -> tuple[list[int], list[int], bool]:
+    """B to b_hi, C to c_hi, and whether they follow the Pell walk."""
+    b = values_up_to(SequenceKind.BALANCING, b_hi)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, c_hi)
+    return b, c, _pell_steps(b, c)
+
+
 def identity_suite(max_n: int) -> list[CheckResult]:
+    b, c, walk = _read_and_walk(2 * max_n, max_n)
     return [
-        _timed(check_half_index_sum, max_n),
-        _timed(check_half_index_diff, max_n),
-        _timed(check_pell_product, max_n),
-        _timed(check_index_doubling, max_n),
-        _timed(check_square_plus_one, max_n),
-        _timed(check_addition_formula, max_n),
-        _timed(check_lucas_odd, max_n),
-        _timed(check_closed_form, max_n),
+        _timed(check_half_index_sum, max_n, b, c, walk),
+        _timed(check_half_index_diff, max_n, b, c, walk),
+        _timed(check_pell_product, max_n, b),
+        _timed(check_index_doubling, max_n, b, c, walk),
+        _timed(check_square_plus_one, max_n, b, c, walk),
+        _timed(check_addition_formula, max_n, b, c, walk),
+        _timed(check_lucas_odd, max_n, c),
+        _timed(check_closed_form, max_n, b, c),
         _timed(check_unit_norm, min(max_n, 200)),
     ]
 
 
+def _gcd_laws(max_n: int) -> list[CheckResult]:
+    # B and C are released before pell-coprime reads P and Q
+    b, c, walk = _read_and_walk(max_n, max_n)
+    return [_timed(check, max_n, b, c, walk)
+            for check in (check_gcd_balancing, check_gcd_lucas, check_gcd_mixed)]
+
+
 def gcd_suite(max_n: int) -> list[CheckResult]:
-    return [
-        _timed(check_gcd_balancing, max_n),
-        _timed(check_gcd_lucas, max_n),
-        _timed(check_gcd_mixed, max_n),
-        _timed(check_pell_coprime, max_n),
-    ]
+    return [*_gcd_laws(max_n), _timed(check_pell_coprime, max_n)]
 
 
 def modular_suite(max_n: int) -> list[CheckResult]:

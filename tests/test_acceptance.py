@@ -25,19 +25,8 @@ from ballab.diophantine import (
     search_square_diff,
     search_sum_power,
 )
-from ballab.sequences import SequenceKind
-from ballab.verify import (
-    check_addition_formula,
-    check_closed_form,
-    check_half_index_diff,
-    check_half_index_sum,
-    check_index_doubling,
-    check_lucas_odd,
-    check_mod9_table,
-    check_pell_product,
-    check_square_plus_one,
-    check_two_adic,
-)
+from ballab.sequences import SequenceKind, values_up_to
+from ballab.verify import check_closed_form, check_mod9_table, check_two_adic, identity_suite
 
 
 def report(criterion, elapsed=None):
@@ -117,15 +106,7 @@ def test_05_special_form_scans():
 
 def test_06_identity_suite():
     started = time.perf_counter()
-    checks = [
-        check_half_index_sum(200),
-        check_half_index_diff(200),
-        check_pell_product(200),
-        check_index_doubling(200),
-        check_square_plus_one(200),
-        check_addition_formula(200),
-        check_lucas_odd(200),
-    ]
+    checks = identity_suite(200)
     elapsed = time.perf_counter() - started
     for c in checks:
         assert c.passed and c.checked > 0, f"{c.name}: {c.failures}"
@@ -134,7 +115,9 @@ def test_06_identity_suite():
 
 def test_07_closed_form_agreement():
     started = time.perf_counter()
-    result = check_closed_form(500)
+    b = values_up_to(SequenceKind.BALANCING, 500)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, 500)
+    result = check_closed_form(500, b, c)
     elapsed = time.perf_counter() - started
     assert result.passed and result.checked == 501
     assert elapsed < 5.0

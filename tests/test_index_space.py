@@ -417,6 +417,18 @@ def test_scan_solves_exactly_the_pairs_the_literal_rules_keep(tag):
         assert solved == sorted(literal_keeps(tag, cfg)), cfg
 
 
+@pytest.mark.parametrize("tag", list(EquationTag), ids=lambda t: t.value)
+def test_every_visited_pair_has_a_positive_value(tag):
+    # A pair search hands each value it solves to the power test, which
+    # refuses values below 1; no row reaches n = m = 0 or, in a difference
+    # form, n <= m.
+    b = values_up_to(SequenceKind.BALANCING, VISIT_MAX)
+    for cfg in every_visit_setting(tag):
+        if cfg.min_exponent == 2:  # the exponent bound shapes no row
+            for n, m, *_ in visits(tag, cfg):
+                assert diophantine._pair_value(tag, b[n], b[m]) > 0, (cfg, n, m)
+
+
 def entry(value, valued=math.prod(SMALL_PRIMES)):
     """A table entry of value, its exponent known as for a row term."""
     e = _Entry(value, valued)

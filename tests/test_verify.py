@@ -3,8 +3,9 @@ from math import gcd
 import pytest
 
 import ballab.verify
+import refmath
 from ballab.modular import residue_range
-from ballab.sequences import SequenceKind
+from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     CheckResult,
     check_period_consistency,
@@ -177,7 +178,8 @@ def test_failures_are_counted_and_reported(monkeypatch):
 
 def test_gcd_laws_make_no_gcd_call_on_sound_sequences(monkeypatch):
     # B and C take their Pell step from (0, 1), so the Euclid argument of
-    # the module docstring settles every case and no gcd is computed.
+    # the module docstring settles every case: the suite's only gcds are
+    # pell-coprime's.
     calls = []
 
     def counted_gcd(x, y):
@@ -185,10 +187,50 @@ def test_gcd_laws_make_no_gcd_call_on_sound_sequences(monkeypatch):
         return gcd(x, y)
 
     monkeypatch.setattr(ballab.verify, "gcd", counted_gcd)
-    for check in (ballab.verify.check_gcd_balancing, ballab.verify.check_gcd_lucas,
-                  ballab.verify.check_gcd_mixed):
-        result = check(64)
-        assert (result.checked, result.passed, calls) == (64 * 64, True, []), check.__name__
+    results = gcd_suite(64)
+    assert [(r.checked, r.passed) for r in results[:3]] == [(64 * 64, True)] * 3
+    p = values_up_to(SequenceKind.PELL, 64)
+    q = values_up_to(SequenceKind.ASSOCIATED_PELL, 64)
+    assert calls == [(p[n], q[n]) for n in range(1, 65)]
+
+
+@pytest.mark.parametrize("suite, b_hi", [(identity_suite, 2 * 40), (gcd_suite, 40)])
+def test_each_suite_reads_b_and_c_once_and_walks_them_once(monkeypatch, suite, b_hi):
+    reads, walks = [], []
+    pell_steps = ballab.verify._pell_steps
+
+    def counted_values(kind, hi):
+        reads.append((kind, hi))
+        return values_up_to(kind, hi)
+
+    def counted_walk(b, c):
+        walks.append((len(b), len(c)))
+        return pell_steps(b, c)
+
+    monkeypatch.setattr(ballab.verify, "values_up_to", counted_values)
+    monkeypatch.setattr(ballab.verify, "_pell_steps", counted_walk)
+    assert_all_green(suite(40))
+    bc = (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING)
+    assert [read for read in reads if read[0] in bc] == [(bc[0], b_hi), (bc[1], 40)]
+    assert walks == [(b_hi + 1, 41)]
+
+
+PREMISE_CHECKS = ("check_half_index_sum", "check_half_index_diff", "check_addition_formula",
+                  "check_index_doubling", "check_square_plus_one",
+                  "check_gcd_balancing", "check_gcd_lucas", "check_gcd_mixed")
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 70])
+def test_literal_loops_pass_sound_sequences(max_n):
+    # Sound lists with walk=False: each check runs its literal loop, which
+    # must give the settled result and the one-case-at-a-time reference's.
+    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+    for name in PREMISE_CHECKS:
+        check = getattr(ballab.verify, name)
+        literal = check(max_n, b, c, False).to_dict()
+        assert literal == check(max_n, b, c, True).to_dict(), name
+        assert literal == getattr(refmath, name)(max_n).to_dict(), name
 
 
 def euclid_end(x, n, y, m):

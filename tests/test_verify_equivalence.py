@@ -1,11 +1,13 @@
 """The premise-settled verify checks against their one-case-at-a-time references.
 
-ballab.verify settles these checks when the B and C they read are prefixes
-of the Pell walk (B, C) -> (3B + C, 8B + 3C) from (0, 1), else runs their
-literal loops, and keeps only the keys of failing cases; refmath decides
-and describes every ordered case in turn.  Under any corruption of the
-sequences they read, both must give the same result dict: the same count,
-verdict and first five failures in case order.
+ballab.verify's identity and gcd suites each read B and C once and walk
+them once: where they are prefixes of the Pell walk (B, C) -> (3B + C,
+8B + 3C) from (0, 1) the suite's checks are settled, else they run their
+literal loops, and they keep only the keys of failing cases; refmath
+decides and describes every ordered case in turn, each check reading its
+own terms.  Under any corruption of the sequences they read, both must give
+the same result dict: the same count, verdict and first five failures in
+case order.
 """
 
 from unittest import mock
@@ -21,14 +23,14 @@ import ballab.verify  # noqa: E402
 import refmath  # noqa: E402
 from ballab.sequences import SequenceKind, values_up_to  # noqa: E402
 
-CHECKS = ("check_half_index_sum", "check_half_index_diff", "check_addition_formula",
-          "check_index_doubling", "check_square_plus_one",
-          "check_gcd_balancing", "check_gcd_lucas", "check_gcd_mixed")
+CHECKS = ("half-index-sum", "half-index-diff", "addition-formula", "index-doubling",
+          "square-plus-one", "gcd-balancing", "gcd-lucas", "gcd-mixed")
 IDENTITIES = CHECKS[:5]  # the identity suite's checks that multiply terms
+SUITES = {name: "identity_suite" if name in IDENTITIES else "gcd_suite" for name in CHECKS}
 B, C = SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING
 
-# {kind: {index: offset}}; the checks read C up to 70 and B up to 70, or up
-# to 2 * 70 for addition-formula and index-doubling
+# {kind: {index: offset}}; the suites read C up to 70 and B up to 70, or up
+# to 2 * 70 in the identity suite
 corruptions = st.dictionaries(
     st.sampled_from([B, C]),
     st.dictionaries(st.integers(0, 140), st.integers(-3, 3).filter(bool), max_size=6),
@@ -58,9 +60,18 @@ def corrupted(corrupt, mix=None):
     return corrupt_values
 
 
+def reference(name):
+    return getattr(refmath, "check_" + name.replace("-", "_"))
+
+
 def results(module, max_n, corrupt, mix=None, checks=CHECKS):
+    """Result dicts of checks under corruption: ballab's from its suites, refmath's one by one."""
     with mock.patch.object(module, "values_up_to", corrupted(corrupt, mix)):
-        return [getattr(module, name)(max_n).to_dict() for name in checks]
+        if module is refmath:
+            return [reference(name)(max_n).to_dict() for name in checks]
+        got = {r.name: r.to_dict() for suite in {SUITES[name] for name in checks}
+               for r in getattr(module, suite)(max_n)}
+    return [got[name] for name in checks]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -73,7 +84,7 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {B: {0: 1}, C: {0: -1}}, {})  # B_0 and C_0 both off the walk
 @example(70, {B: {1: 2}}, {})
 @example(70, {C: {2: 1}}, {})
-@example(70, {B: {140: -1}}, {})  # B_{2*max_n}, the top term of addition-formula and doubling
+@example(70, {B: {140: -1}}, {})  # B_{2*max_n}, the top term the identity suite reads
 @example(70, {}, {C: (1, 0)})  # C + B
 @example(70, {}, {B: (0, 1)})  # B + C
 @example(70, {}, {B: (1, 0), C: (0, -2)})  # 2*B and -C
@@ -82,7 +93,7 @@ def results(module, max_n, corrupt, mix=None, checks=CHECKS):
 @example(70, {C: {2: 1}}, {C: (1, 0)})
 @example(70, {B: {140: 1}}, {B: (0, -1)})
 @example(70, {C: {5: 1}}, {})  # half-index-sum reads C_5 as its scale at d = 5 only
-@example(70, {B: {100: 1}}, {})  # B above max_n: only addition-formula and doubling read it
+@example(70, {B: {100: 1}}, {})  # B above max_n: only addition-formula and doubling index it
 # The gcd laws' premise, B_0 = 0, C_0 = 1 and the Pell step (B, C) -> (3B + C,
 # 8B + 3C) up to max_n, broken one clause at a time where the others can hold
 @example(70, {}, {B: (0, 1), C: (8, 0)})  # (B + C, C + 8B) steps from (1, 1): B_0 only
@@ -102,7 +113,7 @@ def test_quadratic_checks_match_their_references(max_n, corrupt, mix):
 
 @pytest.mark.parametrize("max_n", [2, 3, 70, 200])
 def test_sound_sequences_multiply_no_given_term(max_n):
-    """The premise settles each identity check that multiplies terms: no product is taken."""
+    """The premise settles each identity check that multiplies terms: no B or C is multiplied."""
     products = []
 
     class Logged(int):
@@ -113,21 +124,21 @@ def test_sound_sequences_multiply_no_given_term(max_n):
         __rmul__ = __mul__
 
     def values(kind, hi):
-        return [Logged(v) for v in values_up_to(kind, hi)]
+        terms = values_up_to(kind, hi)
+        return [Logged(v) for v in terms] if kind in (B, C) else terms
 
     with mock.patch.object(ballab.verify, "values_up_to", values):
-        for name in IDENTITIES:
-            result = getattr(ballab.verify, name)(max_n)
-            assert (result.passed, products) == (True, []), name
+        passed = {r.name: r.passed for r in ballab.verify.identity_suite(max_n)}
+    assert ([passed[name] for name in IDENTITIES], products) == ([True] * 5, [])
 
 
 def test_identities_match_their_references_beyond_the_cap():
     """Rows of up to 201 terms, beyond the cap of 70 above.
 
     B_250 and B_399 lie above max_n, where only addition-formula and
-    index-doubling read B: their premise fails there, so they run every
-    case, and index-doubling, which reads B at even indices only, passes
-    with B_399 off.
+    index-doubling index B: the suite's premise fails there, so every check
+    runs every case, and index-doubling, which reads B at even indices
+    only, passes with B_399 off, as do the checks that never read it.
     """
     for corrupt, mix in (({}, {}), (HEAVY, {}), ({}, {C: (1, 0)}),
                          ({B: {250: -1}}, {}), ({B: {399: 1}}, {})):
@@ -137,12 +148,9 @@ def test_identities_match_their_references_beyond_the_cap():
 
 
 def test_a_shared_prime_fails_cases_that_expect_gcd_1():
-    checks = ("check_gcd_lucas", "check_gcd_mixed")
-    with mock.patch.object(ballab.verify, "values_up_to", corrupted(SHARED)):
-        got = [getattr(ballab.verify, name)(64).to_dict() for name in checks]
-    with mock.patch.object(refmath, "values_up_to", corrupted(SHARED)):
-        want = [getattr(refmath, name)(64).to_dict() for name in checks]
-    assert got == want
+    checks = ("gcd-lucas", "gcd-mixed")
+    got = results(ballab.verify, 64, SHARED, checks=checks)
+    assert got == results(refmath, 64, SHARED, checks=checks)
     assert "gcd(C_1, C_2) != expected" in got[0]["failures"]
     assert "gcd(B_2, C_2) != expected" in got[1]["failures"]
 
@@ -156,5 +164,5 @@ def test_heavy_example_has_more_than_five_failures_in_every_check():
     with mock.patch.object(refmath, "values_up_to", corrupted(HEAVY)), \
             mock.patch.object(refmath, "_run_check", count_failures):
         for name in CHECKS:
-            getattr(refmath, name)(70)
+            reference(name)(70)
     assert len(failed) == len(CHECKS) and min(failed) > 5
