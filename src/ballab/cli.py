@@ -65,13 +65,16 @@ MAX_PRIME = (1 << 31) - 1
 # --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM, Python
 # 3.11.7: identities 0.87-1.11 s, gcd 0.34-0.42 s, all 1.12-1.44 s
 # (closed-form-agreement the largest check), at a peak RSS of 39 MB (23 MB for
-# gcd).  modular is linear: 1.2-1.3 s at 10**6.
+# gcd).  modular is linear: 0.43-0.53 s of runtime_ms at 10**6 (three runs).
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6
-# period --mod ceiling.  The walk is linear in the period it finds, which
-# reaches mu + 1 for some primes: the worst modulus just below this ceiling,
-# 9999973 (period 9999974), takes 2.3-2.8 s of wall time for `python -m
-# ballab.cli period --mod 9999973` (three runs, same VM).
+# period --mod ceiling.  period factors mu by trial division, O(sqrt(mu)),
+# and tests a few multiples of the period by fast doubling.  In process it
+# took 0.26-0.40 ms at mu = 9999973 (five runs) and at most 0.38 ms (best of
+# two runs) over the 3001 moduli up to the ceiling and 3000 random ones below
+# it.  `python -m ballab.cli period --mod M` took 0.08-0.09 s of wall time for
+# M = 9999973 and 0.09-0.11 s for M = 5**10 (period 11718750), five runs each,
+# almost all of it interpreter start.  2-vCPU Intel Xeon VM, Python 3.11.7.
 MAX_PERIOD_MOD = 10 ** 7
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`

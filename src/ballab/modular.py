@@ -4,6 +4,12 @@ Reduced term ranges, the period of the balancing sequence modulo mu, the
 mod-9 residue table keyed on the index mod 12, and a q-th-power residue sieve
 used to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
 exactly when 2**k | n) is stated and checked in `ballab.verify`.
+
+The period is the order of the step map (B_k, B_{k+1}) -> (B_{k+1}, B_{k+2})
+mod mu.  A multiple of it is read off the prime factors of mu: the period
+mod p divides p - (32/p), and the period mod p**e divides p**(e-1) times
+that.  Each prime is divided out of that multiple while the sequence still
+restarts there, each test taking O(log mu) steps of fast doubling.
 """
 
 from __future__ import annotations
@@ -35,48 +41,79 @@ def residue_range(kind: SequenceKind, hi: int, modulus: int) -> list[int]:
 class PeriodResult(Value):
     __slots__ = ("modulus", "period", "prefix_checked")
 
-    # prefix_checked: indices over which restart <=> divisibility was confirmed
+    # prefix_checked: 2 * period; restart at k <=> period | k holds at every
+    # index k (see `period`)
     def __init__(self, modulus: int, period: int, prefix_checked: int) -> None:
         self.modulus, self.period, self.prefix_checked = modulus, period, prefix_checked
+
+
+def _balancing_pair(k: int, modulus: int) -> tuple[int, int]:
+    """(B_k, B_{k+1}) mod modulus >= 2, by fast doubling in O(log k) steps.
+
+    B_{2j} = B_j*(2*B_{j+1} - 6*B_j) and B_{2j+1} = B_{j+1}**2 - B_j**2.
+    """
+    u, v = 0, 1  # (B_j, B_{j+1}) for j = the bits of k read so far
+    for bit in bin(k)[2:]:
+        u, v = u * (2 * v - 6 * u) % modulus, (v * v - u * u) % modulus
+        if bit == "1":
+            u, v = v, (6 * v - u) % modulus
+    return u, v
+
+
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def period(modulus: int) -> PeriodResult:
     """Least t >= 1 with B_t ≡ 0 and B_{t+1} ≡ 1 (mod modulus).
 
-    The state map (B_k, B_{k+1}) -> (B_{k+1}, B_{k+2}) has determinant 1, so
-    it is a bijection mod any modulus and the orbit of (0, 1) is a pure
-    cycle: the first return exists and is at most modulus**2 by pigeonhole.
-    Exceeding that bound means a bug, not a hard instance.
+    t is the order of the step map S(B_k, B_{k+1}) = (B_{k+1}, B_{k+2}) mod
+    modulus.  S**k takes (0, 1) to (B_k, B_{k+1}) and commutes with S, so a
+    restart at k also takes (1, 6) = S(0, 1) back to itself.  The states
+    (0, 1) and (1, 6) form a basis (determinant -1), so S**k fixes (0, 1)
+    exactly when S**k = I.  Hence the sequence restarts at k exactly when
+    t | k, for every k, not only up to the reported prefix_checked = 2*t.
 
-    The defining property additionally asks that t divide every restart
-    index.  That holds automatically for a pure cycle, but it is confirmed
-    empirically over the first 2 * t indices and the checked extent is
-    reported in the result.
+    A multiple K of t comes from the factors p**e of modulus.  S mod 2 is
+    [[0, 1], [1, 0]], of order 2.  For odd p, the eigenvalues of S are the
+    roots of x**2 - 6*x + 1.  Its discriminant 32 is a unit mod p, so they
+    are distinct, and it is a square mod p exactly when p ≡ ±1 (mod 8).
+    Their product is 1, so they lie in the units mod p (order dividing
+    p - 1) or have norm 1 in F_{p**2} (order dividing p + 1).  If S**j ≡ I
+    (mod p), then S**(j*p**(e-1)) ≡ I (mod p**e), since (I + p**i*A)**p ≡ I
+    (mod p**(i+1)).  So t divides the lcm K over p**e of 2**e (p = 2) and
+    p**(e-1) * (p - 1 if p ≡ ±1 (mod 8) else p + 1) (odd p).  A K with no
+    restart is a bug, not a hard instance.  Each prime q of K is divided out
+    for as long as S**(K/q) = I still holds, which leaves the order (É.
+    Lucas 1878; D. D. Wall, "Fibonacci series modulo m", 1960).
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    bound = modulus * modulus
-    prev, cur = 0, 1  # the start state (B_0, B_1); modulus >= 2 keeps 1 reduced
-    for t in range(1, bound + 2):
-        prev, cur = cur, (6 * cur - prev) % modulus
-        if cur == 1 and prev == 0:
-            break
-    else:
-        raise RuntimeError(
-            f"no restart within {bound} iterations mod {modulus}; state map is broken"
-        )
-    # indices 1..t are settled (t is the first return); the walk goes on from
-    # t, and 2t is the one multiple of t in (t, 2t], so it must restart there
-    prefix = 2 * t
-    for k in range(t + 1, prefix + 1):
-        prev, cur = cur, (6 * cur - prev) % modulus
-        if cur == 1 and prev == 0:
-            break
-    if k != prefix or cur != 1 or prev != 0:
+    multiple = 1
+    for p, e in _factor(modulus).items():
+        multiple = math.lcm(multiple, 1 << e if p == 2
+                            else p ** (e - 1) * (p - 1 if p % 8 in (1, 7) else p + 1))
+    # modulus >= 2 keeps 1 reduced
+    if _balancing_pair(multiple, modulus) != (0, 1):
         raise ArithmeticError(
-            f"restart at index {k} is not a multiple of the period {t} mod {modulus}"
+            f"the sequence does not restart at {multiple} mod {modulus}; "
+            "the step map's order must divide it"
         )
-    return PeriodResult(modulus=modulus, period=t, prefix_checked=prefix)
+    t = multiple
+    for q in _factor(multiple):
+        while t % q == 0 and _balancing_pair(t // q, modulus) == (0, 1):
+            t //= q
+    return PeriodResult(modulus=modulus, period=t, prefix_checked=2 * t)
 
 
 # B_n mod 9 depends only on n mod 12.
@@ -123,6 +160,7 @@ def power_residue_sieve(value: int, q: int) -> bool:
         r = value % p
         if r == 0:
             continue  # p | value: residue is 0, a q-th power residue; no information
-        if pow(r, (p - 1) // math.gcd(q, p - 1), p) != 1:
+        # p ≡ 1 (mod q), so gcd(q, p - 1) = q
+        if pow(r, (p - 1) // q, p) != 1:
             return False
     return True

@@ -242,18 +242,28 @@ def check_two_adic(max_n: int) -> CheckResult:
     """2**k | B_n exactly when 2**k | n, for 1 <= k <= 8.
 
     One walk gives B_n mod 2**8; reducing it mod 2**k (which divides 2**8)
-    gives B_n mod 2**k, so every (n, k) case is still decided exactly.
+    gives B_n mod 2**k, so every (n, k) case is still decided exactly.  For
+    k <= 8, 2**k | x exactly when k <= min(v_2(x), 8), and (x | 256) & -(x |
+    256) is 2**min(v_2(x), 8).  So the eight cases of n all hold exactly when
+    that value is the same for B_n and for n; only an n where it differs is
+    decided case by case.
     """
     b = residue_range(SequenceKind.BALANCING, max_n, 1 << 8)
     masks = [(k, (1 << k) - 1) for k in range(1, 9)]
-    failing = [(n, k) for n, bn in enumerate(b[1:], 1) for k, mask in masks
-               if (bn & mask == 0) != (n & mask == 0)]
+    failing = [(n, k) for n, bn in enumerate(b[1:], 1)
+               if (bn | 256) & -(bn | 256) != (n | 256) & -(n | 256)
+               for k, mask in masks if (bn & mask == 0) != (n & mask == 0)]
     return _result("two-adic-law", f"1 <= n <= {max_n}, 1 <= k <= 8", 8 * max_n, failing,
                    "2^{1} | B_{0} does not match 2^{1} | {0}".format)
 
 
 def check_period_consistency(max_mu: int) -> CheckResult:
     """Periods restart the residue stream and divide the periods of multiples.
+
+    Two independent computations check each other: `period` finds t as the
+    order of the step map mod mu, from the factors of mu and fast doubling,
+    and the stream case confirms the restart at t with a residue walk to
+    index 2*t, one step at a time.
 
     Keys (0, mu, t) of stream cases sort before keys (1, mu, nu) of divisibility cases.
     """

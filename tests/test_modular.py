@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import ballab.modular
 from ballab.bigmath import is_prime
+from ballab.cli import MAX_PERIOD_MOD
 from ballab.modular import (
     MOD9_TABLE,
+    PeriodResult,
     default_sieve_moduli,
     period,
     power_residue_sieve,
@@ -88,6 +91,72 @@ class TestPeriod:
             assert period(mu) == refmath.period(mu), mu
 
 
+def restarts(k, mu):
+    """Whether (B_k, B_{k+1}) ≡ (0, 1) (mod mu), read from refmath.term_mod."""
+    return (term_mod(SequenceKind.BALANCING, k, mu) == 0
+            and term_mod(SequenceKind.BALANCING, k + 1, mu) == 1 % mu)
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
+def assert_order_certificate(mu):
+    """period(mu) restarts at t and at no t/q for a prime q | t.
+
+    Every restart index is a multiple of the least one, so no restart at
+    any t/q makes t the least.
+    """
+    r = period(mu)
+    t = r.period
+    assert r.modulus == mu and r.prefix_checked == 2 * t
+    assert restarts(t, mu), (mu, t)
+    for q in prime_divisors(t):
+        assert not restarts(t // q, mu), (mu, t, q)
+
+
+class TestPeriodOrderCertificate:
+    """period against refmath.term_mod, at moduli the tuple walk is too slow for."""
+
+    @pytest.mark.parametrize("mu", [
+        9999973, 9999991, 10 ** 7, 2 ** 23, 3 ** 14, 5 ** 10, 7 ** 8,
+        # a prime whose period is (p - 1)/16: 2 is divided out four times
+        1000033,
+        # products of prime powers: split primes (± 1 mod 8), inert ones
+        # (± 3 mod 8) and 2, with exponents above 1
+        2 ** 5 * 3 ** 4 * 7 ** 2, 11 ** 3 * 13 ** 2, 17 ** 2 * 19 * 23 * 8,
+        2 ** 3 * 3 ** 2 * 5 ** 2 * 7 ** 2 * 11, 31 ** 2 * 41 ** 2 * 9, 9973 * 10007,
+    ])
+    def test_certificate(self, mu):
+        assert_order_certificate(mu)
+
+    def test_largest_prime_below_the_ceiling(self):
+        assert period(9999973) == PeriodResult(9999973, 9999974, 19999948)
+
+    def test_certificate_over_the_cli_range(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(hypothesis.strategies.integers(2, MAX_PERIOD_MOD))
+        def check(mu):
+            assert_order_certificate(mu)
+
+        check()
+
+    def test_a_multiple_without_a_restart_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(ballab.modular, "_balancing_pair", lambda k, mu: (1, 0))
+        with pytest.raises(ArithmeticError):
+            period(7)
+
+
 class TestMod9Table:
     def test_table_keys(self):
         assert sorted(MOD9_TABLE) == list(range(12))
@@ -131,8 +200,12 @@ class TestSieve:
         assert default_sieve_moduli(2) == (3, 5, 7, 11, 13, 17, 19, 23)
         assert default_sieve_moduli(3) == (7, 13, 19, 31, 37, 43, 61, 67)
         assert default_sieve_moduli(5) == (11, 31, 41, 61, 71, 101, 131, 151)
-        for p in default_sieve_moduli(7):
-            assert p % 7 == 1
+
+    def test_default_moduli_are_one_mod_q(self):
+        # power_residue_sieve raises to (p - 1) // q, which needs gcd(q, p - 1) = q
+        for q in range(2, 201):
+            for p in default_sieve_moduli(q):
+                assert p % q == 1, (q, p)
 
     def test_default_moduli_match_a_prime_scan(self):
         # the first eight primes ≡ 1 (mod q) read off an ascending list of

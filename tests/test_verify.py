@@ -98,6 +98,25 @@ def test_two_adic_reports_a_wrong_residue(monkeypatch):
                    "failures": [f"2^{k} | B_96 does not match 2^{k} | 96" for k in range(1, 6)]}
 
 
+@pytest.mark.parametrize("n, residue", [
+    (3, 0), (7, 2), (96, 0), (96, 64), (128, 0), (256, 128), (256, 1), (512, 0), (768, 2)])
+def test_two_adic_decides_a_corrupted_index_case_by_case(monkeypatch, n, residue):
+    # B_n mod 2**8 replaced by residue; the result must be the per-case
+    # loop's over the same residues, including where v_2 differs only at 2**8
+    def corrupt_residues(kind, hi, modulus):
+        out = residue_range(kind, hi, modulus)
+        out[n] = residue
+        return out
+
+    b = corrupt_residues(SequenceKind.BALANCING, 1000, 1 << 8)
+    failures = [f"2^{k} | B_{i} does not match 2^{k} | {i}"
+                for i in range(1, 1001) for k in range(1, 9)
+                if (b[i] % (1 << k) == 0) != (i % (1 << k) == 0)]
+    monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
+    got = check_two_adic(1000)
+    assert (got.passed, got.failures) == (not failures, failures[:5])
+
+
 # Indices whose values are corrupted (by +1) in every sequence and residue
 # stream the suites read, so that each check meets failing cases.
 CORRUPT = {7, 9, 12, 13, 20, 21, 30}
