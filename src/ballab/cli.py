@@ -61,11 +61,11 @@ _SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minu
 MAX_PRIME = (1 << 31) - 1
 # verify --max-n ceilings.  On sound sequences every check of identities, gcd
 # and all is linear in big-integer operations: one premise test per suite
-# settles those that multiply terms or take gcds.  `python -m ballab.cli verify
-# --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM, Python
-# 3.11.7: identities 0.87-1.11 s, gcd 0.34-0.42 s, all 1.12-1.44 s
-# (closed-form-agreement the largest check), at a peak RSS of 39 MB (23 MB for
-# gcd).  modular is linear: 0.43-0.53 s of runtime_ms at 10**6 (three runs).
+# settles the ten that multiply terms or take gcds.  `python -m ballab.cli
+# verify --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM,
+# Python 3.11.7: identities 0.58-0.98 s, gcd 0.09-0.16 s, all 0.60-1.02 s
+# (closed-form-agreement the largest check), at a peak RSS of 39.2 MB (26.9 MB
+# for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at 10**6 (three runs).
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  period factors mu by trial division, O(sqrt(mu)),

@@ -6,18 +6,20 @@ numbers its description shows.  `_result` sorts the keys into case order and
 formats only the first five.  The suites back both the `verify` command and
 the test suite, so a red check here is a red build.
 
-Each suite reads B and C once (the identity suite B to 2N and C to N, the
-gcd suite both to N) and hands the lists to every check that reads them.
-The checks that multiply terms or take gcds (the addition formula, the
-half-index sum and difference, index doubling, square plus one and the
-three gcd laws) rest on one premise, which the suite tests once and passes
-on as `walk`: the given B and C are prefixes of the walk (B_0, C_0) =
-(0, 1), (B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k + 3*C_k).  `walk` must be
-`_pell_steps` of the very lists passed.  A check's result does not depend
-on how far its suite read, because each literal loop is exact: a B_{2N}
-off the walk sends half-index-sum, which never reads it, to a literal loop
-that passes.  Where the premise holds, the given terms are the walk's, and
-(B_k, C_k) is M**k (0, 1) with M = [[3, 1], [8, 3]].  By induction on k,
+Each suite reads B, C, P and Q once (B to 2N in the identity suite and to
+N in the gcd suite, the others to N) and hands the lists to every check that
+reads them.  The checks that multiply terms or take gcds (the addition
+formula, the half-index sum and difference, the Pell product, index
+doubling, square plus one, the three gcd laws and Pell coprimality) rest on
+one premise, which the suite tests once and passes on as `walk`: the given
+B and C are prefixes of the walk (B_0, C_0) = (0, 1), (B_{k+1}, C_{k+1}) =
+(3*B_k + C_k, 8*B_k + 3*C_k), and P and Q of the walk (P_0, Q_0) = (0, 1),
+(P_{k+1}, Q_{k+1}) = (P_k + Q_k, 2*P_k + Q_k).  `walk` must be `_pell_steps`
+of the very lists passed.  A check's result does not depend on how far its
+suite read, because each literal loop is exact: a B_{2N} off the walk sends
+half-index-sum, which never reads it, to a literal loop that passes.  Where
+the premise holds, the given terms are the walks', and (B_k, C_k) is
+M**k (0, 1) with M = [[3, 1], [8, 3]].  By induction on k,
 M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
 
 - M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
@@ -41,6 +43,13 @@ M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
   gcd(n, m), or at a gcd with C_0 = 1.  Which end it reaches depends on the
   indices only, and it is the gcd law the check expects (a lemma about
   integers, checked on every index pair by the tests).
+- The (P, Q) step is multiplication by u = 1 + sqrt(2): (Q + P*sqrt(2))*u
+  = (2*P + Q) + (P + Q)*sqrt(2).  So Q_k + P_k*sqrt(2) = u**k, and as the
+  step's matrix [[1, 1], [2, 1]] has determinant -1, Q_k**2 - 2*P_k**2 =
+  (-1)**k: gcd(P_k, Q_k) = 1, Pell coprimality.  Likewise the (B, C) step
+  is multiplication by alpha = 3 + 2*sqrt(2), so C_k + 2*B_k*sqrt(2) =
+  alpha**k.  As u**2 = alpha, the sqrt(2) parts of (Q_k + P_k*sqrt(2))**2
+  = alpha**k give B_k = P_k*Q_k, the Pell product, wherever both walks hold.
 
 So no case of these checks fails.  Where the premise fails, each check tests
 every case in its literal loop.
@@ -104,17 +113,19 @@ def _timed(check: Callable[..., CheckResult], *args) -> CheckResult:
 # identity checks
 
 
-def _pell_steps(b: list[int], c: list[int]) -> bool:
-    """b and c are prefixes of the walk (B, C) -> (3B + C, 8B + 3C) from (0, 1).
+def _pell_steps(b: list[int], c: list[int], p: list[int], q: list[int]) -> bool:
+    """b, c and p, q are prefixes of the walks (B, C) -> (3B + C, 8B + 3C)
+    and (P, Q) -> (P + Q, 2P + Q), both from (0, 1).
 
-    The lists may differ in length; each term is compared with the walk's
-    as the walk goes (see the module docstring).
+    The lists may differ in length; each term is compared with its walk's
+    as the walks go (see the module docstring).
     """
-    x, y = 0, 1
-    for k in range(max(len(b), len(c))):
-        if k < len(b) and b[k] != x or k < len(c) and c[k] != y:
+    x, y, s, t = 0, 1, 0, 1
+    for k in range(max(len(b), len(c), len(p), len(q))):
+        if (k < len(b) and b[k] != x or k < len(c) and c[k] != y
+                or k < len(p) and p[k] != s or k < len(q) and q[k] != t):
             return False
-        x, y = 3 * x + y, 8 * x + 3 * y
+        x, y, s, t = 3 * x + y, 8 * x + 3 * y, s + t, 2 * s + t
     return True
 
 
@@ -138,10 +149,9 @@ def check_half_index_diff(max_n: int, b: list[int], c: list[int], walk: bool) ->
                    sum(range(max_n + 1, 0, -2)), failing, "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
 
 
-def check_pell_product(max_n: int, b: list[int]) -> CheckResult:
-    p = values_up_to(SequenceKind.PELL, max_n)
-    q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
-    failing = [(m,) for m in range(max_n + 1) if b[m] != p[m] * q[m]]
+def check_pell_product(max_n: int, b: list[int], p: list[int], q: list[int],
+                       walk: bool) -> CheckResult:
+    failing = [] if walk else [(m,) for m in range(max_n + 1) if b[m] != p[m] * q[m]]
     return _result("pell-product", f"0 <= m <= {max_n}", max_n + 1, failing,
                    "B_{0} != P_{0}*Q_{0}".format)
 
@@ -219,10 +229,8 @@ def check_gcd_mixed(max_n: int, b: list[int], c: list[int], walk: bool) -> Check
                    "gcd(B_{0}, C_{1}) != expected".format)
 
 
-def check_pell_coprime(max_n: int) -> CheckResult:
-    p = values_up_to(SequenceKind.PELL, max_n)
-    q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
-    failing = [(n,) for n in range(1, max_n + 1) if gcd(p[n], q[n]) != 1]
+def check_pell_coprime(max_n: int, p: list[int], q: list[int], walk: bool) -> CheckResult:
+    failing = [] if walk else [(n,) for n in range(1, max_n + 1) if gcd(p[n], q[n]) != 1]
     return _result("pell-coprime", f"1 <= n <= {max_n}", max_n, failing,
                    "gcd(P_{0}, Q_{0}) != 1".format)
 
@@ -301,19 +309,21 @@ def check_sieve_soundness() -> CheckResult:
 # suites
 
 
-def _read_and_walk(b_hi: int, c_hi: int) -> tuple[list[int], list[int], bool]:
-    """B to b_hi, C to c_hi, and whether they follow the Pell walk."""
+def _read_and_walk(b_hi: int, max_n: int) -> tuple[list[int], list[int], list[int], list[int],
+                                                   bool]:
+    """B to b_hi, C, P and Q to max_n, and whether they follow the Pell walks."""
     b = values_up_to(SequenceKind.BALANCING, b_hi)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, c_hi)
-    return b, c, _pell_steps(b, c)
+    c, p, q = (values_up_to(kind, max_n) for kind in (
+        SequenceKind.LUCAS_BALANCING, SequenceKind.PELL, SequenceKind.ASSOCIATED_PELL))
+    return b, c, p, q, _pell_steps(b, c, p, q)
 
 
 def identity_suite(max_n: int) -> list[CheckResult]:
-    b, c, walk = _read_and_walk(2 * max_n, max_n)
+    b, c, p, q, walk = _read_and_walk(2 * max_n, max_n)
     return [
         _timed(check_half_index_sum, max_n, b, c, walk),
         _timed(check_half_index_diff, max_n, b, c, walk),
-        _timed(check_pell_product, max_n, b),
+        _timed(check_pell_product, max_n, b, p, q, walk),
         _timed(check_index_doubling, max_n, b, c, walk),
         _timed(check_square_plus_one, max_n, b, c, walk),
         _timed(check_addition_formula, max_n, b, c, walk),
@@ -323,15 +333,11 @@ def identity_suite(max_n: int) -> list[CheckResult]:
     ]
 
 
-def _gcd_laws(max_n: int) -> list[CheckResult]:
-    # B and C are released before pell-coprime reads P and Q
-    b, c, walk = _read_and_walk(max_n, max_n)
-    return [_timed(check, max_n, b, c, walk)
-            for check in (check_gcd_balancing, check_gcd_lucas, check_gcd_mixed)]
-
-
 def gcd_suite(max_n: int) -> list[CheckResult]:
-    return [*_gcd_laws(max_n), _timed(check_pell_coprime, max_n)]
+    b, c, p, q, walk = _read_and_walk(max_n, max_n)
+    return [*(_timed(check, max_n, b, c, walk)
+              for check in (check_gcd_balancing, check_gcd_lucas, check_gcd_mixed)),
+            _timed(check_pell_coprime, max_n, p, q, walk)]
 
 
 def modular_suite(max_n: int) -> list[CheckResult]:

@@ -151,6 +151,18 @@ def check_addition_formula(max_n: int) -> CheckResult:
     return _run_check("addition-formula", f"0 <= x, y <= {max_n}", cases())
 
 
+def check_pell_product(max_n: int) -> CheckResult:
+    b = values_up_to(SequenceKind.BALANCING, max_n)
+    p = values_up_to(SequenceKind.PELL, max_n)
+    q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for m in range(max_n + 1):
+            yield None if b[m] == p[m] * q[m] else f"B_{m} != P_{m}*Q_{m}"
+
+    return _run_check("pell-product", f"0 <= m <= {max_n}", cases())
+
+
 def check_index_doubling(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
     c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
@@ -213,3 +225,14 @@ def check_gcd_mixed(max_n: int) -> CheckResult:
                 yield None if gcd(bn, c[m]) == want else f"gcd(B_{n}, C_{m}) != expected"
 
     return _run_check("gcd-mixed", f"1 <= n, m <= {max_n}", cases())
+
+
+def check_pell_coprime(max_n: int) -> CheckResult:
+    p = values_up_to(SequenceKind.PELL, max_n)
+    q = values_up_to(SequenceKind.ASSOCIATED_PELL, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            yield None if gcd(p[n], q[n]) == 1 else f"gcd(P_{n}, Q_{n}) != 1"
+
+    return _run_check("pell-coprime", f"1 <= n <= {max_n}", cases())

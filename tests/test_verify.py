@@ -195,10 +195,9 @@ def test_failures_are_counted_and_reported(monkeypatch):
     assert got == CORRUPTED_RESULTS
 
 
-def test_gcd_laws_make_no_gcd_call_on_sound_sequences(monkeypatch):
-    # B and C take their Pell step from (0, 1), so the Euclid argument of
-    # the module docstring settles every case: the suite's only gcds are
-    # pell-coprime's.
+def test_gcd_suite_makes_no_gcd_call_on_sound_sequences(monkeypatch):
+    # B, C, P and Q take their Pell steps from (0, 1), so the Euclid and
+    # determinant arguments of the module docstring settle every case.
     calls = []
 
     def counted_gcd(x, y):
@@ -207,14 +206,16 @@ def test_gcd_laws_make_no_gcd_call_on_sound_sequences(monkeypatch):
 
     monkeypatch.setattr(ballab.verify, "gcd", counted_gcd)
     results = gcd_suite(64)
-    assert [(r.checked, r.passed) for r in results[:3]] == [(64 * 64, True)] * 3
-    p = values_up_to(SequenceKind.PELL, 64)
-    q = values_up_to(SequenceKind.ASSOCIATED_PELL, 64)
-    assert calls == [(p[n], q[n]) for n in range(1, 65)]
+    assert [(r.checked, r.passed) for r in results] == [(64 * 64, True)] * 3 + [(64, True)]
+    assert calls == []
+
+
+KINDS = (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING, SequenceKind.PELL,
+         SequenceKind.ASSOCIATED_PELL)
 
 
 @pytest.mark.parametrize("suite, b_hi", [(identity_suite, 2 * 40), (gcd_suite, 40)])
-def test_each_suite_reads_b_and_c_once_and_walks_them_once(monkeypatch, suite, b_hi):
+def test_each_suite_reads_each_sequence_once_and_walks_them_once(monkeypatch, suite, b_hi):
     reads, walks = [], []
     pell_steps = ballab.verify._pell_steps
 
@@ -222,33 +223,36 @@ def test_each_suite_reads_b_and_c_once_and_walks_them_once(monkeypatch, suite, b
         reads.append((kind, hi))
         return values_up_to(kind, hi)
 
-    def counted_walk(b, c):
-        walks.append((len(b), len(c)))
-        return pell_steps(b, c)
+    def counted_walk(*terms):
+        walks.append(tuple(map(len, terms)))
+        return pell_steps(*terms)
 
     monkeypatch.setattr(ballab.verify, "values_up_to", counted_values)
     monkeypatch.setattr(ballab.verify, "_pell_steps", counted_walk)
     assert_all_green(suite(40))
-    bc = (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING)
-    assert [read for read in reads if read[0] in bc] == [(bc[0], b_hi), (bc[1], 40)]
-    assert walks == [(b_hi + 1, 41)]
+    assert reads == list(zip(KINDS, (b_hi, 40, 40, 40)))
+    assert walks == [(b_hi + 1, 41, 41, 41)]
 
 
-PREMISE_CHECKS = ("check_half_index_sum", "check_half_index_diff", "check_addition_formula",
-                  "check_index_doubling", "check_square_plus_one",
-                  "check_gcd_balancing", "check_gcd_lucas", "check_gcd_mixed")
+# each premise-settled check's sequences, before its walk verdict
+PREMISE_CHECKS = {"check_half_index_sum": "bc", "check_half_index_diff": "bc",
+                  "check_pell_product": "bpq", "check_addition_formula": "bc",
+                  "check_index_doubling": "bc", "check_square_plus_one": "bc",
+                  "check_gcd_balancing": "bc", "check_gcd_lucas": "bc", "check_gcd_mixed": "bc",
+                  "check_pell_coprime": "pq"}
 
 
 @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 70])
 def test_literal_loops_pass_sound_sequences(max_n):
     # Sound lists with walk=False: each check runs its literal loop, which
     # must give the settled result and the one-case-at-a-time reference's.
-    b = values_up_to(SequenceKind.BALANCING, 2 * max_n)
-    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
-    for name in PREMISE_CHECKS:
+    terms = dict(zip("bcpq", (values_up_to(kind, hi) for kind, hi
+                              in zip(KINDS, (2 * max_n, max_n, max_n, max_n)))))
+    for name, reads in PREMISE_CHECKS.items():
         check = getattr(ballab.verify, name)
-        literal = check(max_n, b, c, False).to_dict()
-        assert literal == check(max_n, b, c, True).to_dict(), name
+        args = [terms[x] for x in reads]
+        literal = check(max_n, *args, False).to_dict()
+        assert literal == check(max_n, *args, True).to_dict(), name
         assert literal == getattr(refmath, name)(max_n).to_dict(), name
 
 
