@@ -63,9 +63,10 @@ MAX_PRIME = (1 << 31) - 1
 # and all is linear in big-integer operations: one premise test per suite
 # settles the ten that multiply terms or take gcds.  `python -m ballab.cli
 # verify --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM,
-# Python 3.11.7: identities 0.58-0.98 s, gcd 0.09-0.16 s, all 0.60-1.02 s
-# (closed-form-agreement the largest check), at a peak RSS of 39.2 MB (26.9 MB
-# for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at 10**6 (three runs).
+# Python 3.11.7: identities 0.36-0.59 s, gcd 0.10-0.15 s, all 0.44-0.63 s
+# (closed-form-agreement the largest check, 0.21-0.28 s), at a peak RSS of
+# 39.3 MB (26.9 MB for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at
+# 10**6 (three runs).
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6
 # period --mod ceiling.  period factors mu by trial division, O(sqrt(mu)),

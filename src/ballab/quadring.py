@@ -2,7 +2,9 @@
 
 The unit alpha = 3 + 2*sqrt(2) satisfies alpha**n = C_n + 2*B_n*sqrt(2),
 where B_n and C_n are the n-th balancing and Lucas-balancing numbers, so a
-single binary exponentiation recovers both values with no rounding.  The
+single binary exponentiation recovers both values with no rounding.  It runs
+left to right over the bits of n: square, then multiply by the small unit on
+a 1 bit, so the squarings are its only products of two large numbers.  The
 conjugate beta = 3 - 2*sqrt(2) never needs to be materialized: conjugation
 commutes with powers, so alpha**n - beta**n can be read off alpha**n alone.
 The unit 1 + sqrt(2), whose square is alpha, gives the Pell pair the same way:
@@ -40,18 +42,23 @@ SILVER = QuadInt(1, 1)
 
 
 def qpow(u: QuadInt, n: int) -> QuadInt:
-    """u**n by binary exponentiation; n >= 0."""
+    """u**n by left-to-right binary exponentiation; n >= 0.
+
+    The power is a plain (a, b) pair.  Each bit of n, from the top, squares
+    it, and a 1 bit then multiplies it by u, which every caller keeps small.
+    """
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    result = ONE
-    square = u
-    while n:
-        if n & 1:
-            result = result * square
-        n >>= 1
-        if n:
-            square = square * square
-    return result
+    c, d = u.a, u.b
+    a, b = 1, 0
+    for bit in f"{n:b}":
+        # (a + b*sqrt(2))**2 = (a*a + 2*b*b) + 2*a*b*sqrt(2), and 2*a*b is
+        # (a + b)**2 - a*a - b*b: CPython squares faster than it multiplies
+        aa, bb, s = a * a, b * b, a + b
+        a, b = aa + 2 * bb, s * s - aa - bb
+        if bit == "1":
+            a, b = a * c + 2 * b * d, a * d + b * c
+    return QuadInt(a, b)
 
 
 def binet_extract(n: int) -> tuple[int, int]:

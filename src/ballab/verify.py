@@ -59,12 +59,13 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import accumulate, repeat
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import Value
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
-from .quadring import ALPHA, binet_extract, qpow
+from .quadring import ALPHA, ONE, binet_extract
 from .sequences import SequenceKind, values_up_to
 
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
@@ -118,14 +119,19 @@ def _pell_steps(b: list[int], c: list[int], p: list[int], q: list[int]) -> bool:
     and (P, Q) -> (P + Q, 2P + Q), both from (0, 1).
 
     The lists may differ in length; each term is compared with its walk's
-    as the walks go (see the module docstring).
+    as the walks go, and each walk stops at the end of its own longer list
+    (see the module docstring).
     """
-    x, y, s, t = 0, 1, 0, 1
-    for k in range(max(len(b), len(c), len(p), len(q))):
-        if (k < len(b) and b[k] != x or k < len(c) and c[k] != y
-                or k < len(p) and p[k] != s or k < len(q) and q[k] != t):
+    x, y = 0, 1
+    for k in range(max(len(b), len(c))):
+        if k < len(b) and b[k] != x or k < len(c) and c[k] != y:
             return False
-        x, y, s, t = 3 * x + y, 8 * x + 3 * y, s + t, 2 * s + t
+        x, y = 3 * x + y, 8 * x + 3 * y
+    x, y = 0, 1
+    for k in range(max(len(p), len(q))):
+        if k < len(p) and p[k] != x or k < len(q) and q[k] != y:
+            return False
+        x, y = x + y, 2 * x + y
     return True
 
 
@@ -192,8 +198,9 @@ def check_closed_form(max_n: int, b: list[int], c: list[int]) -> CheckResult:
 
 
 def check_unit_norm(max_n: int) -> CheckResult:
-    """alpha is a unit: norm(alpha**n) = 1 for every n."""
-    failing = [(n,) for n in range(max_n + 1) if qpow(ALPHA, n).norm() != 1]
+    """alpha is a unit: norm(alpha**n) = 1 for every n, one product by alpha per n."""
+    powers = accumulate(repeat(ALPHA, max_n), mul, initial=ONE)
+    failing = [(n,) for n, w in enumerate(powers) if w.norm() != 1]
     return _result("unit-norm", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "norm(alpha^{0}) != 1".format)
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from ballab.quadring import ALPHA, ONE, QuadInt, binet_extract, qpow
-from ballab.sequences import SequenceKind, values_up_to
+from ballab.sequences import SequenceKind, term, values_up_to
 
 
 def conjugate(u):
@@ -37,6 +39,23 @@ def test_qpow_matches_repeated_multiplication():
     for n in range(60):
         assert qpow(ALPHA, n) == acc
         acc = acc * ALPHA
+
+
+def test_qpow_is_the_repeated_product_for_any_small_base():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coordinate = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(coordinate, coordinate, st.integers(0, 200))
+    def check(a, b, n):
+        u = QuadInt(a, b)
+        acc = ONE
+        for _ in range(n):
+            acc = acc * u
+        assert qpow(u, n) == acc
+
+    check()
 
 
 def test_ring_arithmetic():
@@ -78,3 +97,22 @@ def test_binet_extract_matches_recurrence():
     c = values_up_to(SequenceKind.LUCAS_BALANCING, 120)
     for n in range(121):
         assert binet_extract(n) == (b[n], c[n])
+
+
+# 0, 1, both sides of every power of two up to 2**13 (the bit patterns of
+# the left-to-right loop), the top indices of the CLI smoke, and random n
+CLOSED_FORM_INDICES = sorted({0, 1, 5500, 11000, 12000,
+                              *(x for k in range(1, 14) for x in (2 ** k - 1, 2 ** k, 2 ** k + 1)),
+                              *random.Random(28).sample(range(12001), 40)})
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_closed_forms_match_iteration_up_to_12000(kind):
+    # ints, not decimal strings, so the interpreter's digit limit never applies
+    values = values_up_to(kind, max(CLOSED_FORM_INDICES))
+    for n in CLOSED_FORM_INDICES:
+        assert term(kind, n) == values[n], n
+    if kind is SequenceKind.BALANCING:
+        c = values_up_to(SequenceKind.LUCAS_BALANCING, max(CLOSED_FORM_INDICES))
+        for n in CLOSED_FORM_INDICES:
+            assert binet_extract(n) == (values[n], c[n]), n

@@ -5,12 +5,14 @@ import pytest
 import ballab.verify
 import refmath
 from ballab.modular import residue_range
+from ballab.quadring import QuadInt
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     CheckResult,
     check_period_consistency,
     check_sieve_soundness,
     check_two_adic,
+    check_unit_norm,
     gcd_suite,
     identity_suite,
     modular_suite,
@@ -193,6 +195,14 @@ def test_failures_are_counted_and_reported(monkeypatch):
     monkeypatch.setattr(ballab.verify, "residue_range", corrupt_residues)
     got = [(r.name, r.checked, r.passed, r.failures) for r in run_suite("all", 60)]
     assert got == CORRUPTED_RESULTS
+
+
+def test_unit_norm_reports_a_non_unit(monkeypatch):
+    # 3 + sqrt(2) has norm 7, so every power past the zeroth fails
+    monkeypatch.setattr(ballab.verify, "ALPHA", QuadInt(3, 1))
+    result = check_unit_norm(30)
+    assert (result.checked, result.passed) == (31, False)
+    assert result.failures == [f"norm(alpha^{n}) != 1" for n in range(1, 6)]
 
 
 def test_gcd_suite_makes_no_gcd_call_on_sound_sequences(monkeypatch):
