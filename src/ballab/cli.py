@@ -63,9 +63,9 @@ MAX_PRIME = (1 << 31) - 1
 # and all is linear in big-integer operations: one premise test per suite
 # settles the ten that multiply terms or take gcds.  `python -m ballab.cli
 # verify --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM,
-# Python 3.11.7: identities 0.36-0.59 s, gcd 0.10-0.15 s, all 0.44-0.63 s
-# (closed-form-agreement the largest check, 0.21-0.28 s), at a peak RSS of
-# 39.3 MB (26.9 MB for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at
+# Python 3.11.7: identities 0.28-0.38 s, gcd 0.09 s, all 0.31-0.43 s
+# (closed-form-agreement the largest check, 0.15-0.21 s), at a peak RSS of
+# 39.3 MB (26.8 MB for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at
 # 10**6 (three runs).
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6
@@ -77,6 +77,13 @@ MAX_VERIFY_N_MODULAR = 10 ** 6
 # M = 9999973 and 0.09-0.11 s for M = 5**10 (period 11718750), five runs each,
 # almost all of it interpreter start.  2-vCPU Intel Xeon VM, Python 3.11.7.
 MAX_PERIOD_MOD = 10 ** 7
+# term --index ceiling.  The closed form is O(log n) squarings, but rendering
+# the value is quadratic on Python 3.11: with the 4300-digit int-to-str limit
+# lifted, term plus str took 0.11-0.12 s in process for B and C at the ceiling
+# (B_{10**6}: 0.47 s plus about 10 s of str).  `python -m ballab.cli term
+# --kind K --index 100000` exits 1 at that limit today, after 0.06-0.10 s of
+# wall time for each kind, five runs each.  2-vCPU Intel Xeon VM, Python 3.11.7.
+MAX_TERM_INDEX = 10 ** 5
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`
 # with default options (special-form: --kind balancing --prime 2), one run
@@ -245,6 +252,8 @@ def _cmd_term(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.index < 0:
         raise UsageError("--index must be >= 0")
+    if args.index > MAX_TERM_INDEX:
+        raise UsageError(f"--index must be <= {MAX_TERM_INDEX}, got {args.index}")
     value = term(_KINDS[args.kind], args.index)
     results = [{"kind": args.kind, "index": args.index, "value": str(value)}]
     print(canonical_json(_report("term", {"kind": args.kind, "index": args.index},

@@ -31,17 +31,17 @@ RECURRENCE: dict[SequenceKind, tuple[tuple[int, int], tuple[int, int]]] = {
 
 
 def term(kind: SequenceKind, n: int) -> int:
-    """Exact n-th term of the given sequence, n >= 0, in O(log n) ring products.
+    """Exact n-th term of the given sequence, n >= 0, from one power of 1 + sqrt(2).
 
-    alpha**n = C_n + 2*B_n*sqrt(2) and (1 + sqrt(2))**n = Q_n + P_n*sqrt(2).
+    (1 + sqrt(2))**n = Q_n + P_n*sqrt(2) gives P_n and Q_n, and
+    `quadring.binet_extract` reads B_n = P_n*Q_n and C_n = 2*Q_n**2 - (-1)**n
+    off the same power.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     if kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING):
         b, c = quadring.binet_extract(n)
         return b if kind is SequenceKind.BALANCING else c
-    w = quadring.qpow(quadring.SILVER, n)
-    return w.b if kind is SequenceKind.PELL else w.a
+    q, p = quadring.qpow(n)
+    return p if kind is SequenceKind.PELL else q
 
 
 def values_up_to(kind: SequenceKind, hi: int) -> list[int]:

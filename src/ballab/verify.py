@@ -49,7 +49,9 @@ M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
   (-1)**k: gcd(P_k, Q_k) = 1, Pell coprimality.  Likewise the (B, C) step
   is multiplication by alpha = 3 + 2*sqrt(2), so C_k + 2*B_k*sqrt(2) =
   alpha**k.  As u**2 = alpha, the sqrt(2) parts of (Q_k + P_k*sqrt(2))**2
-  = alpha**k give B_k = P_k*Q_k, the Pell product, wherever both walks hold.
+  = alpha**k give B_k = P_k*Q_k, the Pell product, wherever both walks hold,
+  and the rational parts C_k = 2*Q_k**2 - (-1)**k: the one unit u gives all
+  four terms, which is how `quadring` computes them.
 
 So no case of these checks fails.  Where the premise fails, each check tests
 every case in its literal loop.
@@ -59,13 +61,12 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import accumulate, repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import Value
 from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
-from .quadring import ALPHA, ONE, binet_extract
+from .quadring import binet_extract
 from .sequences import SequenceKind, values_up_to
 
 # typing.TYPE_CHECKING without importing typing: type checkers read it as True
@@ -74,6 +75,8 @@ if TYPE_CHECKING:
     from collections.abc import Callable
 
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
+# alpha = 3 + 2*sqrt(2) as the pair (3, 2), the unit whose powers unit-norm checks
+ALPHA = (3, 2)
 
 
 class CheckResult(Value):
@@ -198,9 +201,14 @@ def check_closed_form(max_n: int, b: list[int], c: list[int]) -> CheckResult:
 
 
 def check_unit_norm(max_n: int) -> CheckResult:
-    """alpha is a unit: norm(alpha**n) = 1 for every n, one product by alpha per n."""
-    powers = accumulate(repeat(ALPHA, max_n), mul, initial=ONE)
-    failing = [(n,) for n, w in enumerate(powers) if w.norm() != 1]
+    """alpha is a unit: norm(alpha**n) = 1 for every n, alpha**n an int pair stepped by alpha."""
+    c, d = ALPHA
+    a, b = 1, 0
+    failing = []
+    for n in range(max_n + 1):
+        if a * a - 2 * b * b != 1:
+            failing.append((n,))
+        a, b = a * c + 2 * b * d, a * d + b * c
     return _result("unit-norm", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "norm(alpha^{0}) != 1".format)
 

@@ -161,6 +161,15 @@ def corpus() -> list[list[str]]:
         ["verify", "--help"],
         ["seq", "--help"],
     ]
+    # term at both sides of a power of two (the bit patterns of the closed
+    # form's loop) and at the CI's top indices, odd and even; every value
+    # stays below the 4300-digit int-to-str limit
+    for kind, top in (("balancing", 5500), ("lucas-balancing", 5500),
+                      ("pell", 11000), ("associated-pell", 11000)):
+        for n in (4095, 4096, 4097, top - 1, top):
+            lines.append(["term", "--kind", kind, "--index", str(n)])
+    for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
+        lines.append(["term", "--kind", kind, "--index", str(ballab.cli.MAX_TERM_INDEX + 1)])
     return lines
 
 

@@ -121,6 +121,25 @@ class TestTerm:
         code, _ = run_cli(capsys, ["term", "--kind", "pell", "--index", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("index", [cli.MAX_TERM_INDEX + 1, 10 ** 9])
+    def test_index_above_ceiling_is_refused_up_front(self, capsys, index):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["term", "--kind", "balancing", "--index", str(index)])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert (f"--index must be <= {cli.MAX_TERM_INDEX}, got {index}"
+                in capsys.readouterr().err)
+
+    def test_index_at_ceiling_is_accepted(self, capsys, monkeypatch):
+        # the closed form itself is stubbed: only the bound check runs
+        monkeypatch.setattr(cli, "term", lambda kind, n: 7)
+        code, out = run_cli(capsys, ["term", "--kind", "pell", "--index",
+                                     str(cli.MAX_TERM_INDEX)])
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {"kind": "pell", "index": cli.MAX_TERM_INDEX, "value": "7"}]
+
 
 class TestVerify:
     def test_identities_pass(self, capsys):

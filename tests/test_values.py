@@ -24,7 +24,6 @@ from ballab.diophantine import (
     _verified,
 )
 from ballab.modular import PeriodResult
-from ballab.quadring import QuadInt
 from ballab.sequences import SequenceKind
 from ballab.verify import CheckResult
 
@@ -32,7 +31,6 @@ CFG = SearchConfig(40)
 
 # (class, positional arguments, the same by keyword in field order); CheckResult is last
 CASES = [
-    (QuadInt, (17, 12), dict(a=17, b=12)),
     (PeriodResult, (10, 12, 24), dict(modulus=10, period=12, prefix_checked=24)),
     (SearchConfig, (40, 3, Parity.SAME, True, False),
      dict(max_index=40, min_exponent=3, parity_filter=Parity.SAME,
@@ -119,4 +117,4 @@ def test_failed_reverification_prints_the_record():
         "SolutionRecord(equation=<EquationTag.SUM_POWER: 'sum-power'>, n=4, m=1, x=203, "
         "exponent=1, family_min_exponent=None, bounds=SearchConfig(max_index=40, ")
     with pytest.raises(ArithmeticError, match=re.escape(repr(wrong))):
-        _verified([SolutionRecord(*CASES[3][1]), wrong])
+        _verified([SolutionRecord(EquationTag.SUM_POWER, 4, 1, 205, 1, None, CFG), wrong])

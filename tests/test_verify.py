@@ -5,7 +5,6 @@ import pytest
 import ballab.verify
 import refmath
 from ballab.modular import residue_range
-from ballab.quadring import QuadInt
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     CheckResult,
@@ -199,7 +198,7 @@ def test_failures_are_counted_and_reported(monkeypatch):
 
 def test_unit_norm_reports_a_non_unit(monkeypatch):
     # 3 + sqrt(2) has norm 7, so every power past the zeroth fails
-    monkeypatch.setattr(ballab.verify, "ALPHA", QuadInt(3, 1))
+    monkeypatch.setattr(ballab.verify, "ALPHA", (3, 1))
     result = check_unit_norm(30)
     assert (result.checked, result.passed) == (31, False)
     assert result.failures == [f"norm(alpha^{n}) != 1" for n in range(1, 6)]
