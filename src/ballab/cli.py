@@ -84,6 +84,17 @@ MAX_PERIOD_MOD = 10 ** 7
 # --kind K --index 100000` exits 1 at that limit today, after 0.06-0.10 s of
 # wall time for each kind, five runs each.  2-vCPU Intel Xeon VM, Python 3.11.7.
 MAX_TERM_INDEX = 10 ** 5
+# seq --to ceilings, without and with --mod.  Every term up to --to is built
+# and rendered.  Without --mod, --to = 11000 is the CI's top Pell index, and
+# above 11234 the last value passes the 4300-digit int-to-str limit for every
+# kind (above 5617 for balancing and lucas-balancing).  `python -m ballab.cli
+# seq --kind K --from 0 --to 11000`, three runs each on a 2-vCPU Intel Xeon VM
+# with Python 3.11.7: pell and associated-pell 1.52-1.59 s at 97 MB peak RSS;
+# balancing exits 1 at that limit after 0.79-0.81 s.  `seq --kind K --from 0
+# --to 100000 --mod 1000003`, three runs each: balancing 0.24-0.35 s, pell
+# 0.37-0.38 s, at 59-60 MB.
+MAX_SEQ_TO = 11_000
+MAX_SEQ_TO_MOD = 10 ** 5
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`
 # with default options (special-form: --kind balancing --prime 2), one run
@@ -232,6 +243,9 @@ def _cmd_seq(args: SimpleNamespace) -> int:
         raise UsageError(f"invalid range [{args.lo}, {args.hi}]")
     if args.mod is not None and args.mod < 1:
         raise UsageError("--mod must be >= 1")
+    ceiling, mode = (MAX_SEQ_TO, "without") if args.mod is None else (MAX_SEQ_TO_MOD, "with")
+    if args.hi > ceiling:
+        raise UsageError(f"--to must be <= {ceiling} {mode} --mod, got {args.hi}")
     if args.mod is None:
         values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
     else:

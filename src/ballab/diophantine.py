@@ -74,8 +74,9 @@ read a costly quantity only where the answer can change:
    factor.  A pair row visits no a for odd t (s odd too) unless both terms
    are B's, nor under coprime terms (gcd(s, t) | 2; B_1, B_2, Q_1, Q_2
    have rest 1).  Other rows visit every pair.
---parity selects rows (same parity is even t), and the coprime-terms filter
-is gcd(n, m) = 1, since gcd(B_n, B_m) = B_gcd(n,m).
+The paper's hypotheses are rules on a row's indices: --parity keeps the rows
+of its class of t (same parity is even t), and coprime terms keep the s with
+gcd(m, t) = 1, m = (s - t)/2.
 
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
@@ -161,10 +162,6 @@ class SolutionRecord(Value):
     def is_family(self) -> bool:
         return self.exponent is None
 
-    def sort_key(self) -> tuple[int, int, int]:
-        q = self.exponent if self.exponent is not None else self.family_min_exponent
-        return (self.n, self.m, q)
-
     def verify(self) -> bool:
         """Re-evaluate the equation for this record with direct arithmetic."""
         bn = term(SequenceKind.BALANCING, self.n)
@@ -243,29 +240,6 @@ def _pair_value(tag: EquationTag, bn: int, bm: int) -> int:
     if tag is EquationTag.CUBE_SUM_PLUS:
         return bn ** 3 + bm ** 3
     return bn ** 3 - bm ** 3
-
-
-def _parity_ok(parity: Parity, n: int, m: int) -> bool:
-    if parity is Parity.SAME:
-        return (n - m) % 2 == 0
-    if parity is Parity.OPPOSITE:
-        return (n - m) % 2 == 1
-    return True
-
-
-def _coprime_ok(n: int, m: int, cfg: SearchConfig) -> bool:
-    """Whether B_n and B_m pass the coprimality filter, decided on the indices.
-
-    gcd(B_n, B_m) = B_gcd(n,m), and B_k = 1 only at k = 1.  For m = 0 the
-    literal test reads gcd(B_n, 0) = B_n, which lets a zero term sit next to
-    B_1 = 1 only; on the indices gcd(n, 0) = n says the same.  The exemption
-    additionally accepts B_2 = 6, the one extra shared factor the
-    index-halving factorization tolerates; this is what keeps the published
-    (2, 0) square-difference solution in scope without admitting the trivial
-    B_n**2 - 0 squares for every n.
-    """
-    return not cfg.coprimality_required or math.gcd(n, m) == 1 or (
-        cfg.coprime_zero_exempt and (n, m) == (2, 0))
 
 
 # Primes divided out before any root is taken.  What is left has only prime
@@ -486,10 +460,12 @@ def _pair_visits(tag: EquationTag, cfg: SearchConfig, p: _Terms, q: _Terms):
     """
     hi = 2 * cfg.max_index
     minus = tag is EquationTag.CUBE_SUM_MINUS
+    # the values of t % 2 that --parity keeps: same parity is even t
+    classes = {Parity.SAME: (0,), Parity.OPPOSITE: (1,), Parity.ANY: (0, 1)}[cfg.parity_filter]
 
     def rows():
         for t in range(0 if tag is EquationTag.SUM_POWER else 1, cfg.max_index + 1):
-            if not _parity_ok(cfg.parity_filter, t, 0):
+            if t % 2 not in classes:
                 continue
             xs, ys = (p, q) if (t % 2 == 0) != minus else (q, p)
             # the exponent-1 rows that visit no a (step 5)
@@ -497,7 +473,11 @@ def _pair_visits(tag: EquationTag, cfg: SearchConfig, p: _Terms, q: _Terms):
                 continue
             span = range(t or 2, hi - t + 1, 2)
             if cfg.coprimality_required:
-                span = [s for s in span if _coprime_ok((s + t) // 2, (s - t) // 2, cfg)]
+                # gcd(B_n, B_m) = B_gcd(n,m) and gcd(n, m) = gcd(m, t), and
+                # B_k = 1 only at k = 1; the zero exemption adds its one extra
+                # pair, (n, m) = (2, 0) with gcd B_2 = 6, which is s = t = 2
+                span = [s for s in span if math.gcd((s - t) // 2, t) == 1
+                        or cfg.coprime_zero_exempt and s == t == 2]
             yield t, ys, xs, span
 
     for s, t, x, y, shared in _row_visits(rows(), q):
@@ -610,6 +590,7 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
     Direct big-integer evaluation plus a full exponent scan via integer
     k-th roots: no sieve, no factor analysis, no identity shortcut.  The
     index bound is capped so an accidental production-size run fails fast.
+    Its loops emit records in (n, m, q) order, as the searches do.
     """
     if cfg.max_index > ORACLE_MAX_INDEX:
         raise ValueError(f"oracle is bounded to max_index <= {ORACLE_MAX_INDEX}")
@@ -619,7 +600,8 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
     for n in range(cfg.max_index + 1):
         top = n + 1 if include_diagonal else n
         for m in range(top):
-            if not _parity_ok(cfg.parity_filter, n, m):
+            if cfg.parity_filter is not Parity.ANY and \
+                    ((n - m) % 2 == 0) != (cfg.parity_filter is Parity.SAME):
                 continue
             if cfg.coprimality_required:
                 # the literal gcd test, with the zero exemption's one extra partner
@@ -638,5 +620,4 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
                 if r ** q == value:
                     out.append(SolutionRecord(tag, n, m, x=r, exponent=q,
                                               family_min_exponent=None, bounds=cfg))
-    out.sort(key=SolutionRecord.sort_key)
     return out

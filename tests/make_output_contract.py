@@ -170,6 +170,12 @@ def corpus() -> list[list[str]]:
             lines.append(["term", "--kind", kind, "--index", str(n)])
     for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
         lines.append(["term", "--kind", kind, "--index", str(ballab.cli.MAX_TERM_INDEX + 1)])
+    for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
+        lines += [
+            ["seq", "--kind", kind, "--from", "0", "--to", str(ballab.cli.MAX_SEQ_TO + 1)],
+            ["seq", "--kind", kind, "--from", "0", "--to", str(ballab.cli.MAX_SEQ_TO_MOD + 1),
+             "--mod", "7"],
+        ]
     return lines
 
 

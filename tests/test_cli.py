@@ -105,6 +105,29 @@ class TestSeq:
                                    "--mod", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("mod, ceiling, mode", [
+        ([], 11_000, "without"), (["--mod", "7"], 10 ** 5, "with")])
+    @pytest.mark.parametrize("over", [1, 10 ** 9])
+    def test_to_above_ceiling_is_refused_up_front(self, capsys, mod, ceiling, mode, over):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["seq", "--kind", "pell", "--from", "0", "--to", str(ceiling + over), *mod])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        assert (f"--to must be <= {ceiling} {mode} --mod, got {ceiling + over}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mod, ceiling", [([], 11_000), (["--mod", "7"], 10 ** 5)])
+    def test_to_at_ceiling_is_accepted(self, capsys, monkeypatch, mod, ceiling):
+        # the sequences are stubbed: only the bound check runs
+        monkeypatch.setattr(cli, "values_up_to", lambda kind, hi: [7] * (hi + 1))
+        monkeypatch.setattr(cli, "residue_range", lambda kind, hi, m: [7] * (hi + 1))
+        code, out = run_cli(capsys, ["seq", "--kind", "pell", "--from", str(ceiling),
+                                     "--to", str(ceiling), *mod])
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {"kind": "pell", "index": ceiling, "value": "7"}]
+
 
 class TestTerm:
     def test_large_index_uses_closed_form(self, capsys):

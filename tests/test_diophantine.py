@@ -16,7 +16,6 @@ from ballab.diophantine import (
     SpecialFormRecord,
     _maybe_decompose,
     _pair_value,
-    _parity_ok,
     _power_hits,
     _verified,
     oracle_search,
@@ -248,8 +247,8 @@ def reference_power_test(value):
 #
 # The pair and product searches as they were before index space: every pair
 # builds its big integer, takes a big-integer gcd and meets the power test.
-# Kept verbatim apart from the power_test parameter, as the gate for the
-# index-space searches.
+# Kept verbatim apart from the power_test parameter and the literal parity
+# test, as the gate for the index-space searches.
 
 
 def _reference_coprime_ok(bn, bm, cfg):
@@ -270,7 +269,8 @@ def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
     for n in range(cfg.max_index + 1):
         top = n + 1 if include_diagonal else n
         for m in range(top):
-            if not _parity_ok(cfg.parity_filter, n, m):
+            if cfg.parity_filter is not Parity.ANY and \
+                    ((n - m) % 2 == 0) != (cfg.parity_filter is Parity.SAME):
                 continue
             if not _reference_coprime_ok(b[n], b[m], cfg):
                 continue

