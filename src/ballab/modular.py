@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from . import Value
-from .bigmath import is_prime
+from .bigmath import prime_flags
 from .sequences import RECURRENCE, SequenceKind
 
 
@@ -138,12 +138,22 @@ def default_sieve_moduli(q: int) -> tuple[int, ...]:
     """First eight primes p with p ≡ 1 (mod q).
 
     For such p the q-th-power residues form an index-q subgroup of the units
-    mod p, which maximizes the sieve's rejection rate.
+    mod p, which maximizes the sieve's rejection rate.  Every such p is
+    k*q + 1 with k >= 1, so one strided slice of bigmath.prime_flags meets
+    them in order.  The first sieve read is the power-of-two bucket of
+    64*q; the limit doubles until the slice holds eight primes, which it
+    does by Dirichlet's theorem on primes in progressions.
     """
     if q < 2:
         raise ValueError("exponent must be >= 2")
-    # every such p is k*q + 1 with k >= 1, so the progression meets them in order
-    return tuple(itertools.islice(filter(is_prime, itertools.count(q + 1, q)), 8))
+    limit = 64 * q
+    while True:
+        flags = prime_flags(limit)
+        moduli = tuple(itertools.islice(
+            itertools.compress(range(q + 1, len(flags), q), flags[q + 1 :: q]), 8))
+        if len(moduli) == 8:
+            return moduli
+        limit *= 2
 
 
 def power_residue_sieve(value: int, q: int) -> bool:

@@ -176,6 +176,9 @@ def corpus() -> list[list[str]]:
             ["seq", "--kind", kind, "--from", "0", "--to", str(ballab.cli.MAX_SEQ_TO_MOD + 1),
              "--mod", "7"],
         ]
+    for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
+        lines.append(["seq", "--kind", kind, "--from", "0", "--to", "10",
+                      "--mod", str(ballab.cli.MAX_SEQ_MOD + 1)])
     return lines
 
 

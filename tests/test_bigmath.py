@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ballab.bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
+from ballab import bigmath
+from ballab.bigmath import integer_kth_root, is_prime, prime_flags, primes_up_to, strip_prime
 from ballab.diophantine import _maybe_decompose, _power_hits
 from refmath import perfect_power_decompose
 
@@ -91,6 +92,18 @@ class TestIntegerKthRoot:
             k = rng.randrange(2, 12)
             assert integer_kth_root(x ** k, k) == x
             assert integer_kth_root(x ** k - 1, k) == x - 1
+
+    def test_next_to_exact_powers(self):
+        # Newton's stop is the floor itself, with no correction step, just
+        # below, at and just above r**k, where a wrong stop would be off by one
+        rng = random.Random(8)
+        for k in range(3, 61):
+            for _ in range(10):
+                r = rng.randrange(2, 1 << rng.randrange(2, 160))
+                power = r ** k
+                assert integer_kth_root(power - 1, k) == r - 1, (r, k)
+                assert integer_kth_root(power, k) == r, (r, k)
+                assert integer_kth_root(power + 1, k) == r, (r, k)
 
     def test_monotone(self):
         for k in (2, 3, 5):
@@ -195,3 +208,20 @@ class TestPrimeHelpers:
         reference = [p for p in range(max(limits) + 1) if is_prime(p)]
         for limit in limits:
             assert primes_up_to(limit) == tuple(p for p in reference if p <= limit), limit
+
+    @pytest.mark.parametrize("limit, size", [
+        (0, 2048), (2, 2048), (199, 2048), (2048, 2048), (2049, 4096), (4096, 4096),
+        (5000, 8192)])
+    def test_prime_flags_sieve_the_power_of_two_bucket(self, limit, size):
+        flags = prime_flags(limit)
+        assert len(flags) == size + 1
+        assert [i for i, f in enumerate(flags) if f] == [p for p in range(size + 1) if is_prime(p)]
+
+    @pytest.mark.parametrize("limits", [(1 << 14, 199), (199, 1 << 14), (256, 199, 255, 257, 1)])
+    def test_primes_up_to_ignores_the_order_of_limits(self, limits):
+        # a fresh process: no sieve or tuple cached yet
+        primes_up_to.cache_clear()
+        bigmath._sieve.cache_clear()
+        got = [primes_up_to(limit) for limit in limits]
+        reference = [p for p in range(max(limits) + 1) if is_prime(p)]
+        assert got == [tuple(p for p in reference if p <= limit) for limit in limits]

@@ -128,6 +128,27 @@ class TestSeq:
         assert json.loads(out)["results"] == [
             {"kind": "pell", "index": ceiling, "value": "7"}]
 
+    @pytest.mark.parametrize("mod", [cli.MAX_SEQ_MOD + 1, 10 ** 1000])
+    def test_mod_above_ceiling_is_refused_up_front(self, capsys, monkeypatch, mod):
+        def unreachable(*args):
+            raise AssertionError("residues computed past the --mod ceiling")
+
+        monkeypatch.setattr(cli, "residue_range", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["seq", "--kind", "balancing", "--from", "0", "--to", "10",
+                      "--mod", str(mod)])
+        assert exc.value.code == 2
+        assert f"--mod must be <= {cli.MAX_SEQ_MOD}, got {mod}" in capsys.readouterr().err
+
+    def test_mod_at_ceiling_is_accepted(self, capsys):
+        code, out = run_cli(capsys, ["seq", "--kind", "pell", "--from", "0", "--to", "60",
+                                     "--mod", str(cli.MAX_SEQ_MOD)])
+        assert code == 0
+        p, q = 0, 1
+        for r in json.loads(out)["results"]:
+            assert int(r["value"]) == p % cli.MAX_SEQ_MOD, r
+            p, q = q, 2 * q + p
+
 
 class TestTerm:
     def test_large_index_uses_closed_form(self, capsys):

@@ -4,7 +4,7 @@ from enum import Enum
 
 import pytest
 
-from ballab import bigmath, diophantine
+from ballab import bigmath, diophantine, modular
 from ballab.bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
 from ballab.cli import canonical_json
 from ballab.diophantine import (
@@ -426,21 +426,37 @@ def test_power_test_matches_sieve_then_decompose(monkeypatch, search, reference)
         assert _maybe_decompose(value) == reference_power_test(value), value
 
 
-@pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING],
-                         ids=lambda k: k.value)
-def test_special_form_tests_the_prime_once(monkeypatch, kind):
-    # strip_prime splits any p >= 2 exactly, so the scan tests p's primality
-    # once and not once per index
+def _count_is_prime(monkeypatch) -> list[int]:
+    """Record every trial-division primality test, from a fresh moduli cache."""
     calls = []
 
     def counting_is_prime(p):
         calls.append(p)
         return is_prime(p)
 
-    monkeypatch.setattr(bigmath, "is_prime", counting_is_prime)
-    monkeypatch.setattr(diophantine, "is_prime", counting_is_prime)
+    for module in (bigmath, modular, diophantine):
+        monkeypatch.setattr(module, "is_prime", counting_is_prime, raising=False)
+    modular.default_sieve_moduli.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING],
+                         ids=lambda k: k.value)
+def test_special_form_tests_the_prime_once(monkeypatch, kind):
+    # strip_prime splits any p >= 2 exactly, so the scan tests p's primality
+    # once and not once per index
+    calls = _count_is_prime(monkeypatch)
     search_special_form(kind, 2147483647, SearchConfig(max_index=390))
     assert calls == [2147483647]
+
+
+def test_searches_read_their_sieve_moduli_off_the_prime_sieve(monkeypatch):
+    # the power test's moduli come from bigmath.prime_flags, not from trial
+    # division of q + 1, 2q + 1, ...
+    calls = _count_is_prime(monkeypatch)
+    assert search_product_form(SearchConfig(max_index=98))
+    assert search_sum_power(SearchConfig(max_index=150))
+    assert calls == []
 
 
 class TestOracle:

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import ballab.modular
-from ballab.bigmath import is_prime
+from ballab.bigmath import is_prime, prime_flags
 from ballab.cli import MAX_PERIOD_MOD
 from ballab.modular import (
     MOD9_TABLE,
@@ -215,6 +216,15 @@ class TestSieve:
             expected = [p for p in primes if p % q == 1][:8]
             assert len(expected) == 8
             assert default_sieve_moduli(q) == tuple(expected), q
+
+    def test_default_moduli_match_their_definition(self):
+        # the literal definition by trial division, composite q included
+        for q in range(2, 3001):
+            expected = tuple(itertools.islice(filter(is_prime, itertools.count(q + 1, q)), 8))
+            assert default_sieve_moduli(q) == expected, q
+        # q = 127's eighth modulus, 9907, lies past the first sieve the fill
+        # reads, so the range above also runs the fill's doubling
+        assert default_sieve_moduli(127)[-1] >= len(prime_flags(64 * 127))
 
     def test_examples(self):
         assert power_residue_sieve(36, 2) is True
