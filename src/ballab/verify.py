@@ -55,13 +55,23 @@ M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
 
 So no case of these checks fails.  Where the premise fails, each check tests
 every case in its literal loop.
+
+period-consistency rests on a premise of its own, which it tests once: the
+one residue stream W it reads, B to index 2*T mod the lcm L of its moduli
+(T the largest period), starts at (0, 1 % L) and steps as
+W_{k+2} = 6*W_{k+1} - W_k mod L.  Each modulus mu divides L, so there W mod
+mu is the walk mod mu.  A second-order recurrence whose pair (W_t, W_{t+1})
+returns to (W_0, W_1) repeats from t, so W mod mu to 2*t repeats from t
+exactly when (W_t, W_{t+1}) = (0, 1) mod mu; the converse reads the first
+two places of the repeat.  Where the premise fails, each modulus compares
+its halves of W mod mu literally.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 from . import Value
@@ -285,23 +295,38 @@ def check_period_consistency(max_mu: int) -> CheckResult:
 
     Two independent computations check each other: `period` finds t as the
     order of the step map mod mu, from the factors of mu and fast doubling,
-    and the stream case confirms the restart at t with a residue walk to
-    index 2*t, one step at a time.
+    and the stream case confirms the restart at t against a residue walk,
+    one step at a time.  The case for mu holds when the stream mod mu to
+    index 2*t repeats from t: stream[:t + 1] == stream[t:2*t + 1].
+
+    One walk W serves every mu: B to index 2*T mod L, where L is the lcm of
+    the moduli and T the largest period (no moduli: L = 1 and T = 0).  Its
+    premise, tested once, is that W starts at (0, 1 % L) and steps as
+    W_{k+2} = 6*W_{k+1} - W_k mod L.  Where it holds, W mod mu is the walk
+    mod mu, as mu | L, and the case for mu holds exactly when (W_t, W_{t+1})
+    is (0, 1) mod mu: a second-order recurrence that returns to its start
+    at t repeats from t, and places 0 and 1 of the two halves read the
+    converse (see the module docstring).  Where it fails, each case
+    compares the halves of W mod mu literally.
 
     Keys (0, mu, t) of stream cases sort before keys (1, mu, nu) of divisibility cases.
     """
-    periods: dict[int, int] = {}
-    failing = []
-    for mu in range(2, max_mu + 1):
-        t = periods[mu] = period(mu).period
-        stream = residue_range(SequenceKind.BALANCING, 2 * t, mu)
-        if stream[:t + 1] != stream[t:]:
-            failing.append((0, mu, t))
-    checked = len(periods)
-    for mu, t in periods.items():
-        multiples = range(2 * mu, max_mu + 1, mu)
-        checked += len(multiples)
-        failing += [(1, mu, nu) for nu in multiples if periods[nu] % t != 0]
+    periods = {mu: period(mu).period for mu in range(2, max_mu + 1)}
+    modulus = lcm(*periods)
+    stream = residue_range(SequenceKind.BALANCING, 2 * max(periods.values(), default=0),
+                           modulus)
+    walk = stream[:2] == [0, 1 % modulus] and stream[2:] == [
+        (6 * v - u) % modulus for u, v in zip(stream, stream[1:-1])]
+    if walk:
+        failing = [(0, mu, t) for mu, t in periods.items()
+                   if (stream[t] % mu, stream[t + 1] % mu) != (0, 1)]
+    else:
+        failing = [(0, mu, t) for mu, t in periods.items()
+                   if (residues := [w % mu for w in stream[:2 * t + 1]])[:t + 1] != residues[t:]]
+    # one divisibility case per multiple nu = 2*mu, 3*mu, ... <= max_mu
+    checked = len(periods) + sum(max_mu // mu - 1 for mu in periods)
+    failing += [(1, mu, nu) for mu, t in periods.items()
+                for nu in range(2 * mu, max_mu + 1, mu) if periods[nu] % t != 0]
     return _result("period-consistency", f"2 <= mu <= {max_mu}", checked, failing,
                    lambda divides, mu, x: f"period({mu}) does not divide period({x})" if divides
                    else f"period {x} does not reproduce the residues mod {mu}")

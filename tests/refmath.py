@@ -5,8 +5,9 @@ computes another way, kept as the slow side of an equivalence test.
 """
 
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
+from ballab import modular
 from ballab.bigmath import integer_kth_root, primes_up_to, strip_prime
 from ballab.modular import PeriodResult
 from ballab.sequences import RECURRENCE, SequenceKind, values_up_to
@@ -236,3 +237,28 @@ def check_pell_coprime(max_n: int) -> CheckResult:
             yield None if gcd(p[n], q[n]) == 1 else f"gcd(P_{n}, Q_{n}) != 1"
 
     return _run_check("pell-coprime", f"1 <= n <= {max_n}", cases())
+
+
+def check_period_consistency(
+        max_mu: int, period_of: Callable[[int], PeriodResult] = modular.period,
+        residues: Callable[[SequenceKind, int, int], list[int]] = modular.residue_range,
+) -> CheckResult:
+    """ballab.verify.check_period_consistency by one residue walk to 2t per modulus.
+
+    Each mu reads its own stream residues(B, 2*t, mu) and compares its two
+    halves; period_of and residues stand in for ballab.modular's period and
+    residue_range, so a test can hand both sides the same faults.
+    """
+    periods = {mu: period_of(mu).period for mu in range(2, max_mu + 1)}
+
+    def cases() -> Iterator[str | None]:
+        for mu, t in periods.items():
+            stream = residues(SequenceKind.BALANCING, 2 * t, mu)
+            yield (None if stream[:t + 1] == stream[t:]
+                   else f"period {t} does not reproduce the residues mod {mu}")
+        for mu, t in periods.items():
+            for nu in range(2 * mu, max_mu + 1, mu):
+                yield (None if periods[nu] % t == 0
+                       else f"period({mu}) does not divide period({nu})")
+
+    return _run_check("period-consistency", f"2 <= mu <= {max_mu}", cases())

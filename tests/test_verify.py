@@ -1,10 +1,10 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import ballab.verify
 import refmath
-from ballab.modular import residue_range
+from ballab.modular import PeriodResult, period, residue_range
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     CheckResult,
@@ -56,6 +56,69 @@ def test_period_consistency_counts_multiple_pairs():
     # 29 moduli plus one divisibility case per (mu, multiple) pair
     assert r.checked > 29
     assert r.passed
+
+
+def _zero_not_restart(max_mu):
+    # B_2 = 6 is 0 mod 3 but B_3 = 35 is 2 mod 3: a zero that is no restart
+    return lambda mu: PeriodResult(3, 2, 4) if mu == 3 else period(mu), residue_range
+
+
+def _period_plus_one(max_mu):
+    def later_period(mu):
+        t = period(mu).period + 1
+        return PeriodResult(mu, t, 2 * t)
+
+    return later_period, residue_range
+
+
+def _stream_off_at_top(max_mu):
+    # B_{2T} one off, T the largest period: every (B_t, B_{t+1}) stays intact
+    top = 2 * max((period(mu).period for mu in range(2, max_mu + 1)), default=0)
+
+    def corrupt_residues(kind, hi, modulus):
+        out = residue_range(kind, hi, modulus)
+        if hi >= top:
+            out[top] = (out[top] + 1) % modulus
+        return out
+
+    return period, corrupt_residues
+
+
+# fault -> (max_mu -> the period and residue_range both sides read), and the
+# least max_mu at which the check fails
+PERIOD_FAULTS = {
+    "sound": (lambda max_mu: (period, residue_range), None),
+    "zero-not-restart": (_zero_not_restart, 3),
+    "period-plus-one": (_period_plus_one, 2),
+    "stream-off-at-top": (_stream_off_at_top, 2),
+}
+
+
+@pytest.mark.parametrize("max_mu", [1, 2, 3, 30, 200, 1000])
+@pytest.mark.parametrize("fault", PERIOD_FAULTS)
+def test_period_consistency_matches_per_modulus_walks(monkeypatch, fault, max_mu):
+    # the one walk mod the lcm, settled by its premise where that holds,
+    # against one walk to 2t per modulus, under the same period and stream
+    faults, fails_from = PERIOD_FAULTS[fault]
+    period_of, residues = faults(max_mu)
+    monkeypatch.setattr(ballab.verify, "period", period_of)
+    monkeypatch.setattr(ballab.verify, "residue_range", residues)
+    got = check_period_consistency(max_mu)
+    assert got == refmath.check_period_consistency(max_mu, period_of, residues)
+    assert got.passed is (fails_from is None or max_mu < fails_from)
+
+
+def test_period_consistency_walks_once(monkeypatch):
+    calls = []
+
+    def counted_residues(kind, hi, modulus):
+        calls.append((kind, hi, modulus))
+        return residue_range(kind, hi, modulus)
+
+    monkeypatch.setattr(ballab.verify, "residue_range", counted_residues)
+    assert check_period_consistency(200).passed
+    # 182 = period(181), the largest period of a modulus up to 200
+    assert calls == [(SequenceKind.BALANCING, 2 * 182, lcm(*range(2, 201)))]
 
 
 def test_sieve_soundness_is_seeded():
