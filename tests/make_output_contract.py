@@ -1,17 +1,22 @@
-"""Write output_contract.jsonl: digests of the CLI's output over a fixed corpus.
+"""Write the output contract: digests of the CLI's output over two fixed corpora.
 
-    python tests/make_output_contract.py [PATH]
+    python tests/make_output_contract.py [DIR]
 
-Runs each command line of ``corpus()`` in process through ``ballab.cli.main``
-with COLUMNS=80, since argparse wraps its usage and help text to the terminal
-width, and writes one JSON line per command line: its argv, its exit code,
-and the sha256 of its normalized stdout and of its stderr.  Normalized means
-the ``runtime_ms`` and ``timings_ms`` fields, the only ones that vary between
-runs, are cut out.  ``test_output_contract.py`` replays the file.  PATH
-defaults to that file; give another path to compare two interpreters.
+Runs each command line of ``corpus()`` and of ``ci_corpus()`` in process
+through ``ballab.cli.main`` with COLUMNS=80, since argparse wraps its usage
+and help text to the terminal width, and writes one JSON line per command
+line: its argv, its exit code, and the sha256 of its normalized stdout and of
+its stderr.  Normalized means the ``runtime_ms`` and ``timings_ms`` fields,
+the only ones that vary between runs, are cut out.
 
-Regenerate the file only in a change that means to alter output, and list
-each changed line with the change.  Never regenerate it to make the test
+The contract has two tiers.  ``corpus()`` goes to output_contract.jsonl,
+which tier-1 replays; ``ci_corpus()``, lines too slow for tier-1, goes to
+output_contract_ci.jsonl, which only ``python tests/test_output_contract.py``
+replays, with the first file.  DIR defaults to this directory; give another
+directory to compare two interpreters.
+
+Regenerate the files only in a change that means to alter output, and list
+each changed line with the change.  Never regenerate them to make the test
 pass.
 """
 
@@ -26,6 +31,7 @@ from pathlib import Path
 
 TESTS_DIR = Path(__file__).resolve().parent
 CONTRACT_PATH = TESTS_DIR / "output_contract.jsonl"
+CI_CONTRACT_PATH = TESTS_DIR / "output_contract_ci.jsonl"
 sys.path.insert(0, str(TESTS_DIR.parent / "src"))
 
 import ballab.cli  # noqa: E402
@@ -71,7 +77,11 @@ def corpus() -> list[list[str]]:
         for prime in ("2", "3", "5", "7", "211", str((1 << 31) - 1)):
             for n in (1, 7, 40, 390):
                 lines.append(_search("special-form", n, "--kind", kind, "--prime", prime))
-    # the CI smokes' lines not above
+    # each equation with a published solution set at its acceptance bound and
+    # at N = 1000, the exploratory parities at N = 1000, the special-form
+    # hits with x > 1 (B_7 = 239 * 13**2, C_3 = 11 * 3**2) and one line of
+    # each other subcommand; 9999973 is the largest prime below period's
+    # ceiling that is +-3 mod 8, so its period is the full p + 1
     lines += [
         _search("sum-power", 150, "--parity", "same"),
         _search("square-diff", 120),
@@ -100,7 +110,7 @@ def corpus() -> list[list[str]]:
         ["search", "sum-power", "--max-index=5"],
         ["term", "--kind", "pell", "--index", "-1"],
     ]
-    # every verify suite up to 1000; gcd at 600 is a CI smoke's
+    # every verify suite up to 1000, gcd at 600 and modular at 3000
     for suite in ("identities", "gcd", "modular", "all"):
         for n in (1, 2, 3, 7, 40, 120, 250, 400, 1000):
             lines.append(["verify", "--suite", suite, "--max-n", str(n)])
@@ -162,8 +172,8 @@ def corpus() -> list[list[str]]:
         ["seq", "--help"],
     ]
     # term at both sides of a power of two (the bit patterns of the closed
-    # form's loop) and at the CI's top indices, odd and even; every value
-    # stays below the 4300-digit int-to-str limit
+    # form's loop) and at the benchmark's top indices, odd and even; every
+    # value stays below the 4300-digit int-to-str limit
     for kind, top in (("balancing", 5500), ("lucas-balancing", 5500),
                       ("pell", 11000), ("associated-pell", 11000)):
         for n in (4095, 4096, 4097, top - 1, top):
@@ -182,12 +192,42 @@ def corpus() -> list[list[str]]:
     return lines
 
 
+def ci_corpus() -> list[list[str]]:
+    lines = []
+    # each equation with a published solution set at N = 4000, where
+    # cube-sum-minus is the one search whose even-t rows take the common
+    # factor from the partner's table; the claims verdict is in the digest
+    lines.append(_search("sum-power", 4000, "--parity", "same"))
+    for eq in ("square-diff", "cube-sum-plus", "cube-sum-minus", "product-form"):
+        lines.append(_search(eq, 4000))
+    # the row rules for parity and coprimality past the first tier's N = 150
+    lines += [
+        _search("cube-sum-plus", 1000, "--parity", "same"),
+        _search("sum-power", 1000, "--parity", "same", "--coprime"),
+        _search("square-diff", 1000, "--parity", "same"),
+        _search("sum-power", 1000, "--parity", "opposite", "--coprime",
+                "--no-coprime-zero-exempt"),
+        _search("square-diff", 1000, "--parity", "opposite"),
+        _search("cube-sum-minus", 1000, "--parity", "opposite"),
+    ]
+    # each suite's one read of B, C, P and Q at the ceiling
+    for suite in ("identities", "gcd", "all"):
+        lines.append(["verify", "--suite", suite, "--max-n", "5000"])
+    # seq at the first tier's top term indices, odd and even
+    for kind, top in (("balancing", 5500), ("lucas-balancing", 5500),
+                      ("pell", 11000), ("associated-pell", 11000)):
+        for n in (top - 1, top):
+            lines.append(["seq", "--kind", kind, "--from", str(n), "--to", str(n)])
+    return lines
+
+
 def main() -> None:
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else CONTRACT_PATH
+    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else TESTS_DIR
     os.environ["COLUMNS"] = "80"
-    with open(path, "w") as f:
-        for argv in corpus():
-            f.write(json.dumps(replay(argv)) + "\n")
+    for path, lines in ((CONTRACT_PATH, corpus()), (CI_CONTRACT_PATH, ci_corpus())):
+        with open(out_dir / path.name, "w") as f:
+            for argv in lines:
+                f.write(json.dumps(replay(argv)) + "\n")
 
 
 if __name__ == "__main__":

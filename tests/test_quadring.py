@@ -115,8 +115,9 @@ def test_binet_extract_matches_recurrence():
 
 
 # 0, 1, both sides of every power of two up to 2**13 (the bit patterns of
-# the left-to-right loop), the top indices of the CLI smoke, and random n
-CLOSED_FORM_INDICES = sorted({0, 1, 5500, 11000, 12000,
+# the left-to-right loop), the benchmark's top indices and one below them,
+# since C_n = 2*Q_n**2 - (-1)**n depends on the parity of n, and random n
+CLOSED_FORM_INDICES = sorted({0, 1, 5499, 5500, 10999, 11000, 12000,
                               *(x for k in range(1, 14) for x in (2 ** k - 1, 2 ** k, 2 ** k + 1)),
                               *random.Random(28).sample(range(12001), 40)})
 
