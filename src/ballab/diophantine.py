@@ -15,8 +15,9 @@ dumb oracle re-solves small instances for equivalence testing.
 
 Power detection is one test, _maybe_decompose, giving the maximal-exponent
 decomposition (base, exponent).  It restricts the candidate exponents by
-small-prime valuations, then runs the modular residue sieve ahead of each
-exact root; neither step ever discards a true power.
+small-prime valuations, read off the gcd chain of step 1 below, then runs
+the modular residue sieve ahead of each exact root; neither step ever
+discards a true power.
 
 Ahead of it, the pair and product searches reject most pairs in index space.
 With P, Q the Pell and associated Pell numbers, s = n + m and t = n - m,
@@ -50,10 +51,12 @@ The searches walk index space by rows: a row is one index b of one term (t,
 or M for product-form), and its pairs run over the other index a (s, or N).
 Lazily filled per-index tables decide the rules from exact certificates and
 read a costly quantity only where the answer can change:
-1. Strip by gcd.  g = gcd(term, product of the primes <= 199) holds each
-   small prime of the term once; dividing by g, then by gcd(what is left,
-   g) until that is 1, leaves the rest.  The valued primes of g are the
-   support; those not dividing term // g have valuation 1 (the lone part).
+1. Strip by gcd.  Level 1 = gcd(term, product of the primes <= 199) holds
+   each small prime of the term once; dividing by level i, then taking
+   level i + 1 = gcd(what is left, level i) until that is 1, leaves the
+   rest.  Level i is the product of the small primes of valuation >= i, so
+   the chain holds every small valuation.  The valued primes of level 1
+   are the support; those not in level 2 have valuation 1 (the lone part).
 2. Lone primes in the rows.  The second rule is decided on the table: the
    rows skip a pair unless each lone part divides the other term's support.
 3. Exponents only where read.  The row term's exponent e_y picks its row; a
@@ -248,29 +251,22 @@ _SMALL_PRIMES = primes_up_to(199)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
-def _strip_small(v: int, valued: int = _PRIMORIAL) -> tuple[int, int, int]:
-    """(rest, support, lone) of v >= 1: the module docstring's step 1.
+def _strip_small(v: int) -> tuple[int, list[int]]:
+    """(rest, levels) of v >= 1: the module docstring's step 1.
 
-    support and lone count only the primes of valued; in index space these
-    are the primes of the lone-prime rule.
+    levels[i - 1] is the product of the primes <= 199 whose valuation in v
+    is at least i; a v with no such prime is its own rest, with no levels.
     """
     if v < 1:
         raise ValueError(f"value must be >= 1, got {v}")
-    g = h = math.gcd(v, _PRIMORIAL)
-    if g == 1:
-        return v, 1, 1  # v itself, not a copy: v // 1 would build a second big integer
-    v //= g
-    once = v
+    levels = []
+    h = math.gcd(v, _PRIMORIAL)
+    # v itself when h == 1, not a copy: v // 1 would build a second big integer
     while h > 1:
-        h = math.gcd(v, h)
+        levels.append(h)
         v //= h
-    support = math.gcd(g, valued)
-    return v, support, support // math.gcd(once, support)
-
-
-def _valuations(v: int, support: int) -> dict[int, int]:
-    """Prime -> valuation of v, for the primes dividing support."""
-    return {ell: strip_prime(ell, v)[0] for ell in _SMALL_PRIMES if support % ell == 0}
+        h = math.gcd(v, h)
+    return v, levels
 
 
 def _root_exponent_cap(rest: int) -> int:
@@ -307,25 +303,23 @@ def _maybe_decompose(value: int) -> tuple[int, int] | None:
     """Maximal (base, exponent) of value >= 2, or None when value is no perfect power.
 
     If value = x**q, then q divides the valuation of value at every prime.
-    The valuations at the primes <= 199 are folded into their gcd g: a lone
-    small prime (valuation 1) rejects value outright, and otherwise only the primes
-    dividing g (every prime when g = 0) remain candidate exponents for what
-    is left.
+    The valuations at the primes <= 199 are read off _strip_small's levels:
+    some prime has valuation i exactly where level i differs from level
+    i + 1, so a lone small prime (level 1 != level 2) gives g = 1 and
+    rejects value outright.  Otherwise only the primes dividing g, the gcd
+    of those i (every prime when g = 0), remain candidate exponents for what
+    is left.  The small part of the base for exponent e is the product of
+    levels e, 2e, 3e, ...
     """
-    rest, support, lone = _strip_small(value)
-    if lone > 1:
-        return None
-    small = _valuations(value, support)
-    g = math.gcd(*small.values())
+    rest, levels = _strip_small(value)
+    levels.append(1)
+    g = math.gcd(*(i for i in range(1, len(levels)) if levels[i - 1] != levels[i]))
     if g == 1:
         return None
     rest, exponent = (1, g) if rest == 1 else _root_out(rest, g)
     if exponent == 1:
         return None
-    base = rest
-    for ell, e in small.items():
-        base *= ell ** (e // exponent)
-    return base, exponent
+    return rest * math.prod(levels[exponent - 1::exponent]), exponent
 
 
 def _power_hits(found: tuple[int, int] | None, min_exponent: int) -> list[tuple[int, int]]:
@@ -356,10 +350,14 @@ class _Entry:
 
     __slots__ = ("rest", "support", "lone", "exponent", "prior")
 
+    # support: the primes of valued dividing the term; lone: those dividing it once.
     # prior: the entry of a term dividing this one, if there was one
     def __init__(self, value: int, valued: int, prior: _Entry | None = None) -> None:
         self.prior = prior
-        self.rest, self.support, self.lone = _strip_small(value, valued)
+        self.rest, levels = _strip_small(value)
+        once, twice = (*levels, 1, 1)[:2]
+        self.support = math.gcd(once, valued)
+        self.lone = self.support // math.gcd(twice, self.support)
         self.exponent = 0 if self.rest == 1 else None
 
     def full_exponent(self) -> int:

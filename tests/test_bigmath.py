@@ -121,6 +121,17 @@ class TestPerfectPowerDecompose:
         assert _maybe_decompose(2 ** 10 * 3 ** 10) == (6, 10)
         assert _maybe_decompose(211 ** 6) == (211, 6)
 
+    @pytest.mark.parametrize("n, found", [
+        (2 ** 6 * 3 ** 3 * 5 ** 9, (1500, 3)),
+        (2 ** 2 * 3 ** 6 * 211 ** 4, (2404134, 2)),
+        (2 ** 2 * 3 ** 6, (54, 2)),
+        (2 ** 2 * 3 ** 3, None),
+    ], ids=["gcd-3", "large-cofactor", "gcd-2", "gcd-1"])
+    def test_unequal_small_valuations(self, n, found):
+        # the small valuations differ, so the exponent is their gcd and the
+        # base takes each small prime to its valuation over the exponent
+        assert _maybe_decompose(n) == found
+
     def test_rejects_negative(self):
         # the tests' reference decomposer refuses values below 2
         for n in (-4, 0, 1):

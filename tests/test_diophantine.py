@@ -475,6 +475,20 @@ def test_searches_read_their_sieve_moduli_off_the_prime_sieve(monkeypatch):
     assert calls == []
 
 
+def test_sum_power_search_strips_no_prime_one_at_a_time(monkeypatch):
+    # the power test reads every small valuation off _strip_small's gcd
+    # levels; strip_prime is left to the special-form and product-form splits
+    calls = []
+
+    def counting_strip_prime(p, n):
+        calls.append(p)
+        return strip_prime(p, n)
+
+    monkeypatch.setattr(diophantine, "strip_prime", counting_strip_prime)
+    assert search_sum_power(SearchConfig(max_index=150))
+    assert calls == []
+
+
 class TestOracle:
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -176,11 +176,17 @@ def test_rest_table_matches_direct_decomposition(kind):
         assert_entry_matches(table[k], terms[k])
 
 
+# the valued primes of the searches' tables: sum-power and square-diff
+# (all), product-form (all but 2) and the cube forms (none)
+VALUED_SETS = {"all": SMALL_PRIMES, "odd": SMALL_PRIMES[1:], "none": ()}
+
+
+@pytest.mark.parametrize("valued", VALUED_SETS.values(), ids=VALUED_SETS)
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
-def test_strip_by_gcd_matches_trial_division(kind):
+def test_strip_by_gcd_matches_trial_division(kind, valued):
     terms = values_up_to(kind, STRIP_MAX)
     for k in range(1 if terms[0] == 0 else 0, STRIP_MAX + 1):
-        assert_entry_matches(_Entry(terms[k], math.prod(SMALL_PRIMES)), terms[k])
+        assert_entry_matches(_Entry(terms[k], math.prod(valued)), terms[k], valued)
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)

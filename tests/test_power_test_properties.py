@@ -2,8 +2,8 @@
 
 The valuation restriction may only ever reject values that are no perfect
 power: x**q must pass for every x >= 2 and prime q, whether x is made of
-the stripped small primes, of primes above them, or of both.  The gcd strip
-that computes those valuations must equal trial division.
+the stripped small primes, of primes above them, or of both.  The levels
+of the gcd strip, which carry those valuations, must equal trial division.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ballab.bigmath import primes_up_to  # noqa: E402
-from ballab.diophantine import _maybe_decompose, _strip_small, _valuations  # noqa: E402
+from ballab.diophantine import _maybe_decompose, _strip_small  # noqa: E402
 from refmath import perfect_power_decompose  # noqa: E402
 
 SMALL_PRIMES = primes_up_to(199)
@@ -105,12 +105,10 @@ def trial_valuations(n):
 
 
 @PROPERTY_SETTINGS
-@given(products_of(SMALL_PRIMES), st.one_of(st.just(1), products_of(LARGE_PRIMES, 3, 4)),
-       st.one_of(st.just(math.prod(SMALL_PRIMES)),
-                 st.lists(st.sampled_from(SMALL_PRIMES), unique=True).map(math.prod)))
-def test_strip_by_gcd_matches_trial_division(small, large, valued):
-    vals = {ell: e for ell, e in trial_valuations(small).items() if valued % ell == 0}
-    support = math.prod(vals)
-    lone = math.prod(ell for ell, e in vals.items() if e == 1)
-    assert _strip_small(small * large, valued) == (large, support, lone)
-    assert _valuations(small * large, support) == vals
+@given(products_of(SMALL_PRIMES), st.one_of(st.just(1), products_of(LARGE_PRIMES, 3, 4)))
+def test_levels_match_trial_division(small, large):
+    # level i is the product of the small primes of valuation >= i
+    vals = trial_valuations(small)
+    levels = [math.prod(ell for ell, e in vals.items() if e >= i)
+              for i in range(1, max(vals.values()) + 1)]
+    assert _strip_small(small * large) == (large, levels)
