@@ -305,9 +305,9 @@ def _cmd_period(args: SimpleNamespace) -> int:
         raise UsageError("--mod must be >= 2")
     if args.mod > MAX_PERIOD_MOD:
         raise UsageError(f"--mod must be <= {MAX_PERIOD_MOD}, got {args.mod}")
-    # prefix_checked: 2t; restart at k <=> t | k holds at every k (see `period`)
-    t = period(args.mod)
-    results = [{"modulus": args.mod, "period": t, "prefix_checked": 2 * t}]
+    r = period(args.mod)
+    results = [{"modulus": r.modulus, "period": r.period,
+                "prefix_checked": r.prefix_checked}]
     print(canonical_json(_report("period", {"modulus": args.mod}, results, started)))
     return 0
 

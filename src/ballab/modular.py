@@ -18,6 +18,7 @@ import itertools
 import math
 from functools import lru_cache
 
+from . import Value
 from .bigmath import prime_flags
 from .sequences import RECURRENCE, SequenceKind
 
@@ -35,6 +36,15 @@ def residue_range(kind: SequenceKind, hi: int, modulus: int) -> list[int]:
         prev, cur = cur, (c1 * cur + c2 * prev) % modulus
         out.append(cur)
     return out[: hi + 1]
+
+
+class PeriodResult(Value):
+    __slots__ = ("modulus", "period", "prefix_checked")
+
+    # prefix_checked: 2 * period; restart at k <=> period | k holds at every
+    # index k (see `period`)
+    def __init__(self, modulus: int, period: int, prefix_checked: int) -> None:
+        self.modulus, self.period, self.prefix_checked = modulus, period, prefix_checked
 
 
 def _balancing_pair(k: int, modulus: int) -> tuple[int, int]:
@@ -64,7 +74,7 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-def period(modulus: int) -> int:
+def period(modulus: int) -> PeriodResult:
     """Least t >= 1 with B_t ≡ 0 and B_{t+1} ≡ 1 (mod modulus).
 
     t is the order of the step map S(B_k, B_{k+1}) = (B_{k+1}, B_{k+2}) mod
@@ -72,8 +82,7 @@ def period(modulus: int) -> int:
     restart at k also takes (1, 6) = S(0, 1) back to itself.  The states
     (0, 1) and (1, 6) form a basis (determinant -1), so S**k fixes (0, 1)
     exactly when S**k = I.  Hence the sequence restarts at k exactly when
-    t | k, for every k, not only up to the prefix_checked = 2*t of a
-    `period` report.
+    t | k, for every k, not only up to the reported prefix_checked = 2*t.
 
     A multiple K of t comes from the factors p**e of modulus.  S mod 2 is
     [[0, 1], [1, 0]], of order 2.  For odd p, the eigenvalues of S are the
@@ -104,7 +113,7 @@ def period(modulus: int) -> int:
     for q in _factor(multiple):
         while t % q == 0 and _balancing_pair(t // q, modulus) == (0, 1):
             t //= q
-    return t
+    return PeriodResult(modulus=modulus, period=t, prefix_checked=2 * t)
 
 
 # B_n mod 9 depends only on n mod 12.

@@ -311,7 +311,7 @@ def check_period_consistency(max_mu: int) -> CheckResult:
 
     Keys (0, mu, t) of stream cases sort before keys (1, mu, nu) of divisibility cases.
     """
-    periods = {mu: period(mu) for mu in range(2, max_mu + 1)}
+    periods = {mu: period(mu).period for mu in range(2, max_mu + 1)}
     modulus = lcm(*periods)
     stream = residue_range(SequenceKind.BALANCING, 2 * max(periods.values(), default=0),
                            modulus)

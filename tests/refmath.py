@@ -9,6 +9,7 @@ from typing import Callable, Iterable, Iterator
 
 from ballab import modular
 from ballab.bigmath import integer_kth_root, primes_up_to, strip_prime
+from ballab.modular import PeriodResult
 from ballab.sequences import RECURRENCE, SequenceKind, values_up_to
 from ballab.verify import CheckResult
 
@@ -63,7 +64,7 @@ def term_mod(kind, n: int, modulus: int) -> int:
     return (s1 * u + s0 * (v - c1 * u)) % modulus
 
 
-def period(modulus: int) -> int:
+def period(modulus: int) -> PeriodResult:
     """ballab.modular.period by tuple states, testing t | k at every k in (t, 2t]."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -80,13 +81,14 @@ def period(modulus: int) -> int:
             raise RuntimeError(
                 f"no restart within {bound} iterations mod {modulus}; state map is broken"
             )
-    for k in range(t + 1, 2 * t + 1):
+    prefix = 2 * t
+    for k in range(t + 1, prefix + 1):
         prev, cur = cur, (6 * cur - prev) % modulus
         if ((prev, cur) == start) != (k % t == 0):
             raise ArithmeticError(
                 f"restart at index {k} is not a multiple of the period {t} mod {modulus}"
             )
-    return t
+    return PeriodResult(modulus=modulus, period=t, prefix_checked=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ def check_pell_coprime(max_n: int) -> CheckResult:
 
 
 def check_period_consistency(
-        max_mu: int, period_of: Callable[[int], int] = modular.period,
+        max_mu: int, period_of: Callable[[int], PeriodResult] = modular.period,
         residues: Callable[[SequenceKind, int, int], list[int]] = modular.residue_range,
 ) -> CheckResult:
     """ballab.verify.check_period_consistency by one residue walk to 2t per modulus.
@@ -247,7 +249,7 @@ def check_period_consistency(
     halves; period_of and residues stand in for ballab.modular's period and
     residue_range, so a test can hand both sides the same faults.
     """
-    periods = {mu: period_of(mu) for mu in range(2, max_mu + 1)}
+    periods = {mu: period_of(mu).period for mu in range(2, max_mu + 1)}
 
     def cases() -> Iterator[str | None]:
         for mu, t in periods.items():

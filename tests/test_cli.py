@@ -13,6 +13,7 @@ import pytest
 
 import ballab
 from ballab import cli
+from ballab.modular import PeriodResult
 from ballab.sequences import values_up_to
 
 
@@ -271,7 +272,7 @@ class TestPeriod:
 
     def test_mod_at_ceiling_is_accepted(self, capsys, monkeypatch):
         # the walk itself is stubbed: only the bound check runs
-        monkeypatch.setattr(cli, "period", lambda mod: 1)
+        monkeypatch.setattr(cli, "period", lambda mod: PeriodResult(mod, 1, 2))
         code, out = run_cli(capsys, ["period", "--mod", str(cli.MAX_PERIOD_MOD)])
         assert code == 0
         assert json.loads(out)["config"] == {"modulus": cli.MAX_PERIOD_MOD}

@@ -8,6 +8,7 @@ from ballab.bigmath import is_prime, prime_flags
 from ballab.cli import MAX_PERIOD_MOD
 from ballab.modular import (
     MOD9_TABLE,
+    PeriodResult,
     default_sieve_moduli,
     period,
     power_residue_sieve,
@@ -57,19 +58,20 @@ def test_residue_range_matches_values():
 
 class TestPeriod:
     def test_known_periods(self):
-        assert period(9) == 12
-        assert period(2) == 2
-        assert period(4) == 4
+        assert period(9).period == 12
+        assert period(2).period == 2
+        assert period(4).period == 4
 
     def test_restart_state(self):
         for mu in range(2, 60):
-            t = period(mu)
-            assert term_mod(SequenceKind.BALANCING, t, mu) == 0
-            assert term_mod(SequenceKind.BALANCING, t + 1, mu) == 1 % mu
+            r = period(mu)
+            assert term_mod(SequenceKind.BALANCING, r.period, mu) == 0
+            assert term_mod(SequenceKind.BALANCING, r.period + 1, mu) == 1 % mu
+            assert r.prefix_checked >= 2 * r.period
 
     def test_minimality(self):
         for mu in (2, 3, 4, 5, 9, 10, 25):
-            t = period(mu)
+            t = period(mu).period
             for k in range(1, t):
                 restart = (term_mod(SequenceKind.BALANCING, k, mu) == 0
                            and term_mod(SequenceKind.BALANCING, k + 1, mu) == 1 % mu)
@@ -114,7 +116,9 @@ def assert_order_certificate(mu):
     Every restart index is a multiple of the least one, so no restart at
     any t/q makes t the least.
     """
-    t = period(mu)
+    r = period(mu)
+    t = r.period
+    assert r.modulus == mu and r.prefix_checked == 2 * t
     assert restarts(t, mu), (mu, t)
     for q in prime_divisors(t):
         assert not restarts(t // q, mu), (mu, t, q)
@@ -136,7 +140,7 @@ class TestPeriodOrderCertificate:
         assert_order_certificate(mu)
 
     def test_largest_prime_below_the_ceiling(self):
-        assert period(9999973) == 9999974
+        assert period(9999973) == PeriodResult(9999973, 9999974, 19999948)
 
     def test_certificate_over_the_cli_range(self):
         hypothesis = pytest.importorskip("hypothesis")

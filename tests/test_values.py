@@ -23,6 +23,7 @@ from ballab.diophantine import (
     SpecialFormRecord,
     _verified,
 )
+from ballab.modular import PeriodResult
 from ballab.sequences import SequenceKind
 from ballab.verify import CheckResult
 
@@ -30,6 +31,7 @@ CFG = SearchConfig(40)
 
 # (class, positional arguments, the same by keyword in field order); CheckResult is last
 CASES = [
+    (PeriodResult, (10, 12, 24), dict(modulus=10, period=12, prefix_checked=24)),
     (SearchConfig, (40, 3, Parity.SAME, True, False),
      dict(max_index=40, min_exponent=3, parity_filter=Parity.SAME,
           coprimality_required=True, coprime_zero_exempt=False)),

@@ -4,7 +4,7 @@ import pytest
 
 import ballab.verify
 import refmath
-from ballab.modular import period, residue_range
+from ballab.modular import PeriodResult, period, residue_range
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     CheckResult,
@@ -60,16 +60,20 @@ def test_period_consistency_counts_multiple_pairs():
 
 def _zero_not_restart(max_mu):
     # B_2 = 6 is 0 mod 3 but B_3 = 35 is 2 mod 3: a zero that is no restart
-    return lambda mu: 2 if mu == 3 else period(mu), residue_range
+    return lambda mu: PeriodResult(3, 2, 4) if mu == 3 else period(mu), residue_range
 
 
 def _period_plus_one(max_mu):
-    return lambda mu: period(mu) + 1, residue_range
+    def later_period(mu):
+        t = period(mu).period + 1
+        return PeriodResult(mu, t, 2 * t)
+
+    return later_period, residue_range
 
 
 def _stream_off_at_top(max_mu):
     # B_{2T} one off, T the largest period: every (B_t, B_{t+1}) stays intact
-    top = 2 * max((period(mu) for mu in range(2, max_mu + 1)), default=0)
+    top = 2 * max((period(mu).period for mu in range(2, max_mu + 1)), default=0)
 
     def corrupt_residues(kind, hi, modulus):
         out = residue_range(kind, hi, modulus)
