@@ -327,35 +327,31 @@ def _cmd_balancer(args: SimpleNamespace) -> int:
 # search command
 
 
-def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | None:
+# The published solution sets: per equation, the summary config values its
+# statement assumes and its expected records, the largest n its least bound.
+_PUBLISHED = dict.fromkeys(("cube-sum-plus", "cube-sum-minus"), (
+    {"parity_filter": "any", "coprimality_required": True, "coprime_zero_exempt": False,
+     "min_exponent": 3}, [{"n": 1, "m": 0, "x": "1", "q_family_min": 3}])) | {
+    "sum-power": ({"parity_filter": "same", "coprimality_required": False, "min_exponent": 2},
+                  [{"n": 3, "m": 1, "x": "6", "q": 2}]),
+    "square-diff": ({"parity_filter": "any", "coprimality_required": True,
+                     "coprime_zero_exempt": True, "min_exponent": 2},
+                    [{"n": 1, "m": 0, "x": "1", "q_family_min": 2},
+                     {"n": 2, "m": 0, "x": "6", "q": 2}]),
+    "product-form": ({"min_exponent": 2},
+                     [{"n": 2, "m": 1, "two_exponent": 1, "x": "3", "q": 2}]),
+}
+
+
+def _claims_block(config: dict, records: list) -> dict | None:
     """Expected-vs-found comparison for the equations with published answers.
 
-    Only attached when the configuration covers the published tuples (index
-    bound dominates them, hypotheses match); anything else is exploratory.
+    Only attached when the summary's config holds every value its _PUBLISHED
+    row assumes and max_index reaches each published n, else exploratory.
     """
-    if equation == "sum-power":
-        if (cfg.parity_filter is not Parity.SAME or cfg.min_exponent != 2
-                or cfg.coprimality_required or cfg.max_index < 3):
-            return None
-        expected = [{"n": 3, "m": 1, "x": "6", "q": 2}]
-    elif equation == "square-diff":
-        if (cfg.parity_filter is not Parity.ANY or not cfg.coprimality_required
-                or not cfg.coprime_zero_exempt or cfg.min_exponent != 2
-                or cfg.max_index < 2):
-            return None
-        expected = [{"n": 1, "m": 0, "x": "1", "q_family_min": 2},
-                    {"n": 2, "m": 0, "x": "6", "q": 2}]
-    elif equation in ("cube-sum-plus", "cube-sum-minus"):
-        if (cfg.parity_filter is not Parity.ANY or not cfg.coprimality_required
-                or cfg.coprime_zero_exempt or cfg.min_exponent != 3
-                or cfg.max_index < 1):
-            return None
-        expected = [{"n": 1, "m": 0, "x": "1", "q_family_min": 3}]
-    elif equation == "product-form":
-        if cfg.min_exponent != 2 or cfg.max_index < 2:
-            return None
-        expected = [{"n": 2, "m": 1, "two_exponent": 1, "x": "3", "q": 2}]
-    else:
+    assumed, expected = _PUBLISHED.get(config["equation"], ({}, None))
+    if (expected is None or not assumed.items() <= config.items()
+            or config["max_index"] < max(r["n"] for r in expected)):
         return None
     # the summary's config already carries the equation and the bounds
     found = [r.to_dict() for r in records]
@@ -366,7 +362,7 @@ def _claims_block(equation: str, cfg: SearchConfig, records: list) -> dict | Non
         "expected": expected,
         "found": found,
         "verdict": "MATCH" if found == expected else "MISMATCH",
-        "bound": f"verified exhaustively for indices <= {cfg.max_index}; "
+        "bound": f"verified exhaustively for indices <= {config['max_index']}; "
                  "the full statements cover all indices",
     }
 
@@ -437,12 +433,12 @@ def _cmd_search(args: SimpleNamespace) -> int:
     for rec in records:
         print(canonical_json(rec.to_dict()))
 
-    claims = _claims_block(eq, cfg, records)
     config = cfg.to_dict()
     config["equation"] = eq
     if eq == "special-form":
         config["kind"] = args.kind
         config["prime"] = prime
+    claims = _claims_block(config, records)
     summary = _report("search", config, [], started)
     del summary["results"]
     summary["result_count"] = len(records)

@@ -292,39 +292,46 @@ class TestBalancer:
         assert result["is_balancing"] is False and result["balancer"] is None
 
 
+# Each published solution set: the flags its hypotheses need beyond the
+# defaults, and its least --max-index, the largest n among its records.
+PUBLISHED = {
+    "sum-power": (["--parity", "same"], 3),
+    "square-diff": ([], 2),
+    "cube-sum-plus": ([], 1),
+    "cube-sum-minus": ([], 1),
+    "product-form": ([], 2),
+}
+
+
 class TestSearch:
-    def test_sum_power_claims_match(self, capsys):
-        code, out = run_cli(capsys, ["search", "sum-power", "--max-index", "40",
-                                     "--parity", "same"])
+    @pytest.mark.parametrize("eq, max_index", [
+        ("sum-power", 40), ("square-diff", 30), ("cube-sum-plus", 25), ("cube-sum-minus", 25),
+        ("product-form", 30), *((eq, least) for eq, (_, least) in PUBLISHED.items()),
+    ])
+    def test_claims_match(self, capsys, eq, max_index):
+        flags, _ = PUBLISHED[eq]
+        code, out = run_cli(capsys, ["search", eq, "--max-index", str(max_index), *flags])
         assert code == 0
         lines = out.strip().splitlines()
-        records = [json.loads(l) for l in lines[:-1]]
         summary = json.loads(lines[-1])
-        assert [(r["n"], r["m"], r["x"], r["q"]) for r in records] == [(3, 1, "6", 2)]
-        assert summary["claims"]["verdict"] == "MATCH"
         assert summary["exploratory"] is False
-        assert "indices <= 40" in summary["claims"]["bound"]
+        claims = summary["claims"]
+        assert claims["verdict"] == "MATCH"
+        # the record lines, less their equation and bounds, are the published records
+        records = [json.loads(l) for l in lines[:-1]]
+        assert [{k: v for k, v in r.items() if k not in ("equation", "bounds")}
+                for r in records] == claims["expected"]
+        assert f"indices <= {max_index};" in claims["bound"]
+        assert summary["config"]["min_exponent"] == (3 if eq.startswith("cube") else 2)
+        assert ("note" in summary) is (eq == "square-diff")  # zero-exemption convention
 
-    def test_square_diff_claims_match(self, capsys):
-        code, out = run_cli(capsys, ["search", "square-diff", "--max-index", "30"])
+    @pytest.mark.parametrize("eq", [eq for eq, (_, least) in PUBLISHED.items() if least > 1])
+    def test_below_least_bound_is_exploratory(self, capsys, eq):
+        flags, least = PUBLISHED[eq]
+        code, out = run_cli(capsys, ["search", eq, "--max-index", str(least - 1), *flags])
         assert code == 0
         summary = last_json_line(out)
-        assert summary["claims"]["verdict"] == "MATCH"
-        assert "note" in summary  # zero-exemption convention is reported
-
-    @pytest.mark.parametrize("eq", ["cube-sum-plus", "cube-sum-minus"])
-    def test_cube_sum_claims_match(self, capsys, eq):
-        code, out = run_cli(capsys, ["search", eq, "--max-index", "25"])
-        assert code == 0
-        summary = last_json_line(out)
-        assert summary["claims"]["verdict"] == "MATCH"
-        assert summary["config"]["min_exponent"] == 3
-
-    def test_product_form_claims_match(self, capsys):
-        code, out = run_cli(capsys, ["search", "product-form", "--max-index", "30"])
-        assert code == 0
-        summary = last_json_line(out)
-        assert summary["claims"]["verdict"] == "MATCH"
+        assert summary["claims"] is None and summary["exploratory"] is True
 
     def test_special_form_has_no_claims(self, capsys):
         code, out = run_cli(capsys, ["search", "special-form", "--max-index", "30",
@@ -369,9 +376,18 @@ class TestSearch:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("\nballab: error: --min-exp must be >= 2\n")
 
-    def test_opposite_parity_is_exploratory(self, capsys):
-        code, out = run_cli(capsys, ["search", "sum-power", "--max-index", "30",
-                                     "--parity", "opposite"])
+    @pytest.mark.parametrize("argv", [
+        ["sum-power", "--parity", "opposite"], ["sum-power"],
+        ["sum-power", "--parity", "same", "--coprime"],
+        ["sum-power", "--parity", "same", "--min-exp", "3"],
+        ["square-diff", "--no-coprime-zero-exempt"], ["square-diff", "--min-exp", "3"],
+        ["square-diff", "--parity", "same"], ["cube-sum-plus", "--coprime-zero-exempt"],
+        ["cube-sum-minus", "--min-exp", "4"], ["product-form", "--min-exp", "3"],
+    ], ids=" ".join)
+    def test_off_hypothesis_is_exploratory(self, capsys, argv):
+        # one value off the published statement: a filtered grid or another
+        # exponent cannot be compared against the full solution list
+        code, out = run_cli(capsys, ["search", *argv, "--max-index", "30"])
         assert code == 0
         summary = last_json_line(out)
         assert summary["claims"] is None and summary["exploratory"] is True
@@ -472,13 +488,6 @@ class TestSearch:
         code, _ = run_cli(capsys, ["search", "product-form", "--max-index", "20",
                                    "--parity", "same"])
         assert code == 2
-
-    def test_restricted_parity_square_diff_is_exploratory(self, capsys):
-        # a filtered grid cannot be compared against the full solution list
-        code, out = run_cli(capsys, ["search", "square-diff", "--max-index", "20",
-                                     "--parity", "same"])
-        assert code == 0
-        assert last_json_line(out)["claims"] is None
 
 
 def test_output_contract_without_sieve_switch_or_format_env(capsys, monkeypatch):
