@@ -29,11 +29,15 @@ each value is a product of two terms of known index (Behera-Panda 1999):
     B_n**3 +- B_m**3 = (B_n +- B_m) * F,  gcd(B_n +- B_m, F) | 3 for coprime terms
     B_N * C_M        itself
 
-The cube forms are split by their first factor B_n +- B_m: for m > 0 no
-prime >= 211 divides both factors, so the value is a q-th power only if
-that factor's rest is.  A pair with m = 0 is the point s = t of its row,
+The cube forms are split by their first factor B_n +- B_m.  For coprime
+terms and m > 0, F = B_n**2 -+ B_n B_m + B_m**2 is 3 B_m**2 modulo it and
+gcd(B_n +- B_m, B_m) = gcd(B_n, B_m) = 1, so gcd(B_n +- B_m, F) divides 3:
+no prime >= 5 divides both factors.  So the value is a q-th power only if
+that factor's rest is, and a prime 5..199 dividing that factor has the same
+valuation in the value.  A pair with m = 0 is the point s = t of its row,
 B_t + B_0 = P_t Q_t; there gcd(B_t, F) = B_t (6 at t = 2), but coprime
-terms keep only t = 1, 2, and B_1 = P_1 Q_1, B_2 = P_2 Q_2 have rest 1.
+terms keep only t = 1, 2, and B_1 = P_1 Q_1 = 1, B_2 = P_2 Q_2 = 6 have
+rest 1 and no prime >= 5.
 
 The gcd laws (Panda 2009) name the common factor of the two terms, with d
 the gcd of their indices: gcd(B_a, B_b) = B_d; gcd(P_a, Q_b) = Q_d when
@@ -44,8 +48,8 @@ rejected without building its value when
 - the common factor's rest is 1, so the two rests share no prime and both
   must be q-th powers, and their exponents have gcd 1; or
 - a prime <= 199 divides one term exactly once and not the other, so it
-  divides the value exactly once (not for the cube forms, whose second
-  factor has no table; product-form leaves out the 2, which it splits off).
+  divides the value exactly once (the cube forms read the primes 5..199,
+  by the argument above; product-form leaves out the 2, which it splits off).
 
 The searches walk index space by rows: a row is one index b of one term (t,
 or M for product-form), and its pairs run over the other index a (s, or N).
@@ -66,7 +70,9 @@ read a costly quantity only where the answer can change:
    with a quotient coprime to it, rest_k has exponent 1, since the maximal
    exponent of a product of coprime factors is the gcd of theirs.  Both
    conditions are checked; d = k/p, p the smallest prime of k (odd for C
-   and Q), is tried since then term d divides term k.
+   and Q), is tried since then term d divides term k.  A divisor table
+   built once per table, by slices over the primes <= 199, holds that p
+   for every k (the odd part of k when no such prime divides it).
 5. Sparse rows by common factor.  The gcd law, read by table: the factor
    comes from one table (Q, B or C), and is named when the other term's
    index has the larger v2 (v2(0) infinite), or always when both terms are
@@ -355,9 +361,13 @@ class _Entry:
     def __init__(self, value: int, valued: int, prior: _Entry | None = None) -> None:
         self.prior = prior
         self.rest, levels = _strip_small(value)
-        once, twice = (*levels, 1, 1)[:2]
-        self.support = math.gcd(once, valued)
-        self.lone = self.support // math.gcd(twice, self.support)
+        if levels:
+            # level 1 over level 2 is the product of the primes dividing once
+            once = levels[0]
+            self.support = math.gcd(once, valued)
+            self.lone = math.gcd(once // levels[1] if len(levels) > 1 else once, valued)
+        else:
+            self.support = self.lone = 1
         self.exponent = 0 if self.rest == 1 else None
 
     def full_exponent(self) -> int:
@@ -371,19 +381,31 @@ class _Entry:
         return self.exponent
 
 
+def _divisor_table(hi: int, primes: list[int]) -> list[int]:
+    """p[k] for 0 <= k <= hi: the least of primes dividing k, else the odd part of k."""
+    p = [k // (k & -k) if k else 0 for k in range(hi + 1)]
+    # descending, so the least prime dividing k is written last
+    for ell in reversed(primes):
+        p[::ell] = [ell] * (hi // ell + 1)
+    return p
+
+
 class _Terms(dict):
-    """Index k -> _Entry of one sequence's k-th term (nonzero), filled on first use."""
+    """Index k -> _Entry of one sequence's k-th term (nonzero), filled on first use.
+
+    The divisor table names each entry's prior, term k // divisor[k] (step 4).
+    """
 
     def __init__(self, kind: SequenceKind, hi: int, valued: int = _PRIMORIAL) -> None:
         super().__init__()
         self.values = values_up_to(kind, hi)
         self.valued = valued
         # term k/p divides term k for a prime p | k; for C and Q only when p is odd
-        self.primes = _SMALL_PRIMES[kind in (SequenceKind.LUCAS_BALANCING,
-                                             SequenceKind.ASSOCIATED_PELL):]
+        self.divisor = _divisor_table(hi, _SMALL_PRIMES[kind in (SequenceKind.LUCAS_BALANCING,
+                                                                 SequenceKind.ASSOCIATED_PELL):])
 
     def __missing__(self, k: int) -> _Entry:
-        p = next((ell for ell in self.primes if k % ell == 0), k // (k & -k) if k else 0)
+        p = self.divisor[k]
         entry = self[k] = _Entry(self.values[k], self.valued, self[k // p] if 1 < p < k else None)
         return entry
 
@@ -430,9 +452,10 @@ def _row_visits(rows, common: _Terms):
         below = math.inf if ys is common else low
         if y.full_exponent() == 1 and xs is not common:
             span = _sparse_row(common, b, span)
+        support, lone = y.support, y.lone
         for a in span:
             x = xs[a]
-            if y.support % x.lone == 0 and x.support % y.lone == 0:
+            if support % x.lone == 0 and x.support % lone == 0:
                 yield a, b, x, y, above < (a & -a) < below and common[math.gcd(a, b)].rest > 1
 
 
@@ -445,7 +468,7 @@ def _pair_tables(tag: EquationTag, cfg: SearchConfig) -> tuple[_Terms, _Terms, l
     if tag is EquationTag.SQUARE_DIFF:
         p = q = _Terms(SequenceKind.BALANCING, hi)
         return p, q, p.values
-    valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else 1
+    valued = _PRIMORIAL if tag is EquationTag.SUM_POWER else _PRIMORIAL // 6
     return (_Terms(SequenceKind.PELL, hi, valued), _Terms(SequenceKind.ASSOCIATED_PELL, hi, valued),
             values_up_to(SequenceKind.BALANCING, cfg.max_index))
 

@@ -48,10 +48,11 @@ def values_up_to(kind: SequenceKind, hi: int) -> list[int]:
     """Values at indices 0..hi inclusive by forward iteration."""
     if hi < 0:
         raise ValueError("index must be nonnegative")
-    (c1, c2), (s0, s1) = RECURRENCE[kind]
-    out = [s0, s1]
-    while len(out) <= hi:
-        out.append(c1 * out[-1] + c2 * out[-2])
+    (c1, c2), (a, b) = RECURRENCE[kind]
+    out = [a, b]
+    for _ in range(hi - 1):
+        a, b = b, c1 * b + c2 * a
+        out.append(b)
     return out[: hi + 1]
 
 

@@ -21,6 +21,7 @@ from ballab.diophantine import (
     EquationTag,
     Parity,
     SearchConfig,
+    _divisor_table,
     _maybe_decompose,
     _pair_tables,
     _pair_visits,
@@ -129,6 +130,26 @@ def test_cube_factors_of_coprime_terms_share_at_most_three(sign):
     assert checked > 5000
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cube_value_keeps_the_first_factors_primes_from_five(sign):
+    # Rule (cube forms' lone primes): for coprime terms, and for the zero
+    # exemption's (2, 0), each prime 5..199 dividing F1 = B_n +- B_m has the
+    # same valuation in B_n**3 +- B_m**3 as in F1, so a lone one there
+    # divides the value once.  (A prime 1 mod 3 may divide F2 alone.)
+    checked = 0
+    for n, m in [*pairs(IDENTITY_MAX, strict=True), (2, 0)]:
+        if math.gcd(B[n], B[m]) != 1 and (n, m) != (2, 0):
+            continue
+        in_f1 = strip_small(B[n] + sign * B[m])[1]
+        in_value = strip_small(B[n] ** 3 + sign * B[m] ** 3)[1]
+        for ell in SMALL_PRIMES[2:]:
+            if ell in in_f1:
+                assert in_value[ell] == in_f1[ell], (n, m, ell)
+                checked += 1
+    assert checked > 5000
+    assert math.gcd(B[2] + sign * B[0], math.prod(SMALL_PRIMES[2:])) == 1
+
+
 # ---------------------------------------------------------------------------
 # the code that applies them
 
@@ -180,8 +201,10 @@ def test_rest_table_matches_direct_decomposition(kind):
 
 
 # the valued primes of the searches' tables: sum-power and square-diff
-# (all), product-form (all but 2) and the cube forms (none)
-VALUED_SETS = {"all": SMALL_PRIMES, "odd": SMALL_PRIMES[1:], "none": ()}
+# (all), product-form (all but 2) and the cube forms (all but 2 and 3);
+# hand-built entries value none
+VALUED_SETS = {"all": SMALL_PRIMES, "odd": SMALL_PRIMES[1:], "from-5": SMALL_PRIMES[2:],
+               "none": ()}
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
@@ -238,6 +261,31 @@ def test_every_term_rest_has_exponent_zero_or_one(kind):
         assert table[k].full_exponent() in (0, 1), (kind, k)
 
 
+def reference_divisor(k, primes):
+    """The least of primes dividing k, else the odd part of k: the scan the table replaced."""
+    return next((ell for ell in primes if k % ell == 0), k // (k & -k) if k else 0)
+
+
+@pytest.mark.parametrize("primes", [SMALL_PRIMES, SMALL_PRIMES[1:]], ids=["all", "odd"])
+def test_divisor_table_matches_the_prime_scan(primes):
+    for hi in (0, 1, 2, 3, 198, 199, 4000):
+        assert _divisor_table(hi, primes) == [reference_divisor(k, primes)
+                                              for k in range(hi + 1)], hi
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_prior_term_divides_the_term(kind):
+    # step 4's prior: term k // p[k] divides term k wherever the table names one
+    table = _Terms(kind, 400)
+    priors = 0
+    for k in range(401):
+        p = table.divisor[k]
+        if 1 < p < k:
+            assert table.values[k] % table.values[k // p] == 0, (kind, k)
+            priors += 1
+    assert priors > 300
+
+
 @pytest.mark.parametrize("rest, prior_rest, exponent", [
     (211 * 223, 211, 1),       # inherited: 211 has exponent 1, the quotient 223 is coprime
     (211, 211, 1),             # quotient 1
@@ -275,7 +323,7 @@ def factors(tag, n, m):
 def valued_primes(tag):
     """The primes the lone-prime rule reads."""
     if tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS):
-        return ()
+        return SMALL_PRIMES[2:]
     return SMALL_PRIMES[1:] if tag is None else SMALL_PRIMES
 
 
@@ -291,8 +339,8 @@ def visits(tag, cfg):
 def assert_visits_match_direct_factors(tag):
     # Each visit carries the entries of the pair's two factors, the row
     # term's exponent, and whether the factors' gcd has a rest other than 1;
-    # a pair with m = 0 is split like every other.  The cube forms have no
-    # valued primes; product-form leaves out the 2.
+    # a pair with m = 0 is split like every other.  The cube forms leave out
+    # 2 and 3; product-form leaves out the 2.
     seen = zeros = 0
     for n, m, x, y, shared in visits(tag, SearchConfig(max_index=VISIT_MAX)):
         fx, fy = factors(tag, n, m)

@@ -41,6 +41,20 @@ def test_doubling_path_matches_iteration():
             assert term(kind, n) == vals[n]
 
 
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_values_up_to_edges(kind):
+    # hi = 0, 1, 2 give 1, 2, 3 values; a negative bound is refused; the
+    # recurrence agrees with the closed form at both ends of a long run
+    for hi in (0, 1, 2):
+        assert values_up_to(kind, hi) == [term(kind, n) for n in range(hi + 1)]
+    with pytest.raises(ValueError):
+        values_up_to(kind, -1)
+    vals = values_up_to(kind, 3000)
+    assert len(vals) == 3001
+    for n in (0, 1, 2999, 3000):
+        assert vals[n] == term(kind, n), (kind, n)
+
+
 def half_index_sum(n, m):
     """Both sides of B_n + B_m = 2 * B_{(n+m)/2} * C_{(n-m)/2}, n >= m of equal parity."""
     b = values_up_to(SequenceKind.BALANCING, n)
