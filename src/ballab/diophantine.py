@@ -87,6 +87,22 @@ The paper's hypotheses are rules on a row's indices: --parity keeps the rows
 of its class of t (same parity is even t), and coprime terms keep the s with
 gcd(m, t) = 1, m = (s - t)/2.
 
+The special-form scan rejects most terms by index alone.  B = U(6, 1) and
+P = U(2, -1) are Lucas sequences of the first kind; 2C = V(6, 1) and
+2Q = V(2, -1) are of the second.  For a prime l <= 199 with first index k,
+the least k >= 1 with l | term_k (E. Lucas 1878; R. D. Carmichael 1913):
+- first kind: l | term_n exactly when k | n, and, lifting the exponent,
+  v_l(term_kj) = v_l(term_k) + v_l(j); for l = 2, k = 2 and this is the
+  two-adic law v2(B_n) = v2(P_n) = v2(n);
+- second kind: l is odd, l | term_n exactly when n is an odd multiple of
+  k, and the same law holds for odd j.
+So if v_l(term_k) = 1, then v_l(term_n) = 1 at each n = kj with l not
+dividing j (j odd for C and Q); if l is not p, that term is neither p**s
+nor p**s * x**b with b >= 2.  Every k is at most 200: the rank of apparition of an odd l (the
+least r with l | U_r) divides l - 1 or l + 1, 2 has rank 2, and a second
+kind's k is half its U's rank.  The largest are 95 for B and Q, 41 for C
+and 190 for P.  The scan skips those terms and strips p off the others.
+
 x = 1 satisfies any exponent, so those hits are emitted once as an exponent
 family (all q >= the configured minimum) instead of infinitely many tuples.
 """
@@ -255,6 +271,8 @@ def _pair_value(tag: EquationTag, bn: int, bm: int) -> int:
 # factors >= 211, so a p-th root of it is >= 211.
 _SMALL_PRIMES = primes_up_to(199)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
+# the kinds that are Lucas sequences of the second kind, halved: C and Q
+_SECOND_KIND = (SequenceKind.LUCAS_BALANCING, SequenceKind.ASSOCIATED_PELL)
 
 
 def _strip_small(v: int) -> tuple[int, list[int]]:
@@ -390,6 +408,24 @@ def _divisor_table(hi: int, primes: list[int]) -> list[int]:
     return p
 
 
+def _lone_small(kind: SequenceKind, values: list[int], p: int) -> set[int]:
+    """The n < len(values) where a prime <= 199 other than p divides values[n] exactly once.
+
+    values are kind's terms from index 0.  Each prime's first index k comes
+    from one gcd per index against the product of the primes not yet found,
+    by index 200; the flags then follow from the index (module docstring).
+    """
+    hi = len(values) - 1
+    pending, firsts = _PRIMORIAL // math.gcd(_PRIMORIAL, p), []
+    for k in range(1, min(hi, 200) + 1):
+        g = math.gcd(values[k], pending)
+        if g > 1:
+            pending //= g
+            firsts += [(ell, k) for ell in _SMALL_PRIMES if g % ell == 0 and values[k] % ell ** 2]
+    step = 2 if kind in _SECOND_KIND else 1
+    return {k * j for ell, k in firsts for j in range(1, hi // k + 1, step) if j % ell}
+
+
 class _Terms(dict):
     """Index k -> _Entry of one sequence's k-th term (nonzero), filled on first use.
 
@@ -401,8 +437,7 @@ class _Terms(dict):
         self.values = values_up_to(kind, hi)
         self.valued = valued
         # term k/p divides term k for a prime p | k; for C and Q only when p is odd
-        self.divisor = _divisor_table(hi, _SMALL_PRIMES[kind in (SequenceKind.LUCAS_BALANCING,
-                                                                 SequenceKind.ASSOCIATED_PELL):])
+        self.divisor = _divisor_table(hi, _SMALL_PRIMES[kind in _SECOND_KIND:])
 
     def __missing__(self, k: int) -> _Entry:
         p = self.divisor[k]
@@ -572,8 +607,11 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     vals = values_up_to(kind, cfg.max_index)
+    lone = _lone_small(kind, vals, p)
     out: list[SpecialFormRecord] = []
     for n in range(1, cfg.max_index + 1):
+        if n in lone:
+            continue
         s, rest = strip_prime(p, vals[n])
         if rest == 1:
             out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,

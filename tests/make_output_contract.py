@@ -210,6 +210,10 @@ def ci_corpus() -> list[list[str]]:
         _search("square-diff", 1000, "--parity", "opposite"),
         _search("cube-sum-minus", 1000, "--parity", "opposite"),
     ]
+    # special-form's published primes past the first tier's N = 390
+    for kind in ("balancing", "lucas-balancing"):
+        for prime in ("2", "3"):
+            lines.append(_search("special-form", 4000, "--kind", kind, "--prime", prime))
     # each suite's one read of B, C, P and Q at the ceiling
     for suite in ("identities", "gcd", "all"):
         lines.append(["verify", "--suite", suite, "--max-n", "5000"])

@@ -319,6 +319,22 @@ def reference_product_search(cfg, power_test=_maybe_decompose):
     return _verified(out)
 
 
+def reference_special_form_search(kind, p, cfg, power_test=reference_power_test):
+    """The special-form scan before its lone-prime skip: strip p, then the power test, every n."""
+    vals = values_up_to(kind, cfg.max_index)
+    out = []
+    for n in range(1, cfg.max_index + 1):
+        s, rest = strip_prime(p, vals[n])
+        if rest == 1:
+            out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,
+                                         family_min_exponent=cfg.min_exponent))
+            continue
+        for x, b in _power_hits(power_test(rest), cfg.min_exponent):
+            out.append(SpecialFormRecord(kind, p, n, s, x=x, exponent=b,
+                                         family_min_exponent=None))
+    return _verified(out)
+
+
 def as_json(records):
     return canonical_json([r.to_dict() for r in records])
 
@@ -391,6 +407,19 @@ def test_search_matches_reference_scan_at_large_bound(tag, cfg):
         assert as_json(PAIR_SEARCHES[tag](cfg)) == as_json(reference_pair_search(tag, cfg))
 
 
+@pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING],
+                         ids=lambda k: k.value)
+def test_special_form_matches_reference_scan(kind):
+    # the contract's primes, below and above the last first index of a
+    # prime <= 199 (95 for B, 41 for C) and at the acceptance bound's 600
+    power_test = remembered(reference_power_test)
+    for p in (2, 3, 5, 7, 211, 2 ** 31 - 1):
+        for max_index, min_exp in ((1, 2), (7, 2), (40, 2), (120, 2), (600, 2), (600, 3)):
+            cfg = SearchConfig(max_index=max_index, min_exponent=min_exp)
+            assert as_json(search_special_form(kind, p, cfg)) == \
+                as_json(reference_special_form_search(kind, p, cfg, power_test)), (p, cfg)
+
+
 def _against_reference_scan(search, tag, cfg):
     if tag is None:
         return lambda: search(cfg), lambda: reference_product_search(cfg, reference_power_test)
@@ -423,8 +452,10 @@ def test_power_test_matches_sieve_then_decompose(monkeypatch, search, reference)
 
     Index space hands the power test only the pairs it cannot reject, so the
     pair and product searches are compared whole against the reference scans
-    running the earlier test.  The special-form scans hand it every value,
-    and each value gets the reference's answer.
+    running the earlier test.  The special-form scans hand it each value
+    that no lone small prime other than p rejects by index, and each of
+    those gets the reference's answer; test_special_form_matches_reference_scan
+    compares them whole.
     """
     if reference is not None:
         assert as_json(search()) == as_json(reference())

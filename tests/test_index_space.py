@@ -22,6 +22,7 @@ from ballab.diophantine import (
     Parity,
     SearchConfig,
     _divisor_table,
+    _lone_small,
     _maybe_decompose,
     _pair_tables,
     _pair_visits,
@@ -284,6 +285,24 @@ def test_prior_term_divides_the_term(kind):
             assert table.values[k] % table.values[k // p] == 0, (kind, k)
             priors += 1
     assert priors > 300
+
+
+# special-form's skip: the terms up to LONE_MAX, and bounds on both sides of
+# the last first index of B and Q (191's, at 95) and of P (191's, at 190)
+LONE_MAX = 2000
+LONE_BOUNDS = (0, 1, 2, 3, 94, 95, 189, 190, LONE_MAX)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_lone_small_primes_match_trial_division(kind):
+    # the index facts against the literal test: some prime l <= 199 other
+    # than p with l | v and l**2 not dividing v, for every term to LONE_MAX
+    terms = values_up_to(kind, LONE_MAX)
+    lone = [{ell for ell in SMALL_PRIMES if v % ell == 0 and v % ell ** 2 != 0} for v in terms]
+    for p in (2, 3, 5, 199, 211):
+        for hi in LONE_BOUNDS:
+            assert _lone_small(kind, terms[:hi + 1], p) == \
+                {n for n in range(hi + 1) if lone[n] - {p}}, (p, hi)
 
 
 @pytest.mark.parametrize("rest, prior_rest, exponent", [

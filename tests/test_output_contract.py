@@ -4,7 +4,7 @@ Each line holds an argv, its exit code and the sha256 of its normalized
 stdout and of its stderr (make_output_contract.py writes both files and says
 how to regenerate them).  Replayed in process, every line must give the same
 record.  Tier-1 replays output_contract.jsonl.  The command lines of
-output_contract_ci.jsonl take about 5 s in all, most of it the searches at
+output_contract_ci.jsonl take about 7 s in all, most of it the searches at
 N = 4000, so only running this file as a script replays them, with the
 first file's:
 
