@@ -105,11 +105,10 @@ MAX_SEQ_MOD = 10 ** 30
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`
 # with default options (special-form: --kind balancing --prime 2), one run
-# each on a 2-vCPU Intel Xeon VM with Python 3.11.7: sum-power 50 s (26 s
-# with --parity same), square-diff 72 s and 0.57 GB peak RSS, cube-sum-plus
-# 44 s, cube-sum-minus 49 s, product-form 77 s, special-form 96 s.  With the
-# lone-small-prime skip, special-form took 86.8 s at 292 MiB VmHWM on the
-# same 8 GB VM, against 89.8 s and 289 MiB without it in the same batch.
+# each in one batch on a 2-vCPU Intel Xeon VM with 8 GB and Python 3.11.7,
+# peak RSS as VmHWM: sum-power 35.0 s at 495 MiB (15.0 s with --parity
+# same), square-diff 64.9 s at 515 MiB, cube-sum-plus 25.2 s, cube-sum-minus
+# 31.7 s, product-form 48.9 s at 170 MiB, special-form 83.9 s at 292 MiB.
 MAX_SEARCH_INDEX = dict.fromkeys(_SEARCH_EQUATIONS, 20_000) | {
     "product-form": 15_000, "special-form": 40_000}
 
@@ -345,21 +344,20 @@ _PUBLISHED = dict.fromkeys(("cube-sum-plus", "cube-sum-minus"), (
 }
 
 
-def _claims_block(config: dict, records: list) -> dict | None:
+def _claims_block(config: dict, records: list[dict]) -> dict | None:
     """Expected-vs-found comparison for the equations with published answers.
 
-    Only attached when the summary's config holds every value its _PUBLISHED
-    row assumes and max_index reaches each published n, else exploratory.
+    records are the search's records as printed.  The block is only attached
+    when the summary's config holds every value its _PUBLISHED row assumes
+    and max_index reaches each published n, else exploratory.
     """
     assumed, expected = _PUBLISHED.get(config["equation"], ({}, None))
     if (expected is None or not assumed.items() <= config.items()
             or config["max_index"] < max(r["n"] for r in expected)):
         return None
     # the summary's config already carries the equation and the bounds
-    found = [r.to_dict() for r in records]
-    for view in found:
-        view.pop("equation", None)
-        view.pop("bounds", None)
+    found = [{key: value for key, value in r.items() if key not in ("equation", "bounds")}
+             for r in records]
     return {
         "expected": expected,
         "found": found,
@@ -432,8 +430,9 @@ def _cmd_search(args: SimpleNamespace) -> int:
     else:
         records = search_special_form(_KINDS[args.kind], prime, cfg)
 
+    records = [rec.to_dict() for rec in records]
     for rec in records:
-        print(canonical_json(rec.to_dict()))
+        print(canonical_json(rec))
 
     config = cfg.to_dict()
     config["equation"] = eq

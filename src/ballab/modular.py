@@ -162,10 +162,9 @@ def power_residue_sieve(value: int, q: int) -> bool:
     For each prime p of default_sieve_moduli(q) not dividing value, value mod
     p must be a q-th power residue, i.e. raise to (p-1)/gcd(q, p-1) must give
     1.  A genuine q-th power passes every such test, so False is always
-    sound; True is merely "not excluded".
+    sound; True is merely "not excluded".  q < 2 raises ValueError, from
+    default_sieve_moduli.
     """
-    if q < 2:
-        raise ValueError("exponent must be >= 2")
     for p in default_sieve_moduli(q):
         r = value % p
         if r == 0:

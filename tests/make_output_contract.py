@@ -40,6 +40,13 @@ import ballab.cli  # noqa: E402
 _VARYING = re.compile(r'"runtime_ms":\d+,?|"timings_ms":\{[^{}]*\},?')
 
 
+def digests(code: int, stdout: str, stderr: str) -> dict:
+    """A run's contract fields: its exit code, normalized stdout's and stderr's sha256."""
+    return {"exit": code,
+            "stdout": hashlib.sha256(_VARYING.sub("", stdout).encode()).hexdigest(),
+            "stderr": hashlib.sha256(stderr.encode()).hexdigest()}
+
+
 def replay(argv: list[str]) -> dict:
     """argv's exit code and output digests, run in process (COLUMNS must be 80)."""
     out, err = io.StringIO(), io.StringIO()
@@ -48,10 +55,7 @@ def replay(argv: list[str]) -> dict:
             code = ballab.cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    stdout = _VARYING.sub("", out.getvalue())
-    return {"argv": list(argv), "exit": code,
-            "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    return {"argv": list(argv), **digests(code, out.getvalue(), err.getvalue())}
 
 
 def _search(equation: str, n: int, *options: str) -> list[str]:

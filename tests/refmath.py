@@ -38,6 +38,20 @@ def perfect_power_decompose(n: int) -> tuple[int, int]:
     return base, exponent
 
 
+def brute_power_decompose(n: int) -> tuple[int, int]:
+    """Maximal (base, exponent) with base**exponent = n >= 2, by every exponent.
+
+    Scans each exponent below n's bit length and keeps the largest with an
+    exact root: slower than perfect_power_decompose, and its check.
+    """
+    base, exponent = n, 1
+    for q in range(2, n.bit_length()):
+        r = integer_kth_root(n, q)
+        if r ** q == n:
+            base, exponent = r, q
+    return base, exponent
+
+
 def term_mod(kind, n: int, modulus: int) -> int:
     """Sequence term at index n reduced mod modulus, in O(log n) steps.
 

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from ballab.bigmath import integer_kth_root
 from ballab.cli import canonical_json, main as cli_main
 from ballab.diophantine import (
     EquationTag,
@@ -27,6 +26,7 @@ from ballab.diophantine import (
 )
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import check_closed_form, check_mod9_table, check_two_adic, identity_suite
+from refmath import brute_power_decompose
 
 
 def report(criterion, elapsed=None):
@@ -155,15 +155,6 @@ def test_09_oracle_equivalence():
         assert fast == slow, f"{tag.value} diverges from the oracle"
     elapsed = time.perf_counter() - started
     report("09 oracle equivalence, every tag, max index 40", elapsed)
-
-
-def brute_power_decompose(n):
-    base, exponent = n, 1
-    for q in range(2, n.bit_length()):
-        r = integer_kth_root(n, q)
-        if r ** q == n:
-            base, exponent = r, q
-    return base, exponent
 
 
 def test_10_perfect_power_engine():

@@ -5,17 +5,7 @@ import pytest
 from ballab import bigmath
 from ballab.bigmath import integer_kth_root, is_prime, prime_flags, primes_up_to, strip_prime
 from ballab.diophantine import _maybe_decompose, _power_hits
-from refmath import perfect_power_decompose
-
-
-def brute_power_decompose(n: int) -> tuple[int, int]:
-    """Oracle: scan every exponent and keep the largest one with an exact root."""
-    base, exponent = n, 1
-    for q in range(2, n.bit_length()):
-        r = integer_kth_root(n, q)
-        if r ** q == n:
-            base, exponent = r, q
-    return base, exponent
+from refmath import brute_power_decompose, perfect_power_decompose
 
 
 class TestValuation:

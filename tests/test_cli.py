@@ -31,6 +31,10 @@ def last_json_line(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
+# argparse's usage line at COLUMNS=80, which opens each usage error's stderr
+USAGE = "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
+
+
 class TestSeq:
     def test_balancing_prefix(self, capsys):
         code, out = run_cli(capsys, ["seq", "--kind", "balancing", "--from", "0", "--to", "5"])
@@ -459,8 +463,7 @@ class TestSearch:
         assert time.perf_counter() - started < 1.0
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
-            "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
-            f"ballab: error: --max-index must be <= {over - 1} for {eq}, got {over}\n")
+            USAGE + f"ballab: error: --max-index must be <= {over - 1} for {eq}, got {over}\n")
 
     @pytest.mark.parametrize("eq, flags", [
         ("sum-power", []), ("square-diff", ["--parity", "same"]),
@@ -798,8 +801,7 @@ def test_import_hygiene():
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {
         "pool": [], "new": [], "parsers": [],
-        "usage": [2, "usage: ballab [-h] {seq,term,verify,period,search,balancer} ...\n"
-                     "ballab: error: --max-index must be >= 1\n"]}
+        "usage": [2, USAGE + "ballab: error: --max-index must be >= 1\n"]}
 
 
 def test_import_freezes_what_it_allocated():
@@ -822,3 +824,23 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    ([], 2, USAGE + "ballab: error: the following arguments are required: command\n"),
+    (["search", "sum-power", "--max-index", "0"], 2,
+     USAGE + "ballab: error: --max-index must be >= 1\n"),
+    (["--help"], 0, ""),
+    (["balancer", "--value", "204"], 0, ""),
+    (["search", "sum-power", "--max-index=5"], 0, ""),
+], ids=["no-command", "handler-usage-error", "help", "fast-path", "argparse-route"])
+def test_console_entry_exit_codes(argv, code, stderr):
+    # A child process through console_main, whose sys.exit turns main's
+    # result into the exit code: argparse's own error and a handler's usage
+    # error exit 2 with argparse's text; help, and a run on the fast path
+    # and on the argparse route, exit 0.
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(ballab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ballab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, stderr)

@@ -269,7 +269,8 @@ def reference_divisor(k, primes):
 
 @pytest.mark.parametrize("primes", [SMALL_PRIMES, SMALL_PRIMES[1:]], ids=["all", "odd"])
 def test_divisor_table_matches_the_prime_scan(primes):
-    for hi in (0, 1, 2, 3, 198, 199, 4000):
+    # 40000: the largest table of a pair search, at its ceiling N = 2*10**4
+    for hi in (0, 1, 2, 3, 198, 199, 4000, 40000):
         assert _divisor_table(hi, primes) == [reference_divisor(k, primes)
                                               for k in range(hi + 1)], hi
 
@@ -288,21 +289,34 @@ def test_prior_term_divides_the_term(kind):
 
 
 # special-form's skip: the terms up to LONE_MAX, and bounds on both sides of
-# the last first index of B and Q (191's, at 95) and of P (191's, at 190)
+# the last first index of B and Q (191's, at 95) and of P (191's, at 190);
+# B and C, the kinds special-form searches, also to LONE_CEILING with p = 2
+# and 3, the bound at which tools/bench.py times special-form
 LONE_MAX = 2000
 LONE_BOUNDS = (0, 1, 2, 3, 94, 95, 189, 190, LONE_MAX)
+LONE_CEILING = 12000
+
+
+def lone_small_primes(v):
+    """The primes l <= 199 with l | v and l**2 not dividing v: one gcd finds them all."""
+    support = math.gcd(v, math.prod(SMALL_PRIMES))
+    return {ell for ell in SMALL_PRIMES if support % ell == 0 and v % ell ** 2 != 0}
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
 def test_lone_small_primes_match_trial_division(kind):
     # the index facts against the literal test: some prime l <= 199 other
     # than p with l | v and l**2 not dividing v, for every term to LONE_MAX
-    terms = values_up_to(kind, LONE_MAX)
-    lone = [{ell for ell in SMALL_PRIMES if v % ell == 0 and v % ell ** 2 != 0} for v in terms]
+    searched = kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING)
+    terms = values_up_to(kind, LONE_CEILING if searched else LONE_MAX)
+    lone = [lone_small_primes(v) for v in terms]
     for p in (2, 3, 5, 199, 211):
         for hi in LONE_BOUNDS:
             assert _lone_small(kind, terms[:hi + 1], p) == \
                 {n for n in range(hi + 1) if lone[n] - {p}}, (p, hi)
+    if searched:
+        for p in (2, 3):
+            assert _lone_small(kind, terms, p) == {n for n, ells in enumerate(lone) if ells - {p}}, p
 
 
 @pytest.mark.parametrize("rest, prior_rest, exponent", [

@@ -218,8 +218,10 @@ class TestSieve:
             assert default_sieve_moduli(q) == tuple(expected), q
 
     def test_default_moduli_match_their_definition(self):
-        # the literal definition by trial division, composite q included
-        for q in range(2, 3001):
+        # the literal definition by trial division: every q <= 3000, composite
+        # q included, and every prime q <= 13206, the root cap at the search
+        # ceiling N = 2*10**4
+        for q in itertools.chain(range(2, 3001), filter(is_prime, range(3001, 13207))):
             expected = tuple(itertools.islice(filter(is_prime, itertools.count(q + 1, q)), 8))
             assert default_sieve_moduli(q) == expected, q
         # q = 127's eighth modulus, 9907, lies past the first sieve the fill
