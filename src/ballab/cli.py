@@ -30,13 +30,12 @@ from . import __version__
 from .bigmath import is_prime
 from .diophantine import (
     COPRIME_ZERO_EXEMPT_NOTE,
+    EquationTag,
     Parity,
     SearchConfig,
-    search_cube_sum,
+    search_pair,
     search_product_form,
     search_special_form,
-    search_square_diff,
-    search_sum_power,
 )
 from .modular import period, residue_range
 from .sequences import SequenceKind, balancer, term, values_up_to
@@ -54,8 +53,7 @@ gc.freeze()
 SCHEMA_VERSION = 1
 
 _KINDS = {k.value: k for k in SequenceKind}
-_SEARCH_EQUATIONS = ("sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus",
-                     "special-form", "product-form")
+_SEARCH_EQUATIONS = (*(tag.value for tag in EquationTag), "special-form", "product-form")
 # is_prime trial-divides up to sqrt(--prime): about 23k steps at this ceiling,
 # 7.6*10**8 at 2**61 - 1
 MAX_PRIME = (1 << 31) - 1
@@ -419,12 +417,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
         coprime_zero_exempt=zero_exempt,
     )
 
-    if eq == "sum-power":
-        records = search_sum_power(cfg)
-    elif eq == "square-diff":
-        records = search_square_diff(cfg)
-    elif is_cube:
-        records = search_cube_sum(cfg, "+" if eq == "cube-sum-plus" else "-")
+    if is_pair_equation:
+        records = search_pair(EquationTag(eq), cfg)
     elif eq == "product-form":
         records = search_product_form(cfg)
     else:

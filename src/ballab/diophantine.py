@@ -183,16 +183,12 @@ class SolutionRecord(Value):
         self.exponent, self.family_min_exponent, self.bounds = (
             exponent, family_min_exponent, bounds)
 
-    @property
-    def is_family(self) -> bool:
-        return self.exponent is None
-
     def verify(self) -> bool:
         """Re-evaluate the equation for this record with direct arithmetic."""
         bn = term(SequenceKind.BALANCING, self.n)
         bm = term(SequenceKind.BALANCING, self.m)
         value = _pair_value(self.equation, bn, bm)
-        if self.is_family:
+        if self.exponent is None:
             return value == 1 and self.x == 1
         return self.x >= 1 and self.x ** self.exponent == value
 
@@ -546,7 +542,26 @@ def _product_visits(b: _Terms, c: _Terms):
     return _row_visits(((m, c, b, span) for m in span), c)
 
 
-def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
+# ---------------------------------------------------------------------------
+# public searchers
+#
+# Each one scans its indices in ascending order and the exponents of a hit in
+# ascending order, so records come out sorted with no sort step.
+
+
+def search_pair(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
+    """All hits of the pair equation tag = x**q over 0 <= m <= n <= max_index.
+
+    Only sum-power takes m = n.  Every other equation carries the coprimality
+    hypothesis, and the cube equations need min_exponent >= 3.  The parity
+    filter selects the index classes to scan; only sum-power's same-parity
+    class has a known complete solution list, so its other modes are
+    exploratory.
+    """
+    if tag is not EquationTag.SUM_POWER and not cfg.coprimality_required:
+        raise ValueError(f"{tag.value} carries the coprimality hypothesis")
+    if tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS) and cfg.min_exponent < 3:
+        raise ValueError(f"{tag.value} needs min_exponent >= 3")
     *tables, b = _pair_tables(tag, cfg)
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
@@ -558,41 +573,6 @@ def _run_pair_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord
                 for x, q in _power_hits(_maybe_decompose(value), cfg.min_exponent)]
 
     return _scan(_pair_visits(tag, cfg, *tables), solve)
-
-
-# ---------------------------------------------------------------------------
-# public searchers
-#
-# Each one scans its indices in ascending order and the exponents of a hit in
-# ascending order, so records come out sorted with no sort step.
-
-
-def search_sum_power(cfg: SearchConfig) -> list[SolutionRecord]:
-    """All hits of B_n + B_m = x**q over 0 <= m <= n <= max_index.
-
-    The parity filter selects the index classes to scan; only the same-parity
-    class has a known complete solution list, so other modes are exploratory.
-    """
-    return _run_pair_search(EquationTag.SUM_POWER, cfg)
-
-
-def search_square_diff(cfg: SearchConfig) -> list[SolutionRecord]:
-    """All hits of B_n**2 - B_m**2 = x**q over n > m >= 0 with coprime terms."""
-    if not cfg.coprimality_required:
-        raise ValueError("the square-difference equation carries the coprimality hypothesis")
-    return _run_pair_search(EquationTag.SQUARE_DIFF, cfg)
-
-
-def search_cube_sum(cfg: SearchConfig, sign: str) -> list[SolutionRecord]:
-    """All hits of B_n**3 +/- B_m**3 = x**q over n > m >= 0 with coprime terms."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if cfg.min_exponent < 3:
-        raise ValueError("the cube equation needs min_exponent >= 3")
-    if not cfg.coprimality_required:
-        raise ValueError("the cube equation carries the coprimality hypothesis")
-    tag = EquationTag.CUBE_SUM_PLUS if sign == "+" else EquationTag.CUBE_SUM_MINUS
-    return _run_pair_search(tag, cfg)
 
 
 def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[SpecialFormRecord]:

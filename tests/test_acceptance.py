@@ -18,11 +18,9 @@ from ballab.diophantine import (
     SearchConfig,
     _maybe_decompose,
     oracle_search,
-    search_cube_sum,
+    search_pair,
     search_product_form,
     search_special_form,
-    search_square_diff,
-    search_sum_power,
 )
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import check_closed_form, check_mod9_table, check_two_adic, identity_suite
@@ -41,7 +39,7 @@ def solutions(records):
 def test_01_sum_power_reproduction(capsys):
     started = time.perf_counter()
     cfg = SearchConfig(max_index=150, min_exponent=2, parity_filter=Parity.SAME)
-    records = search_sum_power(cfg)
+    records = search_pair(EquationTag.SUM_POWER, cfg)
     elapsed = time.perf_counter() - started
     assert solutions(records) == [(3, 1, 6, 2, None)]
     assert elapsed < 10.0
@@ -59,7 +57,7 @@ def test_01_sum_power_reproduction(capsys):
 def test_02_square_diff_reproduction():
     started = time.perf_counter()
     cfg = SearchConfig(max_index=120, coprimality_required=True, coprime_zero_exempt=True)
-    records = search_square_diff(cfg)
+    records = search_pair(EquationTag.SQUARE_DIFF, cfg)
     elapsed = time.perf_counter() - started
     assert solutions(records) == [(1, 0, 1, None, 2), (2, 0, 6, 2, None)]
     assert elapsed < 10.0
@@ -70,8 +68,8 @@ def test_03_cube_sum_reproduction():
     started = time.perf_counter()
     cfg = SearchConfig(max_index=100, min_exponent=3, coprimality_required=True,
                        coprime_zero_exempt=False)
-    plus = search_cube_sum(cfg, "+")
-    minus = search_cube_sum(cfg, "-")
+    plus = search_pair(EquationTag.CUBE_SUM_PLUS, cfg)
+    minus = search_pair(EquationTag.CUBE_SUM_MINUS, cfg)
     elapsed = time.perf_counter() - started
     assert solutions(plus) == [(1, 0, 1, None, 3)]
     assert solutions(minus) == [(1, 0, 1, None, 3)]
@@ -136,21 +134,17 @@ def test_08_modular_laws():
 
 def test_09_oracle_equivalence():
     started = time.perf_counter()
+    cube = SearchConfig(max_index=40, min_exponent=3, coprimality_required=True,
+                        coprime_zero_exempt=False)
     setups = [
-        (EquationTag.SUM_POWER, search_sum_power,
-         SearchConfig(max_index=40, parity_filter=Parity.SAME)),
-        (EquationTag.SUM_POWER, search_sum_power, SearchConfig(max_index=40)),
-        (EquationTag.SQUARE_DIFF, search_square_diff,
-         SearchConfig(max_index=40, coprimality_required=True)),
-        (EquationTag.CUBE_SUM_PLUS, lambda c: search_cube_sum(c, "+"),
-         SearchConfig(max_index=40, min_exponent=3, coprimality_required=True,
-                      coprime_zero_exempt=False)),
-        (EquationTag.CUBE_SUM_MINUS, lambda c: search_cube_sum(c, "-"),
-         SearchConfig(max_index=40, min_exponent=3, coprimality_required=True,
-                      coprime_zero_exempt=False)),
+        (EquationTag.SUM_POWER, SearchConfig(max_index=40, parity_filter=Parity.SAME)),
+        (EquationTag.SUM_POWER, SearchConfig(max_index=40)),
+        (EquationTag.SQUARE_DIFF, SearchConfig(max_index=40, coprimality_required=True)),
+        (EquationTag.CUBE_SUM_PLUS, cube),
+        (EquationTag.CUBE_SUM_MINUS, cube),
     ]
-    for tag, fn, cfg in setups:
-        fast = canonical_json([r.to_dict() for r in fn(cfg)])
+    for tag, cfg in setups:
+        fast = canonical_json([r.to_dict() for r in search_pair(tag, cfg)])
         slow = canonical_json([r.to_dict() for r in oracle_search(tag, cfg)])
         assert fast == slow, f"{tag.value} diverges from the oracle"
     elapsed = time.perf_counter() - started

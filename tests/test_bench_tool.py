@@ -23,6 +23,7 @@ def test_tiny_tier_alternates_two_trees_and_matches_the_contract():
     for rec in result["runs"]:
         assert rec["exit"] == 0 and rec["digest_match"] is True, rec
         assert rec["wall_s"] > 0 and rec["cpu_s"] > 0 and rec["vmhwm_kb"] > 1000, rec
+        assert type(rec["runtime_ms"]) is int and rec["runtime_ms"] >= 0, rec
 
 
 def test_ci_tier_is_the_contracts_search_lines_and_the_large_special_form():
@@ -48,4 +49,4 @@ def test_a_killed_child_records_no_peak(tmp_path, monkeypatch):
     (tmp_path / "vmhwm").write_text("123456")
     monkeypatch.setattr(bench, "_CHILD", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
     record = bench.run_once(ROOT, ["--version"], None, tmp_path)
-    assert record["exit"] == -9 and record["vmhwm_kb"] is None
+    assert record["exit"] == -9 and record["vmhwm_kb"] is None and record["runtime_ms"] is None

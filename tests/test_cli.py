@@ -365,7 +365,7 @@ class TestSearch:
 
     def test_claims_mismatch_exits_one(self, capsys, monkeypatch):
         # a search that misses the published solution: the verdict says so
-        monkeypatch.setattr(cli, "search_sum_power", lambda cfg: [])
+        monkeypatch.setattr(cli, "search_pair", lambda tag, cfg: [])
         code, out = run_cli(capsys, ["search", "sum-power", "--parity", "same",
                                      "--max-index", "5"])
         assert code == 1
@@ -474,8 +474,7 @@ class TestSearch:
     def test_max_index_at_ceiling_is_accepted(self, capsys, monkeypatch, eq, flags):
         # the searches are stubbed: only the bound check runs (flags that
         # attach no claims block, which an empty result would not match)
-        for name in ("search_sum_power", "search_square_diff", "search_cube_sum",
-                     "search_product_form", "search_special_form"):
+        for name in ("search_pair", "search_product_form", "search_special_form"):
             monkeypatch.setattr(cli, name, lambda *args: [])
         ceiling = cli.MAX_SEARCH_INDEX[eq]
         code, out = run_cli(capsys, ["search", eq, "--max-index", str(ceiling), *flags])

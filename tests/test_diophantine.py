@@ -19,11 +19,9 @@ from ballab.diophantine import (
     _power_hits,
     _verified,
     oracle_search,
-    search_cube_sum,
+    search_pair,
     search_product_form,
     search_special_form,
-    search_square_diff,
-    search_sum_power,
 )
 from ballab.modular import power_residue_sieve
 from ballab.sequences import SequenceKind, values_up_to
@@ -71,28 +69,28 @@ class TestSolutionRecord:
 class TestSumPower:
     def test_same_parity_only_known_solution(self):
         cfg = SearchConfig(max_index=40, parity_filter=Parity.SAME)
-        assert solutions(search_sum_power(cfg)) == [(3, 1, 6, 2, None)]
+        assert solutions(search_pair(EquationTag.SUM_POWER, cfg)) == [(3, 1, 6, 2, None)]
 
     def test_tiny_bound_is_empty(self):
         cfg = SearchConfig(max_index=1, parity_filter=Parity.SAME)
-        assert search_sum_power(cfg) == []
+        assert search_pair(EquationTag.SUM_POWER, cfg) == []
 
     def test_opposite_parity_exploratory(self):
         cfg = SearchConfig(max_index=60, parity_filter=Parity.OPPOSITE)
-        recs = search_sum_power(cfg)
+        recs = search_pair(EquationTag.SUM_POWER, cfg)
         assert (1, 0, 1, None, 2) in solutions(recs)
         assert all(r.verify() for r in recs)
 
     def test_any_parity_includes_both_classes(self):
         cfg = SearchConfig(max_index=40)
-        got = solutions(search_sum_power(cfg))
+        got = solutions(search_pair(EquationTag.SUM_POWER, cfg))
         assert (3, 1, 6, 2, None) in got and (1, 0, 1, None, 2) in got
 
 
 class TestSquareDiff:
     def test_known_solutions(self):
         cfg = SearchConfig(max_index=40, coprimality_required=True)
-        assert solutions(search_square_diff(cfg)) == [
+        assert solutions(search_pair(EquationTag.SQUARE_DIFF, cfg)) == [
             (1, 0, 1, None, 2),
             (2, 0, 6, 2, None),
         ]
@@ -100,34 +98,32 @@ class TestSquareDiff:
     def test_strict_zero_convention_drops_the_six(self):
         cfg = SearchConfig(max_index=40, coprimality_required=True,
                            coprime_zero_exempt=False)
-        assert solutions(search_square_diff(cfg)) == [(1, 0, 1, None, 2)]
-
-    def test_requires_coprimality(self):
-        with pytest.raises(ValueError):
-            search_square_diff(SearchConfig(max_index=10))
+        assert solutions(search_pair(EquationTag.SQUARE_DIFF, cfg)) == [(1, 0, 1, None, 2)]
 
 
 class TestCubeSum:
-    @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_known_solutions(self, sign):
+    @pytest.mark.parametrize("tag", [EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS],
+                             ids=lambda t: t.value)
+    def test_known_solutions(self, tag):
         cfg = SearchConfig(max_index=40, min_exponent=3, coprimality_required=True,
                            coprime_zero_exempt=False)
-        assert solutions(search_cube_sum(cfg, sign)) == [(1, 0, 1, None, 3)]
+        assert solutions(search_pair(tag, cfg)) == [(1, 0, 1, None, 3)]
 
-    def test_rejects_small_exponent(self):
-        cfg = SearchConfig(max_index=10, min_exponent=2, coprimality_required=True)
-        with pytest.raises(ValueError):
-            search_cube_sum(cfg, "+")
 
-    def test_rejects_bad_sign(self):
-        cfg = SearchConfig(max_index=10, min_exponent=3, coprimality_required=True)
-        with pytest.raises(ValueError):
-            search_cube_sum(cfg, "*")
-
-    def test_requires_coprimality(self):
-        cfg = SearchConfig(max_index=10, min_exponent=3)
-        with pytest.raises(ValueError):
-            search_cube_sum(cfg, "-")
+# Every pair equation but sum-power carries the coprimality hypothesis, and
+# the cube equations need q >= 3; each case breaks exactly one of the two.
+@pytest.mark.parametrize("tag, min_exp, coprime, refusal", [
+    (EquationTag.SQUARE_DIFF, 3, False, "coprimality"),
+    (EquationTag.CUBE_SUM_PLUS, 3, False, "coprimality"),
+    (EquationTag.CUBE_SUM_MINUS, 3, False, "coprimality"),
+    (EquationTag.CUBE_SUM_PLUS, 2, True, "min_exponent >= 3"),
+    (EquationTag.CUBE_SUM_MINUS, 2, True, "min_exponent >= 3"),
+], ids=["square-diff-not-coprime", "cube-sum-plus-not-coprime", "cube-sum-minus-not-coprime",
+        "cube-sum-plus-q2", "cube-sum-minus-q2"])
+def test_pair_search_refuses_settings_outside_its_hypotheses(tag, min_exp, coprime, refusal):
+    cfg = SearchConfig(max_index=10, min_exponent=min_exp, coprimality_required=coprime)
+    with pytest.raises(ValueError, match=refusal):
+        search_pair(tag, cfg)
 
 
 class TestSpecialForm:
@@ -197,28 +193,28 @@ class TestSearchMechanics:
         # the residue sieve only rejects non-powers: with it passing everything,
         # the exact roots alone give the same records
         configs = [
-            (search_sum_power, SearchConfig(max_index=50)),
-            (search_square_diff, SearchConfig(max_index=40, coprimality_required=True)),
+            (EquationTag.SUM_POWER, SearchConfig(max_index=50)),
+            (EquationTag.SQUARE_DIFF, SearchConfig(max_index=40, coprimality_required=True)),
         ]
-        sieved = [solutions(fn(cfg)) for fn, cfg in configs]
+        sieved = [solutions(search_pair(tag, cfg)) for tag, cfg in configs]
         monkeypatch.setattr(diophantine, "power_residue_sieve", lambda value, q: True)
-        assert [solutions(fn(cfg)) for fn, cfg in configs] == sieved
+        assert [solutions(search_pair(tag, cfg)) for tag, cfg in configs] == sieved
 
     def test_monotone_in_max_index(self):
         small = SearchConfig(max_index=20, parity_filter=Parity.SAME)
         large = SearchConfig(max_index=40, parity_filter=Parity.SAME)
-        got_small = set(solutions(search_sum_power(small)))
-        got_large = set(solutions(search_sum_power(large)))
+        got_small = set(solutions(search_pair(EquationTag.SUM_POWER, small)))
+        got_large = set(solutions(search_pair(EquationTag.SUM_POWER, large)))
         assert got_small <= got_large
 
     def test_monotone_in_min_exponent(self):
         lo = SearchConfig(max_index=30, coprimality_required=True, min_exponent=2)
         hi = SearchConfig(max_index=30, coprimality_required=True, min_exponent=3)
-        lo_recs = search_square_diff(lo)
-        for r in search_square_diff(hi):
-            if r.is_family:
+        lo_recs = search_pair(EquationTag.SQUARE_DIFF, lo)
+        for r in search_pair(EquationTag.SQUARE_DIFF, hi):
+            if r.exponent is None:
                 # the family survives with a lower threshold
-                assert any(s.is_family and (s.n, s.m, s.x) == (r.n, r.m, r.x)
+                assert any(s.exponent is None and (s.n, s.m, s.x) == (r.n, r.m, r.x)
                            and s.family_min_exponent <= r.family_min_exponent
                            for s in lo_recs)
             else:
@@ -344,15 +340,6 @@ def _cube_cfg(max_index):
                         coprime_zero_exempt=False)
 
 
-# tag -> the search for that equation
-PAIR_SEARCHES = {
-    EquationTag.SUM_POWER: search_sum_power,
-    EquationTag.SQUARE_DIFF: search_square_diff,
-    EquationTag.CUBE_SUM_PLUS: lambda cfg: search_cube_sum(cfg, "+"),
-    EquationTag.CUBE_SUM_MINUS: lambda cfg: search_cube_sum(cfg, "-"),
-}
-
-
 def every_setting(tag, max_index):
     """Each parity x coprime x zero-exempt x min-exp in {2, 3, 4} the search accepts."""
     for parity, coprime, zero_exempt, min_exp in itertools.product(
@@ -368,13 +355,12 @@ def every_setting(tag, max_index):
 GATE_BOUNDS = (1, 2, 3, 13, 150)
 
 
-@pytest.mark.parametrize("tag", list(PAIR_SEARCHES), ids=lambda t: t.value)
+@pytest.mark.parametrize("tag", list(EquationTag), ids=lambda t: t.value)
 def test_pair_search_matches_reference_scan_in_every_setting(tag):
-    search = PAIR_SEARCHES[tag]
     power_test = remembered(_maybe_decompose)
     for max_index in GATE_BOUNDS:
         for cfg in every_setting(tag, max_index):
-            assert as_json(search(cfg)) == \
+            assert as_json(search_pair(tag, cfg)) == \
                 as_json(reference_pair_search(tag, cfg, power_test)), cfg
 
 
@@ -404,7 +390,7 @@ def test_search_matches_reference_scan_at_large_bound(tag, cfg):
     if tag is None:
         assert as_json(search_product_form(cfg)) == as_json(reference_product_search(cfg))
     else:
-        assert as_json(PAIR_SEARCHES[tag](cfg)) == as_json(reference_pair_search(tag, cfg))
+        assert as_json(search_pair(tag, cfg)) == as_json(reference_pair_search(tag, cfg))
 
 
 @pytest.mark.parametrize("kind", [SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING],
@@ -420,25 +406,25 @@ def test_special_form_matches_reference_scan(kind):
                 as_json(reference_special_form_search(kind, p, cfg, power_test)), (p, cfg)
 
 
-def _against_reference_scan(search, tag, cfg):
+def _against_reference_scan(tag, cfg):
+    """The pair search for tag (product-form for None) at cfg, and the
+    reference scan running the earlier power test."""
     if tag is None:
-        return lambda: search(cfg), lambda: reference_product_search(cfg, reference_power_test)
-    return lambda: search(cfg), lambda: reference_pair_search(tag, cfg, reference_power_test)
+        return (lambda: search_product_form(cfg),
+                lambda: reference_product_search(cfg, reference_power_test))
+    return (lambda: search_pair(tag, cfg),
+            lambda: reference_pair_search(tag, cfg, reference_power_test))
 
 
 # name -> (search, the reference scan running the earlier power test, or None)
 POWER_TEST_SEARCHES = {
     "sum-power-any-150": _against_reference_scan(
-        search_sum_power, EquationTag.SUM_POWER, SearchConfig(max_index=150)),
+        EquationTag.SUM_POWER, SearchConfig(max_index=150)),
     "square-diff-100": _against_reference_scan(
-        search_square_diff, EquationTag.SQUARE_DIFF,
-        SearchConfig(max_index=100, coprimality_required=True)),
-    "cube-sum-plus-100": _against_reference_scan(
-        PAIR_SEARCHES[EquationTag.CUBE_SUM_PLUS], EquationTag.CUBE_SUM_PLUS, _cube_cfg(100)),
-    "cube-sum-minus-100": _against_reference_scan(
-        PAIR_SEARCHES[EquationTag.CUBE_SUM_MINUS], EquationTag.CUBE_SUM_MINUS, _cube_cfg(100)),
-    "product-form-100": _against_reference_scan(
-        search_product_form, None, SearchConfig(max_index=100)),
+        EquationTag.SQUARE_DIFF, SearchConfig(max_index=100, coprimality_required=True)),
+    **{f"{tag.value}-100": _against_reference_scan(tag, _cube_cfg(100))
+       for tag in (EquationTag.CUBE_SUM_PLUS, EquationTag.CUBE_SUM_MINUS)},
+    "product-form-100": _against_reference_scan(None, SearchConfig(max_index=100)),
     **{f"special-form-{kind.value}-{p}-600":
        (lambda kind=kind, p=p: search_special_form(kind, p, SearchConfig(max_index=600)), None)
        for kind in (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING) for p in (2, 3)},
@@ -502,7 +488,7 @@ def test_searches_read_their_sieve_moduli_off_the_prime_sieve(monkeypatch):
     # division of q + 1, 2q + 1, ...
     calls = _count_is_prime(monkeypatch)
     assert search_product_form(SearchConfig(max_index=98))
-    assert search_sum_power(SearchConfig(max_index=150))
+    assert search_pair(EquationTag.SUM_POWER, SearchConfig(max_index=150))
     assert calls == []
 
 
@@ -516,7 +502,7 @@ def test_sum_power_search_strips_no_prime_one_at_a_time(monkeypatch):
         return strip_prime(p, n)
 
     monkeypatch.setattr(diophantine, "strip_prime", counting_strip_prime)
-    assert search_sum_power(SearchConfig(max_index=150))
+    assert search_pair(EquationTag.SUM_POWER, SearchConfig(max_index=150))
     assert calls == []
 
 
@@ -527,24 +513,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("max_index", [5, 25])
     def test_equivalence_all_tags(self, max_index):
-        setups = [
-            (EquationTag.SUM_POWER, search_sum_power,
-             SearchConfig(max_index=max_index, parity_filter=Parity.SAME)),
-            (EquationTag.SUM_POWER, search_sum_power,
-             SearchConfig(max_index=max_index)),
-            (EquationTag.SQUARE_DIFF, search_square_diff,
-             SearchConfig(max_index=max_index, coprimality_required=True)),
-            (EquationTag.CUBE_SUM_PLUS, lambda c: search_cube_sum(c, "+"),
-             SearchConfig(max_index=max_index, min_exponent=3,
-                          coprimality_required=True, coprime_zero_exempt=False)),
-            (EquationTag.CUBE_SUM_MINUS, lambda c: search_cube_sum(c, "-"),
-             SearchConfig(max_index=max_index, min_exponent=3,
-                          coprimality_required=True, coprime_zero_exempt=False)),
-        ]
-        for tag, fn, cfg in setups:
-            fast = canonical_json([r.to_dict() for r in fn(cfg)])
-            slow = canonical_json([r.to_dict() for r in oracle_search(tag, cfg)])
-            assert fast == slow, f"{tag} diverges at max_index={max_index}"
+        for tag in EquationTag:
+            for cfg in every_setting(tag, max_index):
+                fast = canonical_json([r.to_dict() for r in search_pair(tag, cfg)])
+                slow = canonical_json([r.to_dict() for r in oracle_search(tag, cfg)])
+                assert fast == slow, f"{tag} diverges at {cfg}"
 
 
 # ---------------------------------------------------------------------------

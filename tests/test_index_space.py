@@ -573,7 +573,7 @@ def test_cube_forms_split_m_zero_only_into_rest_one_factors(tag):
     seen = set()
     for cfg in every_visit_setting(tag):
         if not cfg.coprimality_required or cfg.min_exponent < 3:
-            continue  # settings search_cube_sum refuses
+            continue  # settings search_pair refuses
         for n, m, x, y, _ in visits(tag, cfg):
             if m == 0:
                 assert x.rest == y.rest == 1, (cfg, n)

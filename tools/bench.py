@@ -12,6 +12,10 @@ the machine's speed hits both sides alike.  Per run it records
 - ``vmhwm_kb``: the child's peak resident set, ``VmHWM`` read by the child
   itself at exit (``ru_maxrss`` would carry the parent's peak across exec),
   or null if the child wrote none (killed before its exit);
+- ``runtime_ms``: the command's own time, from ``runtime_ms`` in the JSON
+  object on the child's last stdout line, or null if that line holds none:
+  the search time without the interpreter's start-up, which ``wall_s``
+  includes;
 - ``exit`` and ``digest_match``: whether stdout without ``runtime_ms`` and
   ``timings_ms`` and stderr hash as the output contract
   (``tests/output_contract*.jsonl``) pins that line, or null for a line the
@@ -91,7 +95,17 @@ def run_once(tree: Path, argv: list[str], pinned: dict | None, workdir: Path) ->
     peak = hwm.read_text() if hwm.exists() else ""
     return {"argv": argv, "wall_s": round(wall, 4),
             "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
-            "vmhwm_kb": int(peak) if peak else None, "exit": code, "digest_match": match}
+            "vmhwm_kb": int(peak) if peak else None, "runtime_ms": _runtime_ms(stdout),
+            "exit": code, "digest_match": match}
+
+
+def _runtime_ms(stdout: str) -> int | None:
+    """runtime_ms of the JSON object on stdout's last line, or None."""
+    try:
+        summary = json.loads(stdout.rstrip("\n").rpartition("\n")[2])
+    except ValueError:
+        return None
+    return summary.get("runtime_ms") if isinstance(summary, dict) else None
 
 
 def _git_commit(tree: Path) -> str | None:
