@@ -327,7 +327,8 @@ def _cmd_balancer(args: SimpleNamespace) -> int:
 
 
 # The published solution sets: per equation, the summary config values its
-# statement assumes and its expected records, the largest n its least bound.
+# statement assumes (also the search's defaults) and its expected records,
+# the largest n its least bound.
 _PUBLISHED = dict.fromkeys(("cube-sum-plus", "cube-sum-minus"), (
     {"parity_filter": "any", "coprimality_required": True, "coprime_zero_exempt": False,
      "min_exponent": 3}, [{"n": 1, "m": 0, "x": "1", "q_family_min": 3}])) | {
@@ -368,20 +369,22 @@ def _claims_block(config: dict, records: list[dict]) -> dict | None:
 def _cmd_search(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     eq = args.equation
-    is_cube = eq in ("cube-sum-plus", "cube-sum-minus")
-    needs_coprime = is_cube or eq == "square-diff"
+    # the hypotheses of eq's published row are its defaults
+    assumed = _PUBLISHED.get(eq, ({},))[0]
+    needs_coprime = assumed.get("coprimality_required", False)
 
     if args.max_index < 1:
         raise UsageError("--max-index must be >= 1")
     if args.max_index > MAX_SEARCH_INDEX[eq]:
         raise UsageError(f"--max-index must be <= {MAX_SEARCH_INDEX[eq]} for {eq}, "
                          f"got {args.max_index}")
-    min_exp = args.min_exp if args.min_exp is not None else (3 if is_cube else 2)
+    least = assumed.get("min_exponent", 2)
+    min_exp = args.min_exp if args.min_exp is not None else least
     if min_exp < 2:
         raise UsageError("--min-exp must be >= 2")
-    if is_cube and min_exp < 3:
-        raise UsageError(f"{eq} requires --min-exp >= 3")
-    is_pair_equation = is_cube or eq in ("sum-power", "square-diff")
+    if min_exp < least:
+        raise UsageError(f"{eq} requires --min-exp >= {least}")
+    is_pair_equation = eq in {tag.value for tag in EquationTag}
     if not is_pair_equation:
         for flag, value in (("--parity", args.parity), ("--coprime", args.coprime),
                             ("--coprime-zero-exempt", args.coprime_zero_exempt)):
@@ -390,12 +393,10 @@ def _cmd_search(args: SimpleNamespace) -> int:
     if needs_coprime and args.coprime is False:
         raise UsageError(f"{eq} carries the coprimality hypothesis; --no-coprime is inconsistent")
     coprime = args.coprime if args.coprime is not None else needs_coprime
-    if args.coprime_zero_exempt is not None:
-        zero_exempt = args.coprime_zero_exempt
-    else:
-        # cube equations use the literal gcd test; the exemption exists for
-        # the square-difference solution list (see COPRIME_ZERO_EXEMPT_NOTE)
-        zero_exempt = not is_cube
+    # the cube rows use the literal gcd test; the exemption exists for the
+    # square-difference solution list (see COPRIME_ZERO_EXEMPT_NOTE)
+    zero_exempt = (args.coprime_zero_exempt if args.coprime_zero_exempt is not None
+                   else assumed.get("coprime_zero_exempt", True))
     if eq == "special-form":
         if args.kind is None:
             raise UsageError("special-form requires --kind")
@@ -404,10 +405,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
             raise UsageError(f"--prime must be <= {MAX_PRIME} (2^31 - 1), got {prime}")
         if not is_prime(prime):
             raise UsageError(f"--prime must be prime, got {prime}")
-    else:
-        if args.kind is not None or args.prime is not None:
-            raise UsageError("--kind/--prime only apply to special-form")
-        prime = None
+    elif args.kind is not None or args.prime is not None:
+        raise UsageError("--kind/--prime only apply to special-form")
 
     cfg = SearchConfig(
         max_index=args.max_index,
@@ -417,22 +416,19 @@ def _cmd_search(args: SimpleNamespace) -> int:
         coprime_zero_exempt=zero_exempt,
     )
 
+    config = cfg.to_dict() | {"equation": eq}
     if is_pair_equation:
         records = search_pair(EquationTag(eq), cfg)
     elif eq == "product-form":
         records = search_product_form(cfg)
     else:
+        config |= {"kind": args.kind, "prime": prime}
         records = search_special_form(_KINDS[args.kind], prime, cfg)
 
     records = [rec.to_dict() for rec in records]
     for rec in records:
         print(canonical_json(rec))
 
-    config = cfg.to_dict()
-    config["equation"] = eq
-    if eq == "special-form":
-        config["kind"] = args.kind
-        config["prime"] = prime
     claims = _claims_block(config, records)
     summary = _report("search", config, [], started)
     del summary["results"]

@@ -103,8 +103,10 @@ least r with l | U_r) divides l - 1 or l + 1, 2 has rank 2, and a second
 kind's k is half its U's rank.  The largest are 95 for B and Q, 41 for C
 and 190 for P.  The scan skips those terms and strips p off the others.
 
-x = 1 satisfies any exponent, so those hits are emitted once as an exponent
-family (all q >= the configured minimum) instead of infinitely many tuples.
+x = 1 satisfies any exponent, so value 1 (rest 1 for special-form) is one
+hit, (1, min_exponent), standing for the exponent family q >= min_exponent;
+every other hit has x >= 2.  A record with x = 1 is that family, written
+with the key q_family_min (b_family_min) in place of q (b).
 """
 
 from __future__ import annotations
@@ -166,69 +168,45 @@ class SearchConfig(Value):
 
 
 class SolutionRecord(Value):
-    """One solution tuple (n, m, x, q), exact or as an exponent family.
+    """One solution (n, m, x, q); x = 1 stands for every exponent >= q."""
 
-    Exactly one of exponent / family_min_exponent is set.  Family records
-    arise only for x = 1 (value 1 is x**q for every q) and stand for all
-    exponents q >= family_min_exponent.
-    """
+    __slots__ = ("equation", "n", "m", "x", "exponent", "bounds")
 
-    __slots__ = ("equation", "n", "m", "x", "exponent", "family_min_exponent", "bounds")
-
-    def __init__(self, equation: EquationTag, n: int, m: int, x: int, exponent: int | None,
-                 family_min_exponent: int | None, bounds: SearchConfig) -> None:
-        if (exponent is None) == (family_min_exponent is None):
-            raise ValueError("exactly one of exponent / family_min_exponent must be set")
+    def __init__(self, equation: EquationTag, n: int, m: int, x: int, exponent: int,
+                 bounds: SearchConfig) -> None:
         self.equation, self.n, self.m, self.x = equation, n, m, x
-        self.exponent, self.family_min_exponent, self.bounds = (
-            exponent, family_min_exponent, bounds)
+        self.exponent, self.bounds = exponent, bounds
 
     def verify(self) -> bool:
         """Re-evaluate the equation for this record with direct arithmetic."""
         bn = term(SequenceKind.BALANCING, self.n)
         bm = term(SequenceKind.BALANCING, self.m)
-        value = _pair_value(self.equation, bn, bm)
-        if self.exponent is None:
-            return value == 1 and self.x == 1
-        return self.x >= 1 and self.x ** self.exponent == value
+        return self.x >= 1 and self.x ** self.exponent == _pair_value(self.equation, bn, bm)
 
     def to_dict(self) -> dict:
-        d: dict = {"equation": self.equation.value, "n": self.n, "m": self.m,
-                   "x": str(self.x)}
-        if self.exponent is not None:
-            d["q"] = self.exponent
-        else:
-            d["q_family_min"] = self.family_min_exponent
-        d["bounds"] = self.bounds.to_dict()
-        return d
+        return {"equation": self.equation.value, "n": self.n, "m": self.m, "x": str(self.x),
+                "q_family_min" if self.x == 1 else "q": self.exponent,
+                "bounds": self.bounds.to_dict()}
 
 
 class SpecialFormRecord(Value):
-    """Index n where the sequence term equals prime**s * x**b."""
+    """Index n whose term equals prime**s * x**b; x = 1 stands for every exponent >= b."""
 
-    __slots__ = ("kind", "prime", "n", "prime_exponent", "x", "exponent",
-                 "family_min_exponent")
+    __slots__ = ("kind", "prime", "n", "prime_exponent", "x", "exponent")
 
     def __init__(self, kind: SequenceKind, prime: int, n: int, prime_exponent: int, x: int,
-                 exponent: int | None, family_min_exponent: int | None) -> None:
+                 exponent: int) -> None:
         self.kind, self.prime, self.n, self.prime_exponent = kind, prime, n, prime_exponent
-        self.x, self.exponent, self.family_min_exponent = x, exponent, family_min_exponent
+        self.x, self.exponent = x, exponent
 
     def verify(self) -> bool:
-        value = term(self.kind, self.n)
         lead = self.prime ** self.prime_exponent
-        if self.exponent is None:
-            return self.x == 1 and value == lead
-        return value == lead * self.x ** self.exponent
+        return term(self.kind, self.n) == lead * self.x ** self.exponent
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind.value, "prime": self.prime, "n": self.n,
-                   "s": self.prime_exponent, "x": str(self.x)}
-        if self.exponent is not None:
-            d["b"] = self.exponent
-        else:
-            d["b_family_min"] = self.family_min_exponent
-        return d
+        return {"kind": self.kind.value, "prime": self.prime, "n": self.n,
+                "s": self.prime_exponent, "x": str(self.x),
+                "b_family_min" if self.x == 1 else "b": self.exponent}
 
 
 class ProductFormRecord(Value):
@@ -566,11 +544,9 @@ def search_pair(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
         value = _pair_value(tag, b[n], b[m])
-        if value == 1:
-            return [SolutionRecord(tag, n, m, x=1, exponent=None,
-                                   family_min_exponent=cfg.min_exponent, bounds=cfg)]
-        return [SolutionRecord(tag, n, m, x=x, exponent=q, family_min_exponent=None, bounds=cfg)
-                for x, q in _power_hits(_maybe_decompose(value), cfg.min_exponent)]
+        hits = [(1, cfg.min_exponent)] if value == 1 else _power_hits(
+            _maybe_decompose(value), cfg.min_exponent)
+        return [SolutionRecord(tag, n, m, x, q, cfg) for x, q in hits]
 
     return _scan(_pair_visits(tag, cfg, *tables), solve)
 
@@ -593,13 +569,9 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
         if n in lone:
             continue
         s, rest = strip_prime(p, vals[n])
-        if rest == 1:
-            out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,
-                                         family_min_exponent=cfg.min_exponent))
-            continue
-        for x, b in _power_hits(_maybe_decompose(rest), cfg.min_exponent):
-            out.append(SpecialFormRecord(kind, p, n, s, x=x, exponent=b,
-                                         family_min_exponent=None))
+        hits = [(1, cfg.min_exponent)] if rest == 1 else _power_hits(
+            _maybe_decompose(rest), cfg.min_exponent)
+        out += [SpecialFormRecord(kind, p, n, s, x, b) for x, b in hits]
     return _verified(out)
 
 
@@ -650,13 +622,8 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
             value = _pair_value(tag, b[n], b[m])
             if value <= 0:
                 continue
-            if value == 1:
-                out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
-                                          family_min_exponent=cfg.min_exponent, bounds=cfg))
-                continue
-            for q in range(cfg.min_exponent, value.bit_length()):
-                r = integer_kth_root(value, q)
-                if r ** q == value:
-                    out.append(SolutionRecord(tag, n, m, x=r, exponent=q,
-                                              family_min_exponent=None, bounds=cfg))
+            qs = range(cfg.min_exponent, value.bit_length())
+            hits = [(1, cfg.min_exponent)] if value == 1 else [
+                (integer_kth_root(value, q), q) for q in qs]
+            out += [SolutionRecord(tag, n, m, x, q, cfg) for x, q in hits if x ** q == value]
     return out

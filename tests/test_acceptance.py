@@ -33,7 +33,7 @@ def report(criterion, elapsed=None):
 
 
 def solutions(records):
-    return [(r.n, r.m, r.x, r.exponent, r.family_min_exponent) for r in records]
+    return [(r.n, r.m, r.x, r.exponent) for r in records]
 
 
 def test_01_sum_power_reproduction(capsys):
@@ -41,7 +41,7 @@ def test_01_sum_power_reproduction(capsys):
     cfg = SearchConfig(max_index=150, min_exponent=2, parity_filter=Parity.SAME)
     records = search_pair(EquationTag.SUM_POWER, cfg)
     elapsed = time.perf_counter() - started
-    assert solutions(records) == [(3, 1, 6, 2, None)]
+    assert solutions(records) == [(3, 1, 6, 2)]
     assert elapsed < 10.0
     # the CLI gate agrees and reports the bound in its claims block
     code = cli_main(["search", "sum-power", "--parity", "same",
@@ -59,7 +59,7 @@ def test_02_square_diff_reproduction():
     cfg = SearchConfig(max_index=120, coprimality_required=True, coprime_zero_exempt=True)
     records = search_pair(EquationTag.SQUARE_DIFF, cfg)
     elapsed = time.perf_counter() - started
-    assert solutions(records) == [(1, 0, 1, None, 2), (2, 0, 6, 2, None)]
+    assert solutions(records) == [(1, 0, 1, 2), (2, 0, 6, 2)]
     assert elapsed < 10.0
     report("02 square-diff = x^q, n <= 120", elapsed)
 
@@ -71,8 +71,8 @@ def test_03_cube_sum_reproduction():
     plus = search_pair(EquationTag.CUBE_SUM_PLUS, cfg)
     minus = search_pair(EquationTag.CUBE_SUM_MINUS, cfg)
     elapsed = time.perf_counter() - started
-    assert solutions(plus) == [(1, 0, 1, None, 3)]
-    assert solutions(minus) == [(1, 0, 1, None, 3)]
+    assert solutions(plus) == [(1, 0, 1, 3)]
+    assert solutions(minus) == [(1, 0, 1, 3)]
     assert elapsed < 10.0
     report("03 cube-sum +/- = x^q, n <= 100", elapsed)
 

@@ -36,6 +36,11 @@ def test_ci_tier_is_the_contracts_search_lines_and_the_large_special_form():
     assert len(lines) == 16
 
 
+def test_the_warm_up_is_an_accepted_command_line(tmp_path):
+    record = bench.run_once(ROOT, bench.WARM_UP, None, tmp_path)
+    assert record["exit"] == 0 and record["digest_match"] is None, record
+
+
 def test_a_wrong_output_reads_as_a_mismatch(tmp_path):
     # the pinned digests of another line cannot match this line's output
     argv = ["search", "sum-power", "--max-index", "7"]

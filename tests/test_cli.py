@@ -751,20 +751,39 @@ def test_full_parser_names_the_subcommand_argument_command(capsys):
         assert message in capsys.readouterr().err
 
 
-def test_records_verify_round_trip(capsys):
-    # every record line re-parses and re-verifies against direct evaluation
-    code, out = run_cli(capsys, ["search", "square-diff", "--max-index", "30"])
+@pytest.mark.parametrize("argv", [
+    ["square-diff"],
+    ["cube-sum-minus"],
+    ["special-form", "--kind", "balancing", "--prime", "2"],
+    ["product-form"],
+], ids=lambda argv: argv[0])
+def test_records_verify_round_trip(capsys, argv):
+    # every record line re-parses and re-verifies against direct evaluation;
+    # a record with x = 1 is the exponent family, keyed q_family_min (b_family_min)
+    code, out = run_cli(capsys, ["search", *argv, "--max-index", "30"])
     assert code == 0
     from ballab.sequences import SequenceKind, term
-    for line in out.strip().splitlines()[:-1]:
+    lines = out.strip().splitlines()[:-1]
+    assert lines
+    for line in lines:
         rec = json.loads(line)
-        bn = term(SequenceKind.BALANCING, rec["n"])
-        bm = term(SequenceKind.BALANCING, rec["m"])
-        value = bn * bn - bm * bm
-        if "q" in rec:
-            assert int(rec["x"]) ** rec["q"] == value
+        x = int(rec["x"])
+        if "equation" in rec:
+            bn = term(SequenceKind.BALANCING, rec["n"])
+            bm = term(SequenceKind.BALANCING, rec["m"])
+            value = bn * bn - bm * bm if rec["equation"] == "square-diff" else bn ** 3 - bm ** 3
+            key, lead = "q", 1
+        elif "kind" in rec:
+            value = term(SequenceKind(rec["kind"]), rec["n"])
+            key, lead = "b", rec["prime"] ** rec["s"]
         else:
-            assert value == 1 and rec["x"] == "1"
+            value = (term(SequenceKind.BALANCING, rec["n"])
+                     * term(SequenceKind.LUCAS_BALANCING, rec["m"]))
+            key, lead = "q", 2 ** rec["two_exponent"]
+        family = key + "_family_min"
+        assert (family in rec) == (x == 1)
+        assert (key in rec) == (x != 1)
+        assert lead * x ** rec.get(key, rec.get(family)) == value
 
 
 IMPORT_PROBE = """

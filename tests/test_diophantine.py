@@ -29,8 +29,8 @@ from refmath import perfect_power_decompose
 
 
 def solutions(records):
-    """(n, m, x, q-or-None, family-min-or-None) projection, bounds dropped."""
-    return [(r.n, r.m, r.x, r.exponent, r.family_min_exponent) for r in records]
+    """(n, m, x, q) projection, bounds dropped; x = 1 is the family of every q' >= q."""
+    return [(r.n, r.m, r.x, r.exponent) for r in records]
 
 
 class TestSearchConfig:
@@ -50,26 +50,21 @@ class TestSearchConfig:
 
 
 class TestSolutionRecord:
-    def test_exactly_one_exponent_form(self):
-        cfg = SearchConfig(max_index=5)
-        with pytest.raises(ValueError):
-            SolutionRecord(EquationTag.SUM_POWER, 3, 1, 6, 2, 2, cfg)
-        with pytest.raises(ValueError):
-            SolutionRecord(EquationTag.SUM_POWER, 3, 1, 6, None, None, cfg)
-
     def test_verify(self):
         cfg = SearchConfig(max_index=5)
-        good = SolutionRecord(EquationTag.SUM_POWER, 3, 1, 6, 2, None, cfg)
-        bad = SolutionRecord(EquationTag.SUM_POWER, 3, 1, 7, 2, None, cfg)
+        good = SolutionRecord(EquationTag.SUM_POWER, 3, 1, 6, 2, cfg)
+        bad = SolutionRecord(EquationTag.SUM_POWER, 3, 1, 7, 2, cfg)
         assert good.verify() and not bad.verify()
-        fam = SolutionRecord(EquationTag.CUBE_SUM_MINUS, 1, 0, 1, None, 3, cfg)
+        # x = 1 is a family only where the value is 1: B_1**3 - B_0**3, not B_2**3 - B_0**3
+        fam = SolutionRecord(EquationTag.CUBE_SUM_MINUS, 1, 0, 1, 3, cfg)
         assert fam.verify()
+        assert not SolutionRecord(EquationTag.CUBE_SUM_MINUS, 2, 0, 1, 3, cfg).verify()
 
 
 class TestSumPower:
     def test_same_parity_only_known_solution(self):
         cfg = SearchConfig(max_index=40, parity_filter=Parity.SAME)
-        assert solutions(search_pair(EquationTag.SUM_POWER, cfg)) == [(3, 1, 6, 2, None)]
+        assert solutions(search_pair(EquationTag.SUM_POWER, cfg)) == [(3, 1, 6, 2)]
 
     def test_tiny_bound_is_empty(self):
         cfg = SearchConfig(max_index=1, parity_filter=Parity.SAME)
@@ -78,27 +73,27 @@ class TestSumPower:
     def test_opposite_parity_exploratory(self):
         cfg = SearchConfig(max_index=60, parity_filter=Parity.OPPOSITE)
         recs = search_pair(EquationTag.SUM_POWER, cfg)
-        assert (1, 0, 1, None, 2) in solutions(recs)
+        assert (1, 0, 1, 2) in solutions(recs)
         assert all(r.verify() for r in recs)
 
     def test_any_parity_includes_both_classes(self):
         cfg = SearchConfig(max_index=40)
         got = solutions(search_pair(EquationTag.SUM_POWER, cfg))
-        assert (3, 1, 6, 2, None) in got and (1, 0, 1, None, 2) in got
+        assert (3, 1, 6, 2) in got and (1, 0, 1, 2) in got
 
 
 class TestSquareDiff:
     def test_known_solutions(self):
         cfg = SearchConfig(max_index=40, coprimality_required=True)
         assert solutions(search_pair(EquationTag.SQUARE_DIFF, cfg)) == [
-            (1, 0, 1, None, 2),
-            (2, 0, 6, 2, None),
+            (1, 0, 1, 2),
+            (2, 0, 6, 2),
         ]
 
     def test_strict_zero_convention_drops_the_six(self):
         cfg = SearchConfig(max_index=40, coprimality_required=True,
                            coprime_zero_exempt=False)
-        assert solutions(search_pair(EquationTag.SQUARE_DIFF, cfg)) == [(1, 0, 1, None, 2)]
+        assert solutions(search_pair(EquationTag.SQUARE_DIFF, cfg)) == [(1, 0, 1, 2)]
 
 
 class TestCubeSum:
@@ -107,7 +102,7 @@ class TestCubeSum:
     def test_known_solutions(self, tag):
         cfg = SearchConfig(max_index=40, min_exponent=3, coprimality_required=True,
                            coprime_zero_exempt=False)
-        assert solutions(search_pair(tag, cfg)) == [(1, 0, 1, None, 3)]
+        assert solutions(search_pair(tag, cfg)) == [(1, 0, 1, 3)]
 
 
 # Every pair equation but sum-power carries the coprimality hypothesis, and
@@ -129,12 +124,12 @@ def test_pair_search_refuses_settings_outside_its_hypotheses(tag, min_exp, copri
 class TestSpecialForm:
     def test_balancing_two(self):
         out = search_special_form(SequenceKind.BALANCING, 2, SearchConfig(max_index=60))
-        assert [(r.n, r.prime_exponent, r.x, r.family_min_exponent) for r in out] == \
+        assert [(r.n, r.prime_exponent, r.x, r.exponent) for r in out] == \
             [(1, 0, 1, 2)]
 
     def test_balancing_three(self):
         out = search_special_form(SequenceKind.BALANCING, 3, SearchConfig(max_index=60))
-        assert [(r.n, r.prime_exponent, r.x, r.family_min_exponent) for r in out] == \
+        assert [(r.n, r.prime_exponent, r.x, r.exponent) for r in out] == \
             [(1, 0, 1, 2)]
 
     def test_lucas_two_is_empty(self):
@@ -143,7 +138,7 @@ class TestSpecialForm:
 
     def test_lucas_three(self):
         out = search_special_form(SequenceKind.LUCAS_BALANCING, 3, SearchConfig(max_index=60))
-        assert [(r.n, r.prime_exponent, r.x, r.family_min_exponent) for r in out] == \
+        assert [(r.n, r.prime_exponent, r.x, r.exponent) for r in out] == \
             [(1, 1, 1, 2)]
 
     # The only hits with x > 1 for the primes <= 300 and 2^31 - 1 up to N = 60:
@@ -155,12 +150,11 @@ class TestSpecialForm:
     ], ids=["balancing-239", "lucas-balancing-11"])
     def test_prime_times_a_square(self, kind, p, n, x, families):
         out = search_special_form(kind, p, SearchConfig(max_index=60))
-        hit = SpecialFormRecord(kind, p, n, 1, x=x, exponent=2, family_min_exponent=None)
+        hit = SpecialFormRecord(kind, p, n, 1, x=x, exponent=2)
         assert [(r.n, r.prime_exponent) for r in out if r.x == 1] == families
         assert [r for r in out if r.x > 1] == [hit]
         assert hit.verify()
-        assert not SpecialFormRecord(kind, p, n, 1, x=x + 1, exponent=2,
-                                     family_min_exponent=None).verify()
+        assert not SpecialFormRecord(kind, p, n, 1, x=x + 1, exponent=2).verify()
         assert hit.to_dict() == {"kind": kind.value, "prime": p, "n": n, "s": 1,
                                  "x": str(x), "b": 2}
         cubes = search_special_form(kind, p, SearchConfig(max_index=60, min_exponent=3))
@@ -210,16 +204,13 @@ class TestSearchMechanics:
     def test_monotone_in_min_exponent(self):
         lo = SearchConfig(max_index=30, coprimality_required=True, min_exponent=2)
         hi = SearchConfig(max_index=30, coprimality_required=True, min_exponent=3)
-        lo_recs = search_pair(EquationTag.SQUARE_DIFF, lo)
-        for r in search_pair(EquationTag.SQUARE_DIFF, hi):
-            if r.exponent is None:
+        lo_recs = solutions(search_pair(EquationTag.SQUARE_DIFF, lo))
+        for n, m, x, q in solutions(search_pair(EquationTag.SQUARE_DIFF, hi)):
+            if x == 1:
                 # the family survives with a lower threshold
-                assert any(s.exponent is None and (s.n, s.m, s.x) == (r.n, r.m, r.x)
-                           and s.family_min_exponent <= r.family_min_exponent
-                           for s in lo_recs)
+                assert any(s[:3] == (n, m, 1) and s[3] <= q for s in lo_recs)
             else:
-                assert (r.n, r.m, r.x, r.exponent) in {(s.n, s.m, s.x, s.exponent)
-                                                        for s in lo_recs}
+                assert (n, m, x, q) in lo_recs
 
 
 def reference_power_test(value):
@@ -290,13 +281,9 @@ def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
                 # cross-check the half-index factorization before any power test
                 if value != 2 * b[(n + m) // 2] * c[(n - m) // 2]:
                     raise ArithmeticError(f"half-index factorization failed at ({n}, {m})")
-            if value == 1:
-                out.append(SolutionRecord(tag, n, m, x=1, exponent=None,
-                                          family_min_exponent=cfg.min_exponent, bounds=cfg))
-                continue
-            for x, q in _power_hits(power_test(value), cfg.min_exponent):
-                out.append(SolutionRecord(tag, n, m, x=x, exponent=q,
-                                          family_min_exponent=None, bounds=cfg))
+            hits = [(1, cfg.min_exponent)] if value == 1 else _power_hits(
+                power_test(value), cfg.min_exponent)
+            out += [SolutionRecord(tag, n, m, x, q, cfg) for x, q in hits]
     return _verified(out)
 
 
@@ -321,13 +308,9 @@ def reference_special_form_search(kind, p, cfg, power_test=reference_power_test)
     out = []
     for n in range(1, cfg.max_index + 1):
         s, rest = strip_prime(p, vals[n])
-        if rest == 1:
-            out.append(SpecialFormRecord(kind, p, n, s, x=1, exponent=None,
-                                         family_min_exponent=cfg.min_exponent))
-            continue
-        for x, b in _power_hits(power_test(rest), cfg.min_exponent):
-            out.append(SpecialFormRecord(kind, p, n, s, x=x, exponent=b,
-                                         family_min_exponent=None))
+        hits = [(1, cfg.min_exponent)] if rest == 1 else _power_hits(
+            power_test(rest), cfg.min_exponent)
+        out += [SpecialFormRecord(kind, p, n, s, x, b) for x, b in hits]
     return _verified(out)
 
 

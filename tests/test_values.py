@@ -3,8 +3,7 @@
 They are plain __slots__ classes over ballab.Value rather than dataclasses,
 so that importing the CLI loads no dataclasses machinery.  These tests pin
 what callers relied on when they were dataclasses: construction by position
-and by keyword with the same defaults, the checks of SearchConfig and
-SolutionRecord, equality by class and fields (CheckResult ignores ms),
+and by keyword with the same defaults, the checks of SearchConfig, equality by class and fields (CheckResult ignores ms),
 equal hashes for equal instances, and the dataclass repr that error
 messages print.
 """
@@ -35,12 +34,10 @@ CASES = [
     (SearchConfig, (40, 3, Parity.SAME, True, False),
      dict(max_index=40, min_exponent=3, parity_filter=Parity.SAME,
           coprimality_required=True, coprime_zero_exempt=False)),
-    (SolutionRecord, (EquationTag.SUM_POWER, 4, 1, 205, 1, None, CFG),
-     dict(equation=EquationTag.SUM_POWER, n=4, m=1, x=205, exponent=1,
-          family_min_exponent=None, bounds=CFG)),
-    (SpecialFormRecord, (SequenceKind.BALANCING, 2, 1, 0, 1, None, 2),
-     dict(kind=SequenceKind.BALANCING, prime=2, n=1, prime_exponent=0, x=1, exponent=None,
-          family_min_exponent=2)),
+    (SolutionRecord, (EquationTag.SUM_POWER, 4, 1, 205, 1, CFG),
+     dict(equation=EquationTag.SUM_POWER, n=4, m=1, x=205, exponent=1, bounds=CFG)),
+    (SpecialFormRecord, (SequenceKind.BALANCING, 2, 1, 0, 1, 2),
+     dict(kind=SequenceKind.BALANCING, prime=2, n=1, prime_exponent=0, x=1, exponent=2)),
     (ProductFormRecord, (1, 1, 0, 3, 1), dict(n=1, m=1, two_exponent=0, x=3, exponent=1)),
     (CheckResult, ("demo", "n <= 3", 4, False, ["B_3 != 35"], 1.5),
      dict(name="demo", bound="n <= 3", checked=4, passed=False, failures=["B_3 != 35"],
@@ -99,12 +96,6 @@ def test_search_config_checks(kwargs, message):
         SearchConfig(**kwargs)
 
 
-@pytest.mark.parametrize("exponent, family_min_exponent", [(None, None), (2, 2)])
-def test_solution_record_needs_exactly_one_exponent(exponent, family_min_exponent):
-    with pytest.raises(ValueError, match="exactly one of exponent / family_min_exponent"):
-        SolutionRecord(EquationTag.SUM_POWER, 1, 0, 1, exponent, family_min_exponent, CFG)
-
-
 @pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
 def test_repr_is_the_dataclass_repr(cls, args, kwargs):
     reference = dataclasses.make_dataclass(cls.__name__, list(kwargs))
@@ -112,9 +103,9 @@ def test_repr_is_the_dataclass_repr(cls, args, kwargs):
 
 
 def test_failed_reverification_prints_the_record():
-    wrong = SolutionRecord(EquationTag.SUM_POWER, 4, 1, 203, 1, None, CFG)  # B_4 + B_1 = 205
+    wrong = SolutionRecord(EquationTag.SUM_POWER, 4, 1, 203, 1, CFG)  # B_4 + B_1 = 205
     assert repr(wrong).startswith(
         "SolutionRecord(equation=<EquationTag.SUM_POWER: 'sum-power'>, n=4, m=1, x=203, "
-        "exponent=1, family_min_exponent=None, bounds=SearchConfig(max_index=40, ")
+        "exponent=1, bounds=SearchConfig(max_index=40, ")
     with pytest.raises(ArithmeticError, match=re.escape(repr(wrong))):
-        _verified([SolutionRecord(EquationTag.SUM_POWER, 4, 1, 205, 1, None, CFG), wrong])
+        _verified([SolutionRecord(EquationTag.SUM_POWER, 4, 1, 205, 1, CFG), wrong])

@@ -23,8 +23,9 @@ the machine's speed hits both sides alike.  Per run it records
 
 Every line of ``CI`` (the search lines of ``tests/output_contract_ci.jsonl``
 plus special-form, balancing, p = 2 at N = 12,000) runs ``RUNS`` times per
-tree; ``TINY`` holds two lines of the first contract tier, for the script's
-own test.  The file holds the provenance and every run, and the exit status
+tree, after one untimed run of ``WARM_UP`` per tree writes its bytecode;
+``TINY`` holds two lines of the first contract tier, for the script's own
+test.  The file holds the provenance and every run, and the exit status
 is 1 if a run exited nonzero or missed its pinned digest.  Standard library
 only; the output also names the machine, the Python and each tree's commit
 (``-dirty`` for uncommitted changes) and ``src/ballab`` digest, but no path.
@@ -72,6 +73,8 @@ RUNS = 3
 CI = [line["argv"] for line in map(json.loads, CI_CONTRACT_PATH.read_text().splitlines())
       if line["argv"][0] == "search"] + [
     ["search", "special-form", "--max-index", "12000", "--kind", "balancing", "--prime", "2"]]
+# an accepted command line that imports every module a search does
+WARM_UP = ["search", "sum-power", "--max-index", "1"]
 TINY = [["search", "sum-power", "--max-index", "7"],
         ["search", "special-form", "--max-index", "40", "--kind", "balancing", "--prime", "2"]]
 
@@ -144,7 +147,7 @@ def bench(trees: dict[str, Path], lines: list[list[str]], runs: int) -> dict:
     records = []
     with tempfile.TemporaryDirectory() as workdir:
         for tree in trees.values():  # writes each tree's bytecode, untimed
-            run_once(tree, ["--version"], None, Path(workdir))
+            run_once(tree, WARM_UP, None, Path(workdir))
         for r in range(runs):
             for argv in lines:
                 for label in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
