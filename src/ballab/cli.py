@@ -6,6 +6,11 @@ string; reruns with the same configuration produce byte-identical results
 arrays.  Exit codes: 0 success / all checks pass, 1 property failure or
 claims mismatch, 2 usage error.
 
+Reports go through canonical_json, except seq's rows: seq formats each row
+itself and splices the rows into its report, since its output grows with
+its bound.  The bytes are the same, as a row's keys are written in sorted
+order and a value's decimal digits need no JSON escape.
+
 Each subcommand's options are declared once, in _COMMANDS.  A well-formed
 command line is parsed straight from that table; argparse is imported and
 built from it only for help, abbreviated or --opt=value forms and usage
@@ -86,19 +91,18 @@ MAX_TERM_INDEX = 10 ** 5
 # and rendered.  Without --mod, --to = 11000 is the CI's top Pell index, and
 # above 11234 the last value passes the 4300-digit int-to-str limit for every
 # kind (above 5617 for balancing and lucas-balancing).  `python -m ballab.cli
-# seq --kind K --from 0 --to 11000`, three runs each on a 2-vCPU Intel Xeon VM
-# with Python 3.11.7: pell and associated-pell 1.52-1.59 s at 97 MB peak RSS;
-# balancing exits 1 at that limit after 0.79-0.81 s.  `seq --kind K --from 0
-# --to 100000 --mod 1000003`, three runs each: balancing 0.24-0.35 s, pell
-# 0.37-0.38 s, at 59-60 MB.
+# seq --kind K --from 0 --to 11000`, three runs of each kind in one batch on a
+# 2-vCPU Intel Xeon VM with Python 3.11.7: pell and associated-pell 1.07-1.21 s
+# at 71 MB peak RSS; balancing and lucas-balancing exit 1 at that limit after
+# 0.59-0.68 s.  `seq --kind K --from 0 --to 100000 --mod 1000003`, same batch:
+# 0.10-0.18 s at 33-36 MB.
 MAX_SEQ_TO = 11_000
 MAX_SEQ_TO_MOD = 10 ** 5
 # seq --mod ceiling: residues are as large as the modulus, so without one the
 # --to ceiling with --mod does not bound the work.  `python -m ballab.cli seq
-# --kind K --from 0 --to 100000 --mod M`, three runs of each kind in one batch
-# on a 2-vCPU Intel Xeon VM with Python 3.11.7: 0.28-0.44 s at 66-68 MB peak
-# RSS for M = 10**30, against 0.29-0.40 s at 62-64 MB for 10**18 and
-# 0.28-0.39 s at 58-61 MB for 1000003.
+# --kind K --from 0 --to 100000 --mod M`, three runs of each kind in the same
+# batch: 0.12-0.14 s at 40-42 MB peak RSS for M = 10**30, against
+# 0.12-0.14 s at 36-39 MB for 10**18 and 0.10-0.18 s at 33-36 MB for 1000003.
 MAX_SEQ_MOD = 10 ** 30
 # search --max-index ceilings, per equation (costs differ by over 4x at one
 # bound).  Wall time of `python -m ballab.cli search EQ --max-index CEILING`
@@ -258,15 +262,19 @@ def _cmd_seq(args: SimpleNamespace) -> int:
         values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
     else:
         values = residue_range(_KINDS[args.kind], args.hi, args.mod)[args.lo:]
-    results = [{"kind": args.kind, "index": i, "value": str(v)}
-               for i, v in enumerate(values, args.lo)]
+    # Each row is canonical_json's bytes for its dict (see the module
+    # docstring).  Every row is formatted before anything is printed, so a
+    # value past the int-to-str digit limit raises with no output.
     if args.format == "csv":
-        print("kind,index,value")
-        for r in results:
-            print(f"{r['kind']},{r['index']},{r['value']}")
+        print("kind,index,value", *(f"{args.kind},{i},{v}" for i, v in enumerate(values, args.lo)),
+              sep="\n")
         return 0
+    kind = canonical_json(args.kind)
+    rows = ",".join(f'{{"index":{i},"kind":{kind},"value":"{v}"}}'
+                    for i, v in enumerate(values, args.lo))
     config = {"kind": args.kind, "from": args.lo, "to": args.hi, "mod": args.mod}
-    print(canonical_json(_report("seq", config, results, started)))
+    head, _, tail = canonical_json(_report("seq", config, [], started)).partition('"results":[')
+    print(head, '"results":[', rows, tail, sep="")
     return 0
 
 

@@ -6,10 +6,11 @@ used to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
 exactly when 2**k | n) is stated and checked in `ballab.verify`.
 
 The period is the order of the step map (B_k, B_{k+1}) -> (B_{k+1}, B_{k+2})
-mod mu.  A multiple of it is read off the prime factors of mu: the period
+mod mu, the lcm of its orders mod the prime powers p**e of mu.  The period
 mod p divides p - (32/p), and the period mod p**e divides p**(e-1) times
 that.  Each prime is divided out of that multiple while the sequence still
-restarts there, each test taking O(log mu) steps of fast doubling.
+restarts there, each test taking O(log mu) steps of fast doubling, and each
+prime power's period is computed once per process.
 """
 
 from __future__ import annotations
@@ -74,35 +75,11 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-def period(modulus: int) -> PeriodResult:
-    """Least t >= 1 with B_t ≡ 0 and B_{t+1} ≡ 1 (mod modulus).
-
-    t is the order of the step map S(B_k, B_{k+1}) = (B_{k+1}, B_{k+2}) mod
-    modulus.  S**k takes (0, 1) to (B_k, B_{k+1}) and commutes with S, so a
-    restart at k also takes (1, 6) = S(0, 1) back to itself.  The states
-    (0, 1) and (1, 6) form a basis (determinant -1), so S**k fixes (0, 1)
-    exactly when S**k = I.  Hence the sequence restarts at k exactly when
-    t | k, for every k, not only up to the reported prefix_checked = 2*t.
-
-    A multiple K of t comes from the factors p**e of modulus.  S mod 2 is
-    [[0, 1], [1, 0]], of order 2.  For odd p, the eigenvalues of S are the
-    roots of x**2 - 6*x + 1.  Its discriminant 32 is a unit mod p, so they
-    are distinct, and it is a square mod p exactly when p ≡ ±1 (mod 8).
-    Their product is 1, so they lie in the units mod p (order dividing
-    p - 1) or have norm 1 in F_{p**2} (order dividing p + 1).  If S**j ≡ I
-    (mod p), then S**(j*p**(e-1)) ≡ I (mod p**e), since (I + p**i*A)**p ≡ I
-    (mod p**(i+1)).  So t divides the lcm K over p**e of 2**e (p = 2) and
-    p**(e-1) * (p - 1 if p ≡ ±1 (mod 8) else p + 1) (odd p).  A K with no
-    restart is a bug, not a hard instance.  Each prime q of K is divided out
-    for as long as S**(K/q) = I still holds, which leaves the order (É.
-    Lucas 1878; D. D. Wall, "Fibonacci series modulo m", 1960).
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    multiple = 1
-    for p, e in _factor(modulus).items():
-        multiple = math.lcm(multiple, 1 << e if p == 2
-                            else p ** (e - 1) * (p - 1 if p % 8 in (1, 7) else p + 1))
+@lru_cache(maxsize=None)
+def _prime_power_period(p: int, e: int) -> int:
+    """The period of B mod p**e, for a prime p and e >= 1, by `period`'s order search."""
+    modulus = p ** e
+    multiple = 1 << e if p == 2 else p ** (e - 1) * (p - 1 if p % 8 in (1, 7) else p + 1)
     # modulus >= 2 keeps 1 reduced
     if _balancing_pair(multiple, modulus) != (0, 1):
         raise ArithmeticError(
@@ -113,6 +90,41 @@ def period(modulus: int) -> PeriodResult:
     for q in _factor(multiple):
         while t % q == 0 and _balancing_pair(t // q, modulus) == (0, 1):
             t //= q
+    return t
+
+
+def period(modulus: int) -> PeriodResult:
+    """Least t >= 1 with B_t ≡ 0 and B_{t+1} ≡ 1 (mod modulus).
+
+    t is the order of the step map S(B_k, B_{k+1}) = (B_{k+1}, B_{k+2}) mod
+    modulus.  S**k takes (0, 1) to (B_k, B_{k+1}) and commutes with S, so a
+    restart at k also takes (1, 6) = S(0, 1) back to itself.  The states
+    (0, 1) and (1, 6) form a basis (determinant -1), so S**k fixes (0, 1)
+    exactly when S**k = I.  Hence the sequence restarts at k exactly when
+    t | k, for every k, not only up to the reported prefix_checked = 2*t.
+
+    By the Chinese remainder theorem, S**k ≡ I (mod modulus) exactly when
+    S**k ≡ I (mod p**e) for each p**e exactly dividing modulus, so t is the
+    lcm of the periods mod those p**e, each computed once per process.
+
+    A multiple K of the period mod p**e comes from p.  S mod 2 is
+    [[0, 1], [1, 0]], of order 2.  For odd p, the eigenvalues of S are the
+    roots of x**2 - 6*x + 1.  Its discriminant 32 is a unit mod p, so they
+    are distinct, and it is a square mod p exactly when p ≡ ±1 (mod 8).
+    Their product is 1, so they lie in the units mod p (order dividing
+    p - 1) or have norm 1 in F_{p**2} (order dividing p + 1).  If S**j ≡ I
+    (mod p), then S**(j*p**(e-1)) ≡ I (mod p**e), since (I + p**i*A)**p ≡ I
+    (mod p**(i+1)).  So the period mod p**e divides K = 2**e (p = 2) or
+    p**(e-1) * (p - 1 if p ≡ ±1 (mod 8) else p + 1) (odd p).  A K with no
+    restart is a bug, not a hard instance.  Each prime q of K is divided out
+    for as long as S**(K/q) = I still holds, which leaves the order (É.
+    Lucas 1878; D. D. Wall, "Fibonacci series modulo m", 1960).
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    t = 1
+    for p, e in _factor(modulus).items():
+        t = math.lcm(t, _prime_power_period(p, e))
     return PeriodResult(modulus=modulus, period=t, prefix_checked=2 * t)
 
 

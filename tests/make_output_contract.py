@@ -193,6 +193,15 @@ def corpus() -> list[list[str]]:
     for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
         lines.append(["seq", "--kind", kind, "--from", "0", "--to", "10",
                       "--mod", str(ballab.cli.MAX_SEQ_MOD + 1)])
+    # seq's rendering at a few thousand digits per value, with a 31-digit
+    # modulus and as csv; generated before seq rendered its rows itself
+    for kind in ("balancing", "lucas-balancing", "pell", "associated-pell"):
+        lines += [
+            ["seq", "--kind", kind, "--from", "0", "--to", "2000"],
+            ["seq", "--kind", kind, "--from", "1000", "--to", "2000",
+             "--mod", str(10 ** 30)],
+            ["seq", "--kind", kind, "--from", "0", "--to", "500", "--format", "csv"],
+        ]
     return lines
 
 

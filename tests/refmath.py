@@ -4,10 +4,11 @@ Each function here is an independent way to compute something the library
 computes another way, kept as the slow side of an equivalence test.
 """
 
+import json
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
-from ballab import modular
+from ballab import __version__, modular
 from ballab.bigmath import integer_kth_root, primes_up_to, strip_prime
 from ballab.modular import PeriodResult
 from ballab.sequences import RECURRENCE, SequenceKind, values_up_to
@@ -50,6 +51,25 @@ def brute_power_decompose(n: int) -> tuple[int, int]:
         if r ** q == n:
             base, exponent = r, q
     return base, exponent
+
+
+def seq_output(kind: str, lo: int, hi: int, mod: int | None, fmt: str) -> str:
+    """`ballab seq`'s stdout with runtime_ms 0, from one dict per term.
+
+    The values are the big terms, reduced by mod; the JSON report is one
+    json.dumps of dicts with sorted keys and no spaces, as every other
+    report is written.
+    """
+    values = values_up_to(SequenceKind(kind), hi)[lo:]
+    results = [{"kind": kind, "index": i, "value": str(v if mod is None else v % mod)}
+               for i, v in enumerate(values, lo)]
+    if fmt == "csv":
+        return "kind,index,value\n" + "".join(f"{r['kind']},{r['index']},{r['value']}\n"
+                                               for r in results)
+    report = {"schema_version": 1, "tool_version": __version__, "command": "seq",
+              "config": {"kind": kind, "from": lo, "to": hi, "mod": mod},
+              "results": results, "runtime_ms": 0}
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def term_mod(kind, n: int, modulus: int) -> int:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from unittest import mock
 import pytest
 
 import ballab
+import refmath
 from ballab import cli
 from ballab.modular import PeriodResult
 from ballab.sequences import values_up_to
@@ -152,6 +154,25 @@ class TestSeq:
         for r in json.loads(out)["results"]:
             assert int(r["value"]) == p % cli.MAX_SEQ_MOD, r
             p, q = q, 2 * q + p
+
+    def test_rows_are_the_bytes_of_one_dict_per_term(self, capsys):
+        # seq formats its rows itself; refmath.seq_output builds one dict per
+        # term and one json.dumps, as seq did before, and the two must agree
+        # byte for byte on drawn ranges, moduli and formats
+        rng = random.Random(41)
+        draws = [("balancing", 0, 0, 1, "json"), ("pell", 7, 7, None, "json"),
+                 ("lucas-balancing", 300, 300, 1, "csv"), ("associated-pell", 0, 0, None, "csv")]
+        for _ in range(60):
+            lo = rng.randrange(400)
+            hi = lo + rng.choice((0, rng.randrange(400)))
+            mod = rng.choice((None, 1, 2, 9, 1000003, 10 ** 30, rng.randrange(1, 10 ** 30)))
+            draws.append((rng.choice(sorted(cli._KINDS)), lo, hi, mod, rng.choice(("json", "csv"))))
+        for kind, lo, hi, mod, fmt in draws:
+            argv = ["seq", "--kind", kind, "--from", str(lo), "--to", str(hi), "--format", fmt]
+            code, out = run_cli(capsys, argv + ([] if mod is None else ["--mod", str(mod)]))
+            assert code == 0
+            out = re.sub(r'"runtime_ms":\d+', '"runtime_ms":0', out)
+            assert out == refmath.seq_output(kind, lo, hi, mod, fmt), argv
 
 
 class TestTerm:

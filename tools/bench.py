@@ -22,11 +22,13 @@ the machine's speed hits both sides alike.  Per run it records
   contract does not hold.
 
 Every line of ``CI`` (the search lines of ``tests/output_contract_ci.jsonl``
-plus special-form, balancing, p = 2 at N = 12,000) runs ``RUNS`` times per
-tree, after one untimed run of ``WARM_UP`` per tree writes its bytecode;
-``TINY`` holds two lines of the first contract tier, for the script's own
-test.  The file holds the provenance and every run, and the exit status
-is 1 if a run exited nonzero or missed its pinned digest.  Standard library
+plus special-form, balancing, p = 2 at N = 12,000) and then of ``RENDER``
+(``seq`` at its ceilings, where the time goes into building and printing
+the values) runs ``RUNS`` times per tree, after one untimed run of
+``WARM_UP`` per tree writes its bytecode; ``TINY`` holds two lines of the
+first contract tier, for the script's own test.  The file holds the
+provenance and every run, and the exit status is 1 if a run exited nonzero
+or missed its pinned digest (the ``RENDER`` lines have none).  Standard library
 only; the output also names the machine, the Python and each tree's commit
 (``-dirty`` for uncommitted changes) and ``src/ballab`` digest, but no path.
 """
@@ -73,6 +75,9 @@ RUNS = 3
 CI = [line["argv"] for line in map(json.loads, CI_CONTRACT_PATH.read_text().splitlines())
       if line["argv"][0] == "search"] + [
     ["search", "special-form", "--max-index", "12000", "--kind", "balancing", "--prime", "2"]]
+RENDER = [["seq", "--kind", "pell", "--from", "0", "--to", "11000"],
+          ["seq", "--kind", "balancing", "--from", "0", "--to", "5500"],
+          ["seq", "--kind", "balancing", "--from", "0", "--to", "100000", "--mod", "1000003"]]
 # an accepted command line that imports every module a search does
 WARM_UP = ["search", "sum-power", "--max-index", "1"]
 TINY = [["search", "sum-power", "--max-index", "7"],
@@ -168,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"this": ROOT}
     if args.against is not None:
         trees["against"] = args.against.resolve()
-    result = bench(trees, CI, RUNS)
+    result = bench(trees, CI + RENDER, RUNS)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0 if all(rec["exit"] == 0 and rec["digest_match"] is not False
                     for rec in result["runs"]) else 1
