@@ -1,32 +1,39 @@
 """Arbitrary-precision integer utilities.
 
-Primality of one number by trial division, one cached prime sieve per
-power-of-two limit with the prime lists read off it, integer k-th roots and
-prime stripping.  Everything works on plain Python ints (already arbitrary
-precision) with no floating point, so results are exact at any size.
+The prime factors of one number by trial division, which also decide its
+primality; one cached prime sieve per power-of-two limit with the prime
+lists read off it; integer k-th roots and prime stripping.  Everything works
+on plain Python ints (already arbitrary precision) with no floating point,
+so results are exact at any size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 
+def prime_factors(n: int) -> Iterator[int]:
+    """The primes of n, each as often as it divides n, ascending; none for n < 2.
+
+    Trial division by 2 and the odd numbers: a composite never divides, as its
+    primes go first, and what is left past its square root is prime.
+    """
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            yield f
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test of one number; many primes come off prime_flags."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """p's least prime factor is p itself; many primes come off prime_flags."""
+    return p > 1 and next(prime_factors(p)) == p
 
 
 @lru_cache(maxsize=None)
@@ -84,8 +91,6 @@ def integer_kth_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    if n.bit_length() <= k:
-        return 1  # 2**k > n >= 1
     x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) > n**(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -29,8 +29,9 @@ from types import SimpleNamespace
 # their import counts as start-up: perfbench times main as a job's run time,
 # and a module imported inside main would be compiled there whenever no
 # bytecode cache exists (about 8 ms for diophantine, several times a typical
-# search).  perfbench/tracer.py also wraps run_suite and the search functions
-# under these names.
+# search).  perfbench/tracer.py wraps run_suite, search_product_form and
+# search_special_form under these names, but not search_pair: its SEARCHES
+# names the three it replaced (ROADMAP, "Work coupled to `perfbench/`").
 from . import __version__
 from .bigmath import is_prime
 from .diophantine import (
@@ -68,7 +69,7 @@ MAX_PRIME = (1 << 31) - 1
 # verify --suite S --max-n 5000`, five runs each on a 2-vCPU Intel Xeon VM,
 # Python 3.11.7: identities 0.28-0.38 s, gcd 0.09 s, all 0.31-0.43 s
 # (closed-form-agreement the largest check, 0.15-0.21 s), at a peak RSS of
-# 39.3 MB (26.8 MB for gcd).  modular is linear: 0.43-0.53 s of runtime_ms at
+# 39.3 MB (26.8 MB for gcd).  modular is linear: 0.41-0.45 s of runtime_ms at
 # 10**6 (three runs).
 MAX_VERIFY_N = 5000
 MAX_VERIFY_N_MODULAR = 10 ** 6

@@ -1,16 +1,17 @@
 """Modular views of the balancing family.
 
-Reduced term ranges, the period of the balancing sequence modulo mu, the
-mod-9 residue table keyed on the index mod 12, and a q-th-power residue sieve
-used to prune perfect-power searches.  The 2-adic divisibility law (2**k | B_n
-exactly when 2**k | n) is stated and checked in `ballab.verify`.
+Reduced term ranges, the period of the balancing sequence modulo mu, and a
+q-th-power residue sieve used to prune perfect-power searches.  The 2-adic
+divisibility law (2**k | B_n exactly when 2**k | n) and the table of B_n mod
+9 by n mod 12 are stated and checked in `ballab.verify`.
 
 The period is the order of the step map (B_k, B_{k+1}) -> (B_{k+1}, B_{k+2})
-mod mu, the lcm of its orders mod the prime powers p**e of mu.  The period
-mod p divides p - (32/p), and the period mod p**e divides p**(e-1) times
-that.  Each prime is divided out of that multiple while the sequence still
-restarts there, each test taking O(log mu) steps of fast doubling, and each
-prime power's period is computed once per process.
+mod mu, the lcm of its orders mod the prime powers p**e of mu, which
+`bigmath.prime_factors` finds by trial division.  The period mod p divides
+p - (32/p), and the period mod p**e divides p**(e-1) times that.  Each
+prime of that multiple is divided out while the sequence still restarts
+there, each test taking O(log mu) steps of fast doubling, and each prime
+power's period is computed once per process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from functools import lru_cache
 
 from . import Value
-from .bigmath import prime_flags
+from .bigmath import prime_factors, prime_flags
 from .sequences import RECURRENCE, SequenceKind
 
 
@@ -61,20 +62,6 @@ def _balancing_pair(k: int, modulus: int) -> tuple[int, int]:
     return u, v
 
 
-def _factor(n: int) -> dict[int, int]:
-    """{prime: exponent} of n >= 1, by trial division."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 @lru_cache(maxsize=None)
 def _prime_power_period(p: int, e: int) -> int:
     """The period of B mod p**e, for a prime p and e >= 1, by `period`'s order search."""
@@ -87,7 +74,8 @@ def _prime_power_period(p: int, e: int) -> int:
             "the step map's order must divide it"
         )
     t = multiple
-    for q in _factor(multiple):
+    # in any order: once q is done, v_q(t) = v_q(order), and other primes keep it
+    for q in set(prime_factors(multiple)):
         while t % q == 0 and _balancing_pair(t // q, modulus) == (0, 1):
             t //= q
     return t
@@ -122,27 +110,13 @@ def period(modulus: int) -> PeriodResult:
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
+    exponents: dict[int, int] = {}
+    for p in prime_factors(modulus):
+        exponents[p] = exponents.get(p, 0) + 1
     t = 1
-    for p, e in _factor(modulus).items():
+    for p, e in exponents.items():
         t = math.lcm(t, _prime_power_period(p, e))
     return PeriodResult(modulus=modulus, period=t, prefix_checked=2 * t)
-
-
-# B_n mod 9 depends only on n mod 12.
-MOD9_TABLE: dict[int, int] = {
-    0: 0, 6: 0,
-    1: 1, 5: 1, 9: 1,
-    8: 3, 10: 3,
-    2: 6, 4: 6,
-    3: 8, 7: 8, 11: 8,
-}
-
-
-def residue_class_mod9(n: int) -> int:
-    """B_n mod 9, read from the table keyed on n mod 12."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return MOD9_TABLE[n % 12]
 
 
 @lru_cache(maxsize=None)

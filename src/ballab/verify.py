@@ -4,7 +4,9 @@ Each check sweeps an index range, counts its cases and records the key of
 each failing case: the indices that name it, such as (n, m), then any
 numbers its description shows.  `_result` sorts the keys into case order and
 formats only the first five.  The suites back both the `verify` command and
-the test suite, so a red check here is a red build.
+the test suite, so a red check here is a red build.  The laws that no
+library function computes, B_n mod 9 by n mod 12 and the 2-adic law, are
+stated here, next to their checks.
 
 Each suite reads B, C, P and Q once (B to 2N in the identity suite and to
 N in the gcd suite, the others to N) and hands the lists to every check that
@@ -75,7 +77,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from . import Value
-from .modular import period, power_residue_sieve, residue_class_mod9, residue_range
+from .modular import period, power_residue_sieve, residue_range
 from .quadring import binet_extract
 from .sequences import SequenceKind, values_up_to
 
@@ -264,9 +266,14 @@ def check_pell_coprime(max_n: int, p: list[int], q: list[int], walk: bool) -> Ch
 # modular checks
 
 
+# B_0, ..., B_11 mod 9
+MOD9_TABLE = (0, 1, 6, 8, 6, 1, 0, 8, 3, 1, 3, 8)
+
+
 def check_mod9_table(max_n: int) -> CheckResult:
+    """B_n mod 9 is MOD9_TABLE[n % 12]: the sequence mod 9 repeats with period 12."""
     direct = residue_range(SequenceKind.BALANCING, max_n, 9)
-    failing = [(n,) for n in range(max_n + 1) if residue_class_mod9(n) != direct[n]]
+    failing = [(n,) for n in range(max_n + 1) if MOD9_TABLE[n % 12] != direct[n]]
     return _result("mod9-table", f"0 <= n <= {max_n}", max_n + 1, failing,
                    "mod-9 table wrong at n={0}".format)
 

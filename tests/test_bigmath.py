@@ -1,9 +1,17 @@
+import math
 import random
 
 import pytest
 
 from ballab import bigmath
-from ballab.bigmath import integer_kth_root, is_prime, prime_flags, primes_up_to, strip_prime
+from ballab.bigmath import (
+    integer_kth_root,
+    is_prime,
+    prime_factors,
+    prime_flags,
+    primes_up_to,
+    strip_prime,
+)
 from ballab.diophantine import _maybe_decompose, _power_hits
 from refmath import brute_power_decompose, perfect_power_decompose
 
@@ -198,6 +206,26 @@ class TestPrimeHelpers:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
         for n in range(31):
             assert is_prime(n) == (n in primes)
+        flags = prime_flags(1 << 16)
+        assert [n for n in range(-5, 1 << 16) if is_prime(n)] == \
+            [n for n in range(1 << 16) if flags[n]]
+
+    def test_prime_factors_below_2_16(self):
+        flags = prime_flags(1 << 16)
+        for n in range(-5, 2):
+            assert list(prime_factors(n)) == [], n
+        for n in range(2, 1 << 16):
+            factors = list(prime_factors(n))
+            assert factors == sorted(factors), n
+            assert all(flags[p] for p in factors), n
+            assert math.prod(factors) == n
+
+    @pytest.mark.parametrize("n, factors", [
+        ((1 << 31) - 1, [(1 << 31) - 1]), (46337 ** 2, [46337, 46337]),
+        (2 * 1073741789, [2, 1073741789]), (1073741789, [1073741789]), (561, [3, 11, 17])])
+    def test_prime_factors_large(self, n, factors):
+        assert list(prime_factors(n)) == factors
+        assert is_prime(n) == (factors == [n])
 
     def test_primes_up_to(self):
         assert primes_up_to(1) == ()

@@ -7,15 +7,14 @@ import ballab.modular
 from ballab.bigmath import is_prime, prime_flags
 from ballab.cli import MAX_PERIOD_MOD
 from ballab.modular import (
-    MOD9_TABLE,
     PeriodResult,
     default_sieve_moduli,
     period,
     power_residue_sieve,
-    residue_class_mod9,
     residue_range,
 )
 from ballab.sequences import SequenceKind, values_up_to
+from ballab.verify import MOD9_TABLE
 import refmath
 from refmath import term_mod
 
@@ -164,24 +163,11 @@ class TestPeriodOrderCertificate:
 
 
 class TestMod9Table:
-    def test_table_keys(self):
-        assert sorted(MOD9_TABLE) == list(range(12))
-        assert set(MOD9_TABLE.values()) == {0, 1, 3, 6, 8}
-
-    def test_examples(self):
-        assert residue_class_mod9(3) == 8
-        assert residue_class_mod9(15) == 8
-        assert residue_class_mod9(0) == 0
-        assert residue_class_mod9(26) == 6
-
     def test_against_direct_reduction(self):
         direct = residue_range(SequenceKind.BALANCING, 240, 9)
+        assert len(MOD9_TABLE) == 12
         for n in range(241):
-            assert residue_class_mod9(n) == direct[n]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            residue_class_mod9(-1)
+            assert MOD9_TABLE[n % 12] == direct[n]
 
 
 class TestTwoAdicLaw:

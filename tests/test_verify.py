@@ -7,7 +7,9 @@ import refmath
 from ballab.modular import PeriodResult, period, residue_range
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
+    MOD9_TABLE,
     CheckResult,
+    check_mod9_table,
     check_period_consistency,
     check_sieve_soundness,
     check_two_adic,
@@ -160,6 +162,16 @@ def test_two_adic_reports_a_wrong_residue(monkeypatch):
     assert got == {"name": "two-adic-law", "bound": "1 <= n <= 200, 1 <= k <= 8",
                    "checked": 1600, "passed": False,
                    "failures": [f"2^{k} | B_96 does not match 2^{k} | 96" for k in range(1, 6)]}
+
+
+@pytest.mark.parametrize("r", [0, 5, 11])
+def test_mod9_table_reports_a_wrong_entry(monkeypatch, r):
+    table = list(MOD9_TABLE)
+    table[r] = (table[r] + 1) % 9
+    monkeypatch.setattr(ballab.verify, "MOD9_TABLE", tuple(table))
+    got = check_mod9_table(61)
+    assert (got.passed, got.checked) == (False, 62)
+    assert got.failures == [f"mod-9 table wrong at n={n}" for n in range(r, r + 60, 12)]
 
 
 @pytest.mark.parametrize("n, residue", [

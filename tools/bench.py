@@ -21,7 +21,8 @@ the machine's speed hits both sides alike.  Per run it records
   (``tests/output_contract*.jsonl``) pins that line, or null for a line the
   contract does not hold.
 
-Every line of ``CI`` (the search lines of ``tests/output_contract_ci.jsonl``
+Every line of ``CI`` (every line of ``tests/output_contract_ci.jsonl``:
+its searches, ``verify`` at N = 5000 and one-index ``seq`` at the ceilings;
 plus special-form, balancing, p = 2 at N = 12,000) and then of ``RENDER``
 (``seq`` at its ceilings, where the time goes into building and printing
 the values) runs ``RUNS`` times per tree, after one untimed run of
@@ -72,8 +73,7 @@ def contract() -> dict[tuple[str, ...], dict]:
 
 
 RUNS = 3
-CI = [line["argv"] for line in map(json.loads, CI_CONTRACT_PATH.read_text().splitlines())
-      if line["argv"][0] == "search"] + [
+CI = [line["argv"] for line in map(json.loads, CI_CONTRACT_PATH.read_text().splitlines())] + [
     ["search", "special-form", "--max-index", "12000", "--kind", "balancing", "--prime", "2"]]
 RENDER = [["seq", "--kind", "pell", "--from", "0", "--to", "11000"],
           ["seq", "--kind", "balancing", "--from", "0", "--to", "5500"],
