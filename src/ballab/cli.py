@@ -35,7 +35,6 @@ from types import SimpleNamespace
 from . import __version__
 from .bigmath import is_prime
 from .diophantine import (
-    COPRIME_ZERO_EXEMPT_NOTE,
     EquationTag,
     Parity,
     SearchConfig,
@@ -114,6 +113,12 @@ MAX_SEQ_MOD = 10 ** 30
 # 31.7 s, product-form 48.9 s at 170 MiB, special-form 83.9 s at 292 MiB.
 MAX_SEARCH_INDEX = dict.fromkeys(_SEARCH_EQUATIONS, 20_000) | {
     "product-form": 15_000, "special-form": 40_000}
+COPRIME_ZERO_EXEMPT_NOTE = (
+    "coprimality convention: gcd(x, 0) = x, so a zero term can only pass the "
+    "literal gcd test next to a 1; the zero-exemption additionally accepts a "
+    "partner equal to 6, matching the published solution list for the "
+    "square-difference equation"
+)
 
 
 def canonical_json(obj) -> str:
@@ -135,8 +140,7 @@ def _report(command: str, config: dict, results: list, started: float) -> dict:
 # ballab module imports dataclasses or typing, or builds a class with an
 # import-time factory: `import dataclasses` loads inspect and ast (about
 # 10 ms), each @dataclass execs generated code (about 1 ms), and each
-# NamedTuple costs about 0.2 ms.  Value classes are plain __slots__ classes;
-# those compared or hashed get ==, hash and repr from ballab.Value.
+# NamedTuple costs about 0.2 ms.  Value classes are plain __slots__ classes.
 class _Option:
     """One command-line option, or the positional when flag has no leading "-".
 

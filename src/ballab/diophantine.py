@@ -103,10 +103,10 @@ least r with l | U_r) divides l - 1 or l + 1, 2 has rank 2, and a second
 kind's k is half its U's rank.  The largest are 95 for B and Q, 41 for C
 and 190 for P.  The scan skips those terms and strips p off the others.
 
-x = 1 satisfies any exponent, so value 1 (rest 1 for special-form) is one
-hit, (1, min_exponent), standing for the exponent family q >= min_exponent;
-every other hit has x >= 2.  A record with x = 1 is that family, written
-with the key q_family_min (b_family_min) in place of q (b).
+x = 1 satisfies any exponent, so _power_hits makes value 1 (rest 1 for
+special-form) one hit, (1, min_exponent), standing for the exponent family
+q >= min_exponent; every other hit has x >= 2.  A record with x = 1 is that
+family, written with the key q_family_min (b_family_min) in place of q (b).
 """
 
 from __future__ import annotations
@@ -114,19 +114,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from . import Value
 from .bigmath import integer_kth_root, is_prime, primes_up_to, strip_prime
 from .modular import power_residue_sieve
 from .sequences import SequenceKind, term, values_up_to
 
 ORACLE_MAX_INDEX = 40
-
-COPRIME_ZERO_EXEMPT_NOTE = (
-    "coprimality convention: gcd(x, 0) = x, so a zero term can only pass the "
-    "literal gcd test next to a 1; the zero-exemption additionally accepts a "
-    "partner equal to 6, matching the published solution list for the "
-    "square-difference equation"
-)
 
 
 class Parity(Enum):
@@ -142,7 +134,7 @@ class EquationTag(Enum):
     CUBE_SUM_MINUS = "cube-sum-minus"
 
 
-class SearchConfig(Value):
+class SearchConfig:
     __slots__ = ("max_index", "min_exponent", "parity_filter", "coprimality_required",
                  "coprime_zero_exempt")
 
@@ -167,7 +159,7 @@ class SearchConfig(Value):
                 "coprime_zero_exempt": self.coprime_zero_exempt, "sieve_enabled": True}
 
 
-class SolutionRecord(Value):
+class SolutionRecord:
     """One solution (n, m, x, q); x = 1 stands for every exponent >= q."""
 
     __slots__ = ("equation", "n", "m", "x", "exponent", "bounds")
@@ -189,7 +181,7 @@ class SolutionRecord(Value):
                 "bounds": self.bounds.to_dict()}
 
 
-class SpecialFormRecord(Value):
+class SpecialFormRecord:
     """Index n whose term equals prime**s * x**b; x = 1 stands for every exponent >= b."""
 
     __slots__ = ("kind", "prime", "n", "prime_exponent", "x", "exponent")
@@ -209,7 +201,7 @@ class SpecialFormRecord(Value):
                 "b_family_min" if self.x == 1 else "b": self.exponent}
 
 
-class ProductFormRecord(Value):
+class ProductFormRecord:
     """Pair (N, M) with B_N * C_M = 2**two_exponent * x**exponent-th power."""
 
     __slots__ = ("n", "m", "two_exponent", "x", "exponent")
@@ -320,11 +312,15 @@ def _maybe_decompose(value: int) -> tuple[int, int] | None:
     return rest * math.prod(levels[exponent - 1::exponent]), exponent
 
 
-def _power_hits(found: tuple[int, int] | None, min_exponent: int) -> list[tuple[int, int]]:
-    """(x, q) with x**q = base**exponent for each divisor q >= min_exponent, ascending.
+def _power_hits(value: int, min_exponent: int) -> list[tuple[int, int]]:
+    """(x, q) with x**q = value >= 1 and q >= min_exponent, ascending.
 
-    found is _maybe_decompose's result; None has no hits.
+    Value 1 is the one hit (1, min_exponent); any other value has a hit for
+    each divisor q of its maximal exponent, from _maybe_decompose.
     """
+    if value == 1:
+        return [(1, min_exponent)]
+    found = _maybe_decompose(value)
     if found is None:
         return []
     base, e = found
@@ -335,7 +331,7 @@ def _verified(records: list) -> list:
     """records, once each has re-evaluated its equation with direct arithmetic."""
     for rec in records:
         if not rec.verify():
-            raise ArithmeticError(f"emitted record fails re-verification: {rec}")
+            raise ArithmeticError(f"emitted record fails re-verification: {rec.to_dict()}")
     return records
 
 
@@ -544,9 +540,8 @@ def search_pair(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
 
     def solve(n: int, m: int) -> list[SolutionRecord]:
         value = _pair_value(tag, b[n], b[m])
-        hits = [(1, cfg.min_exponent)] if value == 1 else _power_hits(
-            _maybe_decompose(value), cfg.min_exponent)
-        return [SolutionRecord(tag, n, m, x, q, cfg) for x, q in hits]
+        return [SolutionRecord(tag, n, m, x, q, cfg)
+                for x, q in _power_hits(value, cfg.min_exponent)]
 
     return _scan(_pair_visits(tag, cfg, *tables), solve)
 
@@ -569,9 +564,8 @@ def search_special_form(kind: SequenceKind, p: int, cfg: SearchConfig) -> list[S
         if n in lone:
             continue
         s, rest = strip_prime(p, vals[n])
-        hits = [(1, cfg.min_exponent)] if rest == 1 else _power_hits(
-            _maybe_decompose(rest), cfg.min_exponent)
-        out += [SpecialFormRecord(kind, p, n, s, x, b) for x, b in hits]
+        out += [SpecialFormRecord(kind, p, n, s, x, b)
+                for x, b in _power_hits(rest, cfg.min_exponent)]
     return _verified(out)
 
 
@@ -583,10 +577,11 @@ def search_product_form(cfg: SearchConfig) -> list[ProductFormRecord]:
     def solve(n: int, m: int) -> list[ProductFormRecord]:
         s, odd = strip_prime(2, b.values[n] * c.values[m])
         if odd == 1:
-            # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
+            # unreachable for m >= 1: the odd C_m >= 3 divides the odd part;
+            # _power_hits would take 1 for the x = 1 family, so this stays a check
             raise ArithmeticError(f"pure power of two at ({n}, {m})")
         return [ProductFormRecord(n=n, m=m, two_exponent=s, x=x, exponent=q)
-                for x, q in _power_hits(_maybe_decompose(odd), cfg.min_exponent)]
+                for x, q in _power_hits(odd, cfg.min_exponent)]
 
     return _scan(_product_visits(b, c), solve)
 
@@ -601,7 +596,8 @@ def oracle_search(tag: EquationTag, cfg: SearchConfig) -> list[SolutionRecord]:
     Direct big-integer evaluation plus a full exponent scan via integer
     k-th roots: no sieve, no factor analysis, no identity shortcut.  The
     index bound is capped so an accidental production-size run fails fast.
-    Its loops emit records in (n, m, q) order, as the searches do.
+    Its loops emit records in (n, m, q) order, as the searches do.  It stays
+    in the library only because perfbench/test_perfbench.py imports it.
     """
     if cfg.max_index > ORACLE_MAX_INDEX:
         raise ValueError(f"oracle is bounded to max_index <= {ORACLE_MAX_INDEX}")

@@ -20,7 +20,6 @@ import itertools
 import math
 from functools import lru_cache
 
-from . import Value
 from .bigmath import prime_factors, prime_flags
 from .sequences import RECURRENCE, SequenceKind
 
@@ -40,7 +39,7 @@ def residue_range(kind: SequenceKind, hi: int, modulus: int) -> list[int]:
     return out[: hi + 1]
 
 
-class PeriodResult(Value):
+class PeriodResult:
     __slots__ = ("modulus", "period", "prefix_checked")
 
     # prefix_checked: 2 * period; restart at k <=> period | k holds at every

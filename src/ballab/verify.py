@@ -76,7 +76,6 @@ import time
 from math import gcd, lcm
 from operator import add, sub
 
-from . import Value
 from .modular import period, power_residue_sieve, residue_range
 from .quadring import binet_extract
 from .sequences import SequenceKind, values_up_to
@@ -91,20 +90,15 @@ SUITE_NAMES = ("identities", "gcd", "modular", "all")
 ALPHA = (3, 2)
 
 
-class CheckResult(Value):
+class CheckResult:
     __slots__ = ("name", "bound", "checked", "passed", "failures", "ms")
 
-    # ms: wall time, set by _timed and left out of ==
+    # ms: wall time, set by _timed
     def __init__(self, name: str, bound: str, checked: int, passed: bool,
                  failures: list[str] | None = None, ms: float = 0.0) -> None:
         self.name, self.bound, self.checked, self.passed = name, bound, checked, passed
         self.failures = [] if failures is None else failures
         self.ms = ms
-
-    def _key(self) -> tuple:
-        return self.name, self.bound, self.checked, self.passed, self.failures
-
-    __hash__ = None  # mutable: _timed sets ms
 
     def to_dict(self) -> dict:
         return {"name": self.name, "bound": self.bound, "checked": self.checked,

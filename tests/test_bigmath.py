@@ -151,11 +151,18 @@ class TestPerfectPowerDecompose:
             assert _maybe_decompose(base) is None
 
     def test_admits_and_root(self):
-        assert _power_hits(_maybe_decompose(2 ** 12), 2) == [
-            (64, 2), (16, 3), (8, 4), (4, 6), (2, 12)]
-        assert _power_hits(_maybe_decompose(2 ** 12), 5) == [(4, 6), (2, 12)]
-        assert _power_hits(_maybe_decompose(2 ** 12), 13) == []
-        assert _power_hits(None, 2) == []
+        assert _power_hits(2 ** 12, 2) == [(64, 2), (16, 3), (8, 4), (4, 6), (2, 12)]
+        assert _power_hits(2 ** 12, 5) == [(4, 6), (2, 12)]
+        assert _power_hits(2 ** 12, 13) == []
+        assert _power_hits(12, 2) == []
+        # value 1 is one hit, standing for every exponent from min_exponent up
+        for q in range(2, 6):
+            assert _power_hits(1, q) == [(1, q)]
+        for v in range(2, 5001):
+            base, e = perfect_power_decompose(v)
+            for q_min in (2, 3, 5):
+                assert _power_hits(v, q_min) == [
+                    (base ** (e // q), q) for q in range(q_min, e + 1) if e % q == 0], v
 
     def test_against_brute_force_dense(self):
         # None reads as exponent 1

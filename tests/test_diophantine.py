@@ -16,7 +16,6 @@ from ballab.diophantine import (
     SpecialFormRecord,
     _maybe_decompose,
     _pair_value,
-    _power_hits,
     _verified,
     oracle_search,
     search_pair,
@@ -152,7 +151,7 @@ class TestSpecialForm:
         out = search_special_form(kind, p, SearchConfig(max_index=60))
         hit = SpecialFormRecord(kind, p, n, 1, x=x, exponent=2)
         assert [(r.n, r.prime_exponent) for r in out if r.x == 1] == families
-        assert [r for r in out if r.x > 1] == [hit]
+        assert [r.to_dict() for r in out if r.x > 1] == [hit.to_dict()]
         assert hit.verify()
         assert not SpecialFormRecord(kind, p, n, 1, x=x + 1, exponent=2).verify()
         assert hit.to_dict() == {"kind": kind.value, "prime": p, "n": n, "s": 1,
@@ -259,6 +258,14 @@ def _reference_coprime_ok(bn, bm, cfg):
     return math.gcd(bn, bm) == 1
 
 
+def divisor_hits(found, min_exponent):
+    """(x, q) for each divisor q >= min_exponent of e, found = (base, e) from a power test."""
+    if found is None:
+        return []
+    base, e = found
+    return [(base ** (e // q), q) for q in range(min_exponent, e + 1) if e % q == 0]
+
+
 def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
     b = values_up_to(SequenceKind.BALANCING, cfg.max_index)
     c = None
@@ -281,7 +288,7 @@ def reference_pair_search(tag, cfg, power_test=_maybe_decompose):
                 # cross-check the half-index factorization before any power test
                 if value != 2 * b[(n + m) // 2] * c[(n - m) // 2]:
                     raise ArithmeticError(f"half-index factorization failed at ({n}, {m})")
-            hits = [(1, cfg.min_exponent)] if value == 1 else _power_hits(
+            hits = [(1, cfg.min_exponent)] if value == 1 else divisor_hits(
                 power_test(value), cfg.min_exponent)
             out += [SolutionRecord(tag, n, m, x, q, cfg) for x, q in hits]
     return _verified(out)
@@ -297,7 +304,7 @@ def reference_product_search(cfg, power_test=_maybe_decompose):
             if odd == 1:
                 # unreachable for m >= 1: the odd C_m >= 3 divides the odd part
                 raise ArithmeticError(f"pure power of two at ({n}, {m})")
-            for x, q in _power_hits(power_test(odd), cfg.min_exponent):
+            for x, q in divisor_hits(power_test(odd), cfg.min_exponent):
                 out.append(ProductFormRecord(n=n, m=m, two_exponent=s, x=x, exponent=q))
     return _verified(out)
 
@@ -308,7 +315,7 @@ def reference_special_form_search(kind, p, cfg, power_test=reference_power_test)
     out = []
     for n in range(1, cfg.max_index + 1):
         s, rest = strip_prime(p, vals[n])
-        hits = [(1, cfg.min_exponent)] if rest == 1 else _power_hits(
+        hits = [(1, cfg.min_exponent)] if rest == 1 else divisor_hits(
             power_test(rest), cfg.min_exponent)
         out += [SpecialFormRecord(kind, p, n, s, x, b) for x, b in hits]
     return _verified(out)

@@ -7,7 +7,6 @@ import ballab.modular
 from ballab.bigmath import is_prime, prime_flags
 from ballab.cli import MAX_PERIOD_MOD
 from ballab.modular import (
-    PeriodResult,
     default_sieve_moduli,
     period,
     power_residue_sieve,
@@ -88,7 +87,9 @@ class TestPeriod:
         smooth = [2 ** a * 5 ** b for a in range(17) for b in range(8)
                   if 2 <= 2 ** a * 5 ** b <= 10 ** 5]
         for mu in [*range(2, 2001), *smooth]:
-            assert period(mu) == refmath.period(mu), mu
+            got, want = period(mu), refmath.period(mu)
+            assert (got.modulus, got.period, got.prefix_checked) == \
+                (want.modulus, want.period, want.prefix_checked), mu
 
 
 def restarts(k, mu):
@@ -139,7 +140,8 @@ class TestPeriodOrderCertificate:
         assert_order_certificate(mu)
 
     def test_largest_prime_below_the_ceiling(self):
-        assert period(9999973) == PeriodResult(9999973, 9999974, 19999948)
+        got = period(9999973)
+        assert (got.modulus, got.period, got.prefix_checked) == (9999973, 9999974, 19999948)
 
     def test_certificate_over_the_cli_range(self):
         hypothesis = pytest.importorskip("hypothesis")
