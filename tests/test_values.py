@@ -4,7 +4,8 @@ They are plain __slots__ classes rather than dataclasses, so that importing
 the CLI loads no dataclasses machinery.  These tests pin what callers rely
 on: construction by position and by keyword with the same defaults, and
 the checks of SearchConfig.  Records are compared by to_dict(), the form
-the CLI prints, and PeriodResult by its attributes.
+the CLI prints, and PeriodResult by its attributes; so to_dict() is pinned
+to read every field but CheckResult's timing.
 """
 
 import re
@@ -43,6 +44,21 @@ CASES = [
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
+# another value for each field of each class with a to_dict()
+OTHER = {
+    SearchConfig: dict(max_index=41, min_exponent=4, parity_filter=Parity.ANY,
+                       coprimality_required=False, coprime_zero_exempt=True),
+    SolutionRecord: dict(equation=EquationTag.SQUARE_DIFF, n=5, m=2, x=206, exponent=2,
+                         bounds=SearchConfig(41)),
+    SpecialFormRecord: dict(kind=SequenceKind.PELL, prime=3, n=2, prime_exponent=1, x=2,
+                            exponent=3),
+    ProductFormRecord: dict(n=2, m=2, two_exponent=1, x=4, exponent=2),
+    CheckResult: dict(name="other", bound="n <= 4", checked=5, passed=True, failures=[],
+                      ms=2.5),
+}
+FIELDS = [(cls, kwargs, name, OTHER[cls][name])
+          for cls, _, kwargs in CASES if cls in OTHER for name in kwargs]
+
 
 @pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, args, kwargs):
@@ -50,6 +66,14 @@ def test_positional_and_keyword_construction_agree(cls, args, kwargs):
     for value in (cls(*args), cls(**kwargs)):
         assert tuple(getattr(value, name) for name in kwargs) == args
         assert not hasattr(value, "__dict__")  # slotted
+
+
+@pytest.mark.parametrize("cls, kwargs, name, other", FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in FIELDS])
+def test_to_dict_reads_every_field(cls, kwargs, name, other):
+    # the wall time a check took is not part of its result
+    printed = cls(**kwargs).to_dict() != cls(**{**kwargs, name: other}).to_dict()
+    assert printed is not (cls is CheckResult and name == "ms")
 
 
 def test_defaults():
