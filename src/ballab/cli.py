@@ -168,6 +168,16 @@ class UsageError(Exception):
     """A handler's refusal of its arguments; main renders it as argparse's usage error."""
 
 
+def _bounded(flag: str, value: int, lo: int | None, hi: int | None = None, where: str = "") -> int:
+    """value, refused below lo or above hi (None leaves that side open); where
+    follows hi in the message, as in " for --suite S"."""
+    if lo is not None and value < lo:
+        raise UsageError(f"{flag} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise UsageError(f"{flag} must be <= {hi}{where}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ballab argparse parser, built from _COMMANDS."""
     import argparse
@@ -256,16 +266,12 @@ def _cmd_seq(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     if args.lo < 0 or args.lo > args.hi:
         raise UsageError(f"invalid range [{args.lo}, {args.hi}]")
-    if args.mod is not None and args.mod < 1:
-        raise UsageError("--mod must be >= 1")
-    if args.mod is not None and args.mod > MAX_SEQ_MOD:
-        raise UsageError(f"--mod must be <= {MAX_SEQ_MOD}, got {args.mod}")
-    ceiling, mode = (MAX_SEQ_TO, "without") if args.mod is None else (MAX_SEQ_TO_MOD, "with")
-    if args.hi > ceiling:
-        raise UsageError(f"--to must be <= {ceiling} {mode} --mod, got {args.hi}")
     if args.mod is None:
+        _bounded("--to", args.hi, None, MAX_SEQ_TO, " without --mod")
         values = values_up_to(_KINDS[args.kind], args.hi)[args.lo:]
     else:
+        _bounded("--mod", args.mod, 1, MAX_SEQ_MOD)
+        _bounded("--to", args.hi, None, MAX_SEQ_TO_MOD, " with --mod")
         values = residue_range(_KINDS[args.kind], args.hi, args.mod)[args.lo:]
     # Each row is canonical_json's bytes for its dict (see the module
     # docstring).  Every row is formatted before anything is printed, so a
@@ -285,10 +291,7 @@ def _cmd_seq(args: SimpleNamespace) -> int:
 
 def _cmd_term(args: SimpleNamespace) -> int:
     started = time.perf_counter()
-    if args.index < 0:
-        raise UsageError("--index must be >= 0")
-    if args.index > MAX_TERM_INDEX:
-        raise UsageError(f"--index must be <= {MAX_TERM_INDEX}, got {args.index}")
+    _bounded("--index", args.index, 0, MAX_TERM_INDEX)
     value = term(_KINDS[args.kind], args.index)
     results = [{"kind": args.kind, "index": args.index, "value": str(value)}]
     print(canonical_json(_report("term", {"kind": args.kind, "index": args.index},
@@ -298,11 +301,8 @@ def _cmd_term(args: SimpleNamespace) -> int:
 
 def _cmd_verify(args: SimpleNamespace) -> int:
     started = time.perf_counter()
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
     ceiling = MAX_VERIFY_N_MODULAR if args.suite == "modular" else MAX_VERIFY_N
-    if args.max_n > ceiling:
-        raise UsageError(f"--max-n must be <= {ceiling} for --suite {args.suite}, got {args.max_n}")
+    _bounded("--max-n", args.max_n, 1, ceiling, f" for --suite {args.suite}")
     checks = run_suite(args.suite, args.max_n)
     results = [c.to_dict() for c in checks]
     report = _report("verify", {"suite": args.suite, "max_n": args.max_n}, results, started)
@@ -313,10 +313,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 def _cmd_period(args: SimpleNamespace) -> int:
     started = time.perf_counter()
-    if args.mod < 2:
-        raise UsageError("--mod must be >= 2")
-    if args.mod > MAX_PERIOD_MOD:
-        raise UsageError(f"--mod must be <= {MAX_PERIOD_MOD}, got {args.mod}")
+    _bounded("--mod", args.mod, 2, MAX_PERIOD_MOD)
     r = period(args.mod)
     results = [{"modulus": r.modulus, "period": r.period,
                 "prefix_checked": r.prefix_checked}]
@@ -326,8 +323,7 @@ def _cmd_period(args: SimpleNamespace) -> int:
 
 def _cmd_balancer(args: SimpleNamespace) -> int:
     started = time.perf_counter()
-    if args.value < 1:
-        raise UsageError("--value must be >= 1")
+    _bounded("--value", args.value, 1)
     r = balancer(args.value)
     results = [{"value": str(args.value), "is_balancing": r is not None,
                 "balancer": None if r is None else str(r)}]
@@ -386,15 +382,9 @@ def _cmd_search(args: SimpleNamespace) -> int:
     assumed = _PUBLISHED.get(eq, ({},))[0]
     needs_coprime = assumed.get("coprimality_required", False)
 
-    if args.max_index < 1:
-        raise UsageError("--max-index must be >= 1")
-    if args.max_index > MAX_SEARCH_INDEX[eq]:
-        raise UsageError(f"--max-index must be <= {MAX_SEARCH_INDEX[eq]} for {eq}, "
-                         f"got {args.max_index}")
+    _bounded("--max-index", args.max_index, 1, MAX_SEARCH_INDEX[eq], f" for {eq}")
     least = assumed.get("min_exponent", 2)
-    min_exp = args.min_exp if args.min_exp is not None else least
-    if min_exp < 2:
-        raise UsageError("--min-exp must be >= 2")
+    min_exp = _bounded("--min-exp", least if args.min_exp is None else args.min_exp, 2)
     if min_exp < least:
         raise UsageError(f"{eq} requires --min-exp >= {least}")
     is_pair_equation = eq in {tag.value for tag in EquationTag}
@@ -413,9 +403,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
     if eq == "special-form":
         if args.kind is None:
             raise UsageError("special-form requires --kind")
-        prime = args.prime if args.prime is not None else 2
-        if prime > MAX_PRIME:
-            raise UsageError(f"--prime must be <= {MAX_PRIME} (2^31 - 1), got {prime}")
+        prime = _bounded("--prime", 2 if args.prime is None else args.prime, None, MAX_PRIME,
+                         " (2^31 - 1)")
         if not is_prime(prime):
             raise UsageError(f"--prime must be prime, got {prime}")
     elif args.kind is not None or args.prime is not None:

@@ -151,10 +151,7 @@ def power_residue_sieve(value: int, q: int) -> bool:
     default_sieve_moduli.
     """
     for p in default_sieve_moduli(q):
-        r = value % p
-        if r == 0:
-            continue  # p | value: residue is 0, a q-th power residue; no information
-        # p ≡ 1 (mod q), so gcd(q, p - 1) = q
-        if pow(r, (p - 1) // q, p) != 1:
+        # p ≡ 1 (mod q), so gcd(q, p - 1) = q; 0 means p | value, no information
+        if pow(value, (p - 1) // q, p) > 1:
             return False
     return True

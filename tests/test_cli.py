@@ -106,11 +106,6 @@ class TestSeq:
                 assert ([r["value"] for r in json.loads(out)["results"]]
                         == [str(v % mod) for v in terms[lo:]])
 
-    def test_bad_mod_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, ["seq", "--kind", "pell", "--from", "0", "--to", "2",
-                                   "--mod", "0"])
-        assert code == 2
-
     @pytest.mark.parametrize("mod, ceiling, mode", [
         ([], 11_000, "without"), (["--mod", "7"], 10 ** 5, "with")])
     @pytest.mark.parametrize("over", [1, 10 ** 9])
@@ -185,10 +180,6 @@ class TestTerm:
         for _ in range(99):
             a, b = b, 6 * b - a
         assert value == b
-
-    def test_negative_index_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, ["term", "--kind", "pell", "--index", "-1"])
-        assert code == 2
 
     @pytest.mark.parametrize("index", [cli.MAX_TERM_INDEX + 1, 10 ** 9])
     def test_index_above_ceiling_is_refused_up_front(self, capsys, index):
@@ -281,10 +272,6 @@ class TestPeriod:
         assert code == 0
         result = json.loads(out)["results"][0]
         assert result["modulus"] == 9 and result["period"] == 12
-
-    def test_small_mod_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, ["period", "--mod", "1"])
-        assert code == 2
 
     def test_mod_above_ceiling_is_refused_up_front(self, capsys):
         started = time.perf_counter()
@@ -394,12 +381,6 @@ class TestSearch:
         claims = last_json_line(out)["claims"]
         assert claims["verdict"] == "MISMATCH" and claims["found"] == []
         assert claims["expected"] == [{"n": 3, "m": 1, "x": "6", "q": 2}]
-
-    def test_min_exp_below_two_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["search", "sum-power", "--max-index", "5", "--min-exp", "1"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith("\nballab: error: --min-exp must be >= 2\n")
 
     @pytest.mark.parametrize("argv", [
         ["sum-power", "--parity", "opposite"], ["sum-power"],
@@ -511,6 +492,23 @@ class TestSearch:
         code, _ = run_cli(capsys, ["search", "product-form", "--max-index", "20",
                                    "--parity", "same"])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag, lo", [
+    (["seq", "--kind", "pell", "--from", "0", "--to", "2", "--mod", "0"], "--mod", 1),
+    (["term", "--kind", "pell", "--index", "-1"], "--index", 0),
+    (["verify", "--suite", "gcd", "--max-n", "0"], "--max-n", 1),
+    (["period", "--mod", "1"], "--mod", 2),
+    (["balancer", "--value", "0"], "--value", 1),
+    (["search", "sum-power", "--max-index", "0"], "--max-index", 1),
+    (["search", "sum-power", "--max-index", "5", "--min-exp", "1"], "--min-exp", 2),
+], ids=["seq-mod", "term-index", "verify-max-n", "period-mod", "balancer-value",
+        "search-max-index", "search-min-exp"])
+def test_below_floor_is_usage_error(capsys, argv, flag, lo):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\nballab: error: {flag} must be >= {lo}\n")
 
 
 def test_output_contract_without_sieve_switch_or_format_env(capsys, monkeypatch):
