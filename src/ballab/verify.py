@@ -1,28 +1,25 @@
 """Executable property suites for the balancing family.
 
-Each check sweeps an index range, counts its cases and records the key of
-each failing case: the indices that name it, such as (n, m), then any
-numbers its description shows.  `_result` sorts the keys into case order and
-formats only the first five.  The suites back both the `verify` command and
-the test suite, so a red check here is a red build.  The laws that no
+Each check counts the cases of an index range; one that sweeps them records
+the key of each failing case: the indices that name it, such as (n, m), then
+any numbers its description shows.  `_result` sorts the keys into case order
+and formats only the first five.  The suites back both the `verify` command
+and the test suite, so a red check here is a red build.  The laws that no
 library function computes, B_n mod 9 by n mod 12 and the 2-adic law, are
 stated here, next to their checks.
 
 Each suite reads B, C, P and Q once (B to 2N in the identity suite and to
-N in the gcd suite, the others to N) and hands the lists to every check that
-reads them.  The checks that multiply terms or take gcds (the addition
-formula, the half-index sum and difference, the Pell product, index
-doubling, square plus one, the three gcd laws and Pell coprimality) rest on
-one premise, which the suite tests once and passes on as `walk`: the given
-B and C are prefixes of the walk (B_0, C_0) = (0, 1), (B_{k+1}, C_{k+1}) =
-(3*B_k + C_k, 8*B_k + 3*C_k), and P and Q of the walk (P_0, Q_0) = (0, 1),
-(P_{k+1}, Q_{k+1}) = (P_k + Q_k, 2*P_k + Q_k).  `walk` must be `_pell_steps`
-of the very lists passed.  A check's result does not depend on how far its
-suite read, because each literal loop is exact: a B_{2N} off the walk sends
-half-index-sum, which never reads it, to a literal loop that passes.  Where
-the premise holds, the given terms are the walks', and (B_k, C_k) is
-M**k (0, 1) with M = [[3, 1], [8, 3]].  By induction on k,
-M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
+N in the gcd suite, the others to N).  The laws that relate products or
+gcds of terms (IDENTITY_LAWS and GCD_LAWS: the addition formula, the
+half-index sum and difference, the Pell product, index doubling, square
+plus one, the three gcd laws and Pell coprimality) rest on one premise,
+which the suite tests once on the lists it read, as
+`walk = _pell_steps(b, c, p, q)`: B and C are prefixes of the
+walk (B_0, C_0) = (0, 1), (B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k +
+3*C_k), and P and Q of the walk (P_0, Q_0) = (0, 1), (P_{k+1}, Q_{k+1}) =
+(P_k + Q_k, 2*P_k + Q_k).  Where it holds, (B_k, C_k) is M**k (0, 1) with
+M = [[3, 1], [8, 3]].  By induction on k, M**k = [[C_k, B_k], [8*B_k,
+C_k]], and det M = 1.  So, at every index:
 
 - M**(x+y) = M**x * M**y gives B_{x+y} = B_x*C_y + C_x*B_y and C_{x+y} =
   C_x*C_y + 8*B_x*B_y, the addition formula; x = y gives index doubling,
@@ -55,8 +52,9 @@ M**k = [[C_k, B_k], [8*B_k, C_k]], and det M = 1.  So, at every index:
   and the rational parts C_k = 2*Q_k**2 - (-1)**k: the one unit u gives all
   four terms, which is how `quadring` computes them.
 
-So no case of these checks fails.  Where the premise fails, each check tests
-every case in its literal loop.
+So no case of these laws fails, and their checks read no term: each passes
+exactly when its suite's walk holds, and otherwise reports the one failure
+OFF_WALK.
 
 period-consistency rests on a premise of its own, which it tests once: the
 one residue stream W it reads, B to index 2*T mod the lcm L of its moduli
@@ -73,8 +71,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd, lcm
-from operator import add, sub
+from math import lcm
 
 from .modular import period, power_residue_sieve, residue_range
 from .quadring import binet_extract
@@ -88,12 +85,14 @@ if TYPE_CHECKING:
 SUITE_NAMES = ("identities", "gcd", "modular", "all")
 # alpha = 3 + 2*sqrt(2) as the pair (3, 2), the unit whose powers unit-norm checks
 ALPHA = (3, 2)
+# the one failure of a premise-settled check whose suite's walk fails (module docstring)
+OFF_WALK = "B, C, P and Q read are not the Pell walks from (0, 1)"
 
 
 class CheckResult:
     __slots__ = ("name", "bound", "checked", "passed", "failures", "ms")
 
-    # ms: wall time, set by _timed
+    # ms: wall time, set by _timed (0 for a premise-settled check, which computes nothing)
     def __init__(self, name: str, bound: str, checked: int, passed: bool,
                  failures: list[str] | None = None, ms: float = 0.0) -> None:
         self.name, self.bound, self.checked, self.passed = name, bound, checked, passed
@@ -110,6 +109,12 @@ def _result(name: str, bound: str, checked: int, failing: list[tuple],
     """`checked` cases with these failing keys; describe(*key) names each of the first five."""
     failures = [describe(*key) for key in sorted(failing)[:5]]
     return CheckResult(name, bound, checked, passed=not failing, failures=failures)
+
+
+def _settled(laws: tuple, max_n: int, walk: bool) -> list[CheckResult]:
+    """One result per (name, bound, count) law, at max_n, passing exactly when the walk holds."""
+    return [CheckResult(name, bound.format(max_n), count(max_n), passed=walk,
+                        failures=[] if walk else [OFF_WALK]) for name, bound, count in laws]
 
 
 def _timed(check: Callable[..., CheckResult], *args) -> CheckResult:
@@ -144,53 +149,23 @@ def _pell_steps(b: list[int], c: list[int], p: list[int], q: list[int]) -> bool:
     return True
 
 
-def _half_index(max_n: int, op: Callable[[int, int], int], b: list[int], scale: list[int],
-                terms: list[int]) -> list[tuple]:
-    """Failing (n, m, a, d) of op(B_n, B_m) = 2*scale_d*terms_a, n, m = a + d, a - d."""
-    return [(a + d, a - d, a, d) for d in range(max_n // 2 + 1) for a in range(d, max_n + 1 - d)
-            if op(b[a + d], b[a - d]) != 2 * scale[d] * terms[a]]
-
-
-def check_half_index_sum(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    failing = [] if walk else _half_index(max_n, add, b, c, b)
-    # row d has the max_n + 1 - 2*d cases d <= a <= max_n - d
-    return _result("half-index-sum", f"0 <= m <= n <= {max_n}, same parity",
-                   sum(range(max_n + 1, 0, -2)), failing, "B_{0} + B_{1} != 2*B_{2}*C_{3}".format)
-
-
-def check_half_index_diff(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    failing = [] if walk else _half_index(max_n, sub, b, b, c)
-    return _result("half-index-diff", f"0 <= m <= n <= {max_n}, same parity",
-                   sum(range(max_n + 1, 0, -2)), failing, "B_{0} - B_{1} != 2*B_{3}*C_{2}".format)
-
-
-def check_pell_product(max_n: int, b: list[int], p: list[int], q: list[int],
-                       walk: bool) -> CheckResult:
-    failing = [] if walk else [(m,) for m in range(max_n + 1) if b[m] != p[m] * q[m]]
-    return _result("pell-product", f"0 <= m <= {max_n}", max_n + 1, failing,
-                   "B_{0} != P_{0}*Q_{0}".format)
-
-
-def check_index_doubling(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    failing = [] if walk else [
-        (n, 2 * n) for n in range(max_n + 1) if b[2 * n] != 2 * b[n] * c[n]]
-    return _result("index-doubling", f"0 <= n <= {max_n}", max_n + 1, failing,
-                   "B_{1} != 2*B_{0}*C_{0}".format)
-
-
-def check_square_plus_one(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    failing = [] if walk else [
-        (n,) for n in range(max_n + 1) if 8 * b[n] * b[n] + 1 != c[n] * c[n]]
-    return _result("square-plus-one", f"0 <= n <= {max_n}", max_n + 1, failing,
-                   "8*B_{0}^2 + 1 != C_{0}^2".format)
-
-
-def check_addition_formula(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    ys = range(max_n + 1)
-    failing = [] if walk else [
-        (x, y, x + y) for x in ys for y in ys if b[x + y] != b[x] * c[y] + c[x] * b[y]]
-    return _result("addition-formula", f"0 <= x, y <= {max_n}", (max_n + 1) ** 2, failing,
-                   "B_{2} != B_{0}*C_{1} + C_{0}*B_{1}".format)
+# the identity suite's premise-settled checks, in report order: (name, bound,
+# number of cases), each law in its comment
+IDENTITY_LAWS = (
+    # B_n + B_m = 2*B_a*C_d for n, m = a + d, a - d; row d has the max_n + 1 - 2*d
+    # cases d <= a <= max_n - d
+    ("half-index-sum", "0 <= m <= n <= {}, same parity", lambda n: sum(range(n + 1, 0, -2))),
+    # B_n - B_m = 2*B_d*C_a for n, m = a + d, a - d
+    ("half-index-diff", "0 <= m <= n <= {}, same parity", lambda n: sum(range(n + 1, 0, -2))),
+    # B_m = P_m*Q_m
+    ("pell-product", "0 <= m <= {}", lambda n: n + 1),
+    # B_{2n} = 2*B_n*C_n
+    ("index-doubling", "0 <= n <= {}", lambda n: n + 1),
+    # 8*B_n**2 + 1 = C_n**2
+    ("square-plus-one", "0 <= n <= {}", lambda n: n + 1),
+    # B_{x+y} = B_x*C_y + C_x*B_y
+    ("addition-formula", "0 <= x, y <= {}", lambda n: (n + 1) ** 2),
+)
 
 
 def check_lucas_odd(max_n: int, c: list[int]) -> CheckResult:
@@ -223,37 +198,17 @@ def check_unit_norm(max_n: int) -> CheckResult:
 # gcd structure checks
 
 
-def check_gcd_balancing(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    ns = range(1, max_n + 1)
-    failing = [] if walk else [
-        (n, m) for n in ns for m in ns if gcd(b[n], b[m]) != b[gcd(n, m)]]
-    return _result("gcd-balancing", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
-                   "gcd(B_{0}, B_{1}) != B_gcd({0},{1})".format)
-
-
-def check_gcd_lucas(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    ns = range(1, max_n + 1)
-    # n & -n is 2**v_2(n)
-    failing = [] if walk else [
-        (n, m) for n in ns for m in ns
-        if gcd(c[n], c[m]) != (c[gcd(n, m)] if n & -n == m & -m else 1)]
-    return _result("gcd-lucas", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
-                   "gcd(C_{0}, C_{1}) != expected".format)
-
-
-def check_gcd_mixed(max_n: int, b: list[int], c: list[int], walk: bool) -> CheckResult:
-    ns = range(1, max_n + 1)
-    failing = [] if walk else [
-        (n, m) for n in ns for m in ns
-        if gcd(b[n], c[m]) != (c[gcd(n, m)] if n & -n > m & -m else 1)]
-    return _result("gcd-mixed", f"1 <= n, m <= {max_n}", max_n * max_n, failing,
-                   "gcd(B_{0}, C_{1}) != expected".format)
-
-
-def check_pell_coprime(max_n: int, p: list[int], q: list[int], walk: bool) -> CheckResult:
-    failing = [] if walk else [(n,) for n in range(1, max_n + 1) if gcd(p[n], q[n]) != 1]
-    return _result("pell-coprime", f"1 <= n <= {max_n}", max_n, failing,
-                   "gcd(P_{0}, Q_{0}) != 1".format)
+# the gcd suite's checks, all premise-settled, as IDENTITY_LAWS
+GCD_LAWS = (
+    # gcd(B_n, B_m) = B_gcd(n, m)
+    ("gcd-balancing", "1 <= n, m <= {}", lambda n: n * n),
+    # gcd(C_n, C_m) = C_gcd(n, m) where v_2(n) = v_2(m), else 1
+    ("gcd-lucas", "1 <= n, m <= {}", lambda n: n * n),
+    # gcd(B_n, C_m) = C_gcd(n, m) where v_2(n) > v_2(m), else 1
+    ("gcd-mixed", "1 <= n, m <= {}", lambda n: n * n),
+    # gcd(P_n, Q_n) = 1
+    ("pell-coprime", "1 <= n <= {}", lambda n: n),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +317,7 @@ def _read_and_walk(b_hi: int, max_n: int) -> tuple[list[int], list[int], list[in
 def identity_suite(max_n: int) -> list[CheckResult]:
     b, c, p, q, walk = _read_and_walk(2 * max_n, max_n)
     return [
-        _timed(check_half_index_sum, max_n, b, c, walk),
-        _timed(check_half_index_diff, max_n, b, c, walk),
-        _timed(check_pell_product, max_n, b, p, q, walk),
-        _timed(check_index_doubling, max_n, b, c, walk),
-        _timed(check_square_plus_one, max_n, b, c, walk),
-        _timed(check_addition_formula, max_n, b, c, walk),
+        *_settled(IDENTITY_LAWS, max_n, walk),
         _timed(check_lucas_odd, max_n, c),
         _timed(check_closed_form, max_n, b, c),
         _timed(check_unit_norm, min(max_n, 200)),
@@ -375,10 +325,7 @@ def identity_suite(max_n: int) -> list[CheckResult]:
 
 
 def gcd_suite(max_n: int) -> list[CheckResult]:
-    b, c, p, q, walk = _read_and_walk(max_n, max_n)
-    return [*(_timed(check, max_n, b, c, walk)
-              for check in (check_gcd_balancing, check_gcd_lucas, check_gcd_mixed)),
-            _timed(check_pell_coprime, max_n, p, q, walk)]
+    return _settled(GCD_LAWS, max_n, _read_and_walk(max_n, max_n)[-1])
 
 
 def modular_suite(max_n: int) -> list[CheckResult]:

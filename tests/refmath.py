@@ -127,9 +127,9 @@ def period(modulus: int) -> PeriodResult:
 
 # ---------------------------------------------------------------------------
 # The verify checks that one premise test settles, as one generator step per
-# ordered case, each decided on its own.  ballab.verify settles every case
-# where the premise holds and records failing cases by key; these are the
-# slow side of that equivalence.
+# ordered case, each decided on its own.  ballab.verify reads no term in
+# these checks: its count is arithmetic and the walk of its suite's terms
+# decides them all, so on the true terms both sides must agree.
 
 
 def _run_check(name: str, bound: str, cases: Iterable[str | None]) -> CheckResult:

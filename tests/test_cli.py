@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 import random
 import re
@@ -106,41 +108,6 @@ class TestSeq:
                 assert ([r["value"] for r in json.loads(out)["results"]]
                         == [str(v % mod) for v in terms[lo:]])
 
-    @pytest.mark.parametrize("mod, ceiling, mode", [
-        ([], 11_000, "without"), (["--mod", "7"], 10 ** 5, "with")])
-    @pytest.mark.parametrize("over", [1, 10 ** 9])
-    def test_to_above_ceiling_is_refused_up_front(self, capsys, mod, ceiling, mode, over):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["seq", "--kind", "pell", "--from", "0", "--to", str(ceiling + over), *mod])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert (f"--to must be <= {ceiling} {mode} --mod, got {ceiling + over}"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("mod, ceiling", [([], 11_000), (["--mod", "7"], 10 ** 5)])
-    def test_to_at_ceiling_is_accepted(self, capsys, monkeypatch, mod, ceiling):
-        # the sequences are stubbed: only the bound check runs
-        monkeypatch.setattr(cli, "values_up_to", lambda kind, hi: [7] * (hi + 1))
-        monkeypatch.setattr(cli, "residue_range", lambda kind, hi, m: [7] * (hi + 1))
-        code, out = run_cli(capsys, ["seq", "--kind", "pell", "--from", str(ceiling),
-                                     "--to", str(ceiling), *mod])
-        assert code == 0
-        assert json.loads(out)["results"] == [
-            {"kind": "pell", "index": ceiling, "value": "7"}]
-
-    @pytest.mark.parametrize("mod", [cli.MAX_SEQ_MOD + 1, 10 ** 1000])
-    def test_mod_above_ceiling_is_refused_up_front(self, capsys, monkeypatch, mod):
-        def unreachable(*args):
-            raise AssertionError("residues computed past the --mod ceiling")
-
-        monkeypatch.setattr(cli, "residue_range", unreachable)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["seq", "--kind", "balancing", "--from", "0", "--to", "10",
-                      "--mod", str(mod)])
-        assert exc.value.code == 2
-        assert f"--mod must be <= {cli.MAX_SEQ_MOD}, got {mod}" in capsys.readouterr().err
-
     def test_mod_at_ceiling_is_accepted(self, capsys):
         code, out = run_cli(capsys, ["seq", "--kind", "pell", "--from", "0", "--to", "60",
                                      "--mod", str(cli.MAX_SEQ_MOD)])
@@ -180,25 +147,6 @@ class TestTerm:
         for _ in range(99):
             a, b = b, 6 * b - a
         assert value == b
-
-    @pytest.mark.parametrize("index", [cli.MAX_TERM_INDEX + 1, 10 ** 9])
-    def test_index_above_ceiling_is_refused_up_front(self, capsys, index):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["term", "--kind", "balancing", "--index", str(index)])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert (f"--index must be <= {cli.MAX_TERM_INDEX}, got {index}"
-                in capsys.readouterr().err)
-
-    def test_index_at_ceiling_is_accepted(self, capsys, monkeypatch):
-        # the closed form itself is stubbed: only the bound check runs
-        monkeypatch.setattr(cli, "term", lambda kind, n: 7)
-        code, out = run_cli(capsys, ["term", "--kind", "pell", "--index",
-                                     str(cli.MAX_TERM_INDEX)])
-        assert code == 0
-        assert json.loads(out)["results"] == [
-            {"kind": "pell", "index": cli.MAX_TERM_INDEX, "value": "7"}]
 
 
 class TestVerify:
@@ -245,26 +193,6 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["results"][0]["passed"] is False
 
-    @pytest.mark.parametrize("suite, ceiling", [
-        ("identities", 5000), ("gcd", 5000), ("all", 5000), ("modular", 10 ** 6)])
-    def test_max_n_above_ceiling_is_refused_up_front(self, capsys, suite, ceiling):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", suite, "--max-n", str(ceiling + 1)])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert (f"--max-n must be <= {ceiling} for --suite {suite}, got {ceiling + 1}"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("suite, ceiling", [
-        ("identities", 5000), ("gcd", 5000), ("all", 5000), ("modular", 10 ** 6)])
-    def test_max_n_at_ceiling_is_accepted(self, capsys, monkeypatch, suite, ceiling):
-        # the suites themselves are stubbed: only the bound check runs
-        monkeypatch.setattr(cli, "run_suite", lambda name, max_n: [])
-        code, out = run_cli(capsys, ["verify", "--suite", suite, "--max-n", str(ceiling)])
-        assert code == 0
-        assert json.loads(out)["config"] == {"suite": suite, "max_n": ceiling}
-
 
 class TestPeriod:
     def test_mod_nine(self, capsys):
@@ -272,23 +200,6 @@ class TestPeriod:
         assert code == 0
         result = json.loads(out)["results"][0]
         assert result["modulus"] == 9 and result["period"] == 12
-
-    def test_mod_above_ceiling_is_refused_up_front(self, capsys):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["period", "--mod", str(cli.MAX_PERIOD_MOD + 1)])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert (f"--mod must be <= {cli.MAX_PERIOD_MOD}, got {cli.MAX_PERIOD_MOD + 1}"
-                in capsys.readouterr().err)
-
-    def test_mod_at_ceiling_is_accepted(self, capsys, monkeypatch):
-        # the walk itself is stubbed: only the bound check runs
-        monkeypatch.setattr(cli, "period", lambda mod: PeriodResult(mod, 1, 2))
-        code, out = run_cli(capsys, ["period", "--mod", str(cli.MAX_PERIOD_MOD)])
-        assert code == 0
-        assert json.loads(out)["config"] == {"modulus": cli.MAX_PERIOD_MOD}
-
 
 class TestBalancer:
     def test_balancing_number(self, capsys):
@@ -440,49 +351,6 @@ class TestSearch:
                                    "--kind", "balancing", "--prime", "6"])
         assert code == 2
 
-    def test_prime_above_ceiling_is_refused_up_front(self, capsys):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["search", "special-form", "--max-index", "5",
-                      "--kind", "balancing", "--prime", str((1 << 61) - 1)])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert "--prime must be <= 2147483647" in capsys.readouterr().err
-
-    def test_prime_at_ceiling_is_accepted(self, capsys):
-        code, out = run_cli(capsys, ["search", "special-form", "--max-index", "5",
-                                     "--kind", "balancing", "--prime", str(cli.MAX_PRIME)])
-        assert code == 0
-        assert last_json_line(out)["config"]["prime"] == cli.MAX_PRIME
-
-    @pytest.mark.parametrize("eq", cli._SEARCH_EQUATIONS)
-    def test_max_index_above_ceiling_is_refused_up_front(self, capsys, monkeypatch, eq):
-        monkeypatch.setenv("COLUMNS", "80")
-        over = cli.MAX_SEARCH_INDEX[eq] + 1
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["search", eq, "--max-index", str(over)])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == (
-            USAGE + f"ballab: error: --max-index must be <= {over - 1} for {eq}, got {over}\n")
-
-    @pytest.mark.parametrize("eq, flags", [
-        ("sum-power", []), ("square-diff", ["--parity", "same"]),
-        ("cube-sum-plus", ["--parity", "same"]), ("cube-sum-minus", ["--parity", "same"]),
-        ("product-form", ["--min-exp", "3"]), ("special-form", ["--kind", "balancing"]),
-    ], ids=["sum-power", "square-diff", "cube-sum-plus", "cube-sum-minus", "product-form",
-            "special-form"])
-    def test_max_index_at_ceiling_is_accepted(self, capsys, monkeypatch, eq, flags):
-        # the searches are stubbed: only the bound check runs (flags that
-        # attach no claims block, which an empty result would not match)
-        for name in ("search_pair", "search_product_form", "search_special_form"):
-            monkeypatch.setattr(cli, name, lambda *args: [])
-        ceiling = cli.MAX_SEARCH_INDEX[eq]
-        code, out = run_cli(capsys, ["search", eq, "--max-index", str(ceiling), *flags])
-        assert code == 0
-        assert last_json_line(out)["config"]["max_index"] == ceiling
-
     def test_csv_not_available_for_search(self, capsys):
         code, _ = run_cli(capsys, ["search", "sum-power", "--max-index", "20",
                                    "--format", "csv"])
@@ -509,6 +377,101 @@ def test_below_floor_is_usage_error(capsys, argv, flag, lo):
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"\nballab: error: {flag} must be >= {lo}\n")
+
+
+def _above(case, argv, value, message):
+    return pytest.param([*argv, str(value)], f"{message}, got {value}", id=case)
+
+
+VERIFY_CEILINGS = [("identities", 5000), ("gcd", 5000), ("all", 5000), ("modular", 10 ** 6)]
+SEARCH_FLAGS = {"sum-power": [], "square-diff": ["--parity", "same"],
+                "cube-sum-plus": ["--parity", "same"], "cube-sum-minus": ["--parity", "same"],
+                "product-form": ["--min-exp", "3"], "special-form": ["--kind", "balancing"]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(_above(f"seq-to-{mode}+{over}", ["seq", "--kind", "pell", "--from", "0", *mod, "--to"],
+             ceiling + over, f"--to must be <= {ceiling} {mode} --mod")
+      for mode, mod, ceiling in (("without", [], 11_000), ("with", ["--mod", "7"], 10 ** 5))
+      for over in (1, 10 ** 9)),
+    *(_above(f"seq-mod-{case}", ["seq", "--kind", "balancing", "--from", "0", "--to", "10",
+                                 "--mod"], mod, f"--mod must be <= {cli.MAX_SEQ_MOD}")
+      for case, mod in (("ceiling+1", cli.MAX_SEQ_MOD + 1), ("10^1000", 10 ** 1000))),
+    *(_above(f"term-index-{case}", ["term", "--kind", "balancing", "--index"], index,
+             f"--index must be <= {cli.MAX_TERM_INDEX}")
+      for case, index in (("ceiling+1", cli.MAX_TERM_INDEX + 1), ("10^9", 10 ** 9))),
+    *(_above(f"verify-{suite}", ["verify", "--suite", suite, "--max-n"], ceiling + 1,
+             f"--max-n must be <= {ceiling} for --suite {suite}")
+      for suite, ceiling in VERIFY_CEILINGS),
+    _above("period-mod", ["period", "--mod"], cli.MAX_PERIOD_MOD + 1,
+           f"--mod must be <= {cli.MAX_PERIOD_MOD}"),
+    _above("search-prime", ["search", "special-form", "--max-index", "5", "--kind", "balancing",
+                            "--prime"], (1 << 61) - 1, "--prime must be <= 2147483647 (2^31 - 1)"),
+    *(_above(f"search-{eq}", ["search", eq, "--max-index"], cli.MAX_SEARCH_INDEX[eq] + 1,
+             f"--max-index must be <= {cli.MAX_SEARCH_INDEX[eq]} for {eq}")
+      for eq in cli._SEARCH_EQUATIONS),
+])
+def test_above_ceiling_is_refused_up_front(capsys, monkeypatch, argv, message):
+    def unreachable(*args):
+        raise AssertionError("residues computed past a ceiling")
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "residue_range", unreachable)
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == USAGE + f"ballab: error: {message}\n"
+
+
+# stand-ins for the work behind each bound, so that only the bound check runs
+INSTANT = {
+    "values_up_to": lambda kind, hi: [7] * (hi + 1),
+    "residue_range": lambda kind, hi, mod: [7] * (hi + 1),
+    "term": lambda kind, n: 7,
+    "run_suite": lambda name, max_n: [],
+    "period": lambda mod: PeriodResult(mod, 1, 2),
+    # the searches' flags attach no claims block, which an empty result would not match
+    **dict.fromkeys(("search_pair", "search_product_form", "search_special_form"),
+                    lambda *args: []),
+}
+
+
+def _seq_row(index):
+    return {"results": [{"kind": "pell", "index": index, "value": "7"}]}
+
+
+# expected: {dotted path into the last JSON line: its exact value}
+@pytest.mark.parametrize("argv, stubs, expected", [
+    pytest.param(["seq", "--kind", "pell", "--from", "11000", "--to", "11000"], ["values_up_to"],
+                 _seq_row(11_000), id="seq-to"),
+    pytest.param(["seq", "--kind", "pell", "--from", "100000", "--to", "100000", "--mod", "7"],
+                 ["residue_range"], _seq_row(10 ** 5), id="seq-to-mod"),
+    pytest.param(["term", "--kind", "pell", "--index", str(cli.MAX_TERM_INDEX)], ["term"],
+                 _seq_row(cli.MAX_TERM_INDEX), id="term-index"),
+    *(pytest.param(["verify", "--suite", suite, "--max-n", str(ceiling)], ["run_suite"],
+                   {"config": {"suite": suite, "max_n": ceiling}}, id=f"verify-{suite}")
+      for suite, ceiling in VERIFY_CEILINGS),
+    pytest.param(["period", "--mod", str(cli.MAX_PERIOD_MOD)], ["period"],
+                 {"config": {"modulus": cli.MAX_PERIOD_MOD}}, id="period-mod"),
+    # the real search: the largest prime accepted runs at a small bound
+    pytest.param(["search", "special-form", "--max-index", "5", "--kind", "balancing",
+                  "--prime", str(cli.MAX_PRIME)], [], {"config.prime": cli.MAX_PRIME},
+                 id="search-prime"),
+    *(pytest.param(["search", eq, "--max-index", str(cli.MAX_SEARCH_INDEX[eq]), *flags],
+                   ["search_pair", "search_product_form", "search_special_form"],
+                   {"config.max_index": cli.MAX_SEARCH_INDEX[eq]}, id=f"search-{eq}")
+      for eq, flags in SEARCH_FLAGS.items()),
+])
+def test_at_ceiling_is_accepted(capsys, monkeypatch, argv, stubs, expected):
+    for name in stubs:
+        monkeypatch.setattr(cli, name, INSTANT[name])
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    line = last_json_line(out)
+    assert {path: functools.reduce(operator.getitem, path.split("."), line)
+            for path in expected} == expected
 
 
 def test_output_contract_without_sieve_switch_or_format_env(capsys, monkeypatch):

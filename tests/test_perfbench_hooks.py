@@ -12,12 +12,13 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # Places the library no longer has: term_mod and perfect_power_decompose
-# moved to tests/refmath.py, verify stopped importing qpow, the process pool
-# was deleted, and search_pair replaced the three pair searches.
+# moved to tests/refmath.py, verify stopped importing qpow and gcd, the
+# process pool was deleted, and search_pair replaced the three pair searches.
 MISSING = {
     "ballab.modular:term_mod",
     "ballab.diophantine:perfect_power_decompose",
     "ballab.verify:qpow",
+    "ballab.verify:gcd",
     "ballab.diophantine:ProcessPoolExecutor",
     "ballab.cli:search_sum_power",
     "ballab.cli:search_square_diff",

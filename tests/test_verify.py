@@ -4,10 +4,12 @@ import pytest
 
 import ballab.verify
 import refmath
+from ballab import cli
 from ballab.modular import PeriodResult, period, residue_range
 from ballab.sequences import SequenceKind, values_up_to
 from ballab.verify import (
     MOD9_TABLE,
+    OFF_WALK,
     CheckResult,
     check_mod9_table,
     check_period_consistency,
@@ -195,26 +197,15 @@ def test_two_adic_decides_a_corrupted_index_case_by_case(monkeypatch, n, residue
 # stream the suites read, so that each check meets failing cases.
 CORRUPT = {7, 9, 12, 13, 20, 21, 30}
 
-# run_suite("all", 60) under that corruption: (name, checked, passed, failures)
+# run_suite("all", 60) under that corruption: (name, checked, passed,
+# failures); the premise-settled checks fail with OFF_WALK alone
 CORRUPTED_RESULTS = [
-    ("half-index-sum", 961, False,
-     ["B_7 + B_1 != 2*B_4*C_3", "B_7 + B_3 != 2*B_5*C_2", "B_7 + B_5 != 2*B_6*C_1",
-      "B_8 + B_6 != 2*B_7*C_1", "B_9 + B_1 != 2*B_5*C_4"]),
-    ("half-index-diff", 961, False,
-     ["B_7 - B_1 != 2*B_3*C_4", "B_7 - B_3 != 2*B_2*C_5", "B_7 - B_5 != 2*B_1*C_6",
-      "B_8 - B_6 != 2*B_1*C_7", "B_9 - B_1 != 2*B_4*C_5"]),
-    ("pell-product", 61, False,
-     ["B_7 != P_7*Q_7", "B_9 != P_9*Q_9", "B_12 != P_12*Q_12", "B_13 != P_13*Q_13",
-      "B_20 != P_20*Q_20"]),
-    ("index-doubling", 61, False,
-     ["B_12 != 2*B_6*C_6", "B_14 != 2*B_7*C_7", "B_18 != 2*B_9*C_9", "B_20 != 2*B_10*C_10",
-      "B_24 != 2*B_12*C_12"]),
-    ("square-plus-one", 61, False,
-     ["8*B_7^2 + 1 != C_7^2", "8*B_9^2 + 1 != C_9^2", "8*B_12^2 + 1 != C_12^2",
-      "8*B_13^2 + 1 != C_13^2", "8*B_20^2 + 1 != C_20^2"]),
-    ("addition-formula", 3721, False,
-     ["B_7 != B_1*C_6 + C_1*B_6", "B_8 != B_1*C_7 + C_1*B_7", "B_9 != B_1*C_8 + C_1*B_8",
-      "B_10 != B_1*C_9 + C_1*B_9", "B_12 != B_1*C_11 + C_1*B_11"]),
+    ("half-index-sum", 961, False, [OFF_WALK]),
+    ("half-index-diff", 961, False, [OFF_WALK]),
+    ("pell-product", 61, False, [OFF_WALK]),
+    ("index-doubling", 61, False, [OFF_WALK]),
+    ("square-plus-one", 61, False, [OFF_WALK]),
+    ("addition-formula", 3721, False, [OFF_WALK]),
     ("lucas-odd", 61, False,
      ["C_7 is even", "C_9 is even", "C_12 is even", "C_13 is even", "C_20 is even"]),
     ("closed-form-agreement", 61, False,
@@ -222,19 +213,10 @@ CORRUPTED_RESULTS = [
       "closed form disagrees at n=12", "closed form disagrees at n=13",
       "closed form disagrees at n=20"]),
     ("unit-norm", 61, True, []),
-    ("gcd-balancing", 3600, False,
-     ["gcd(B_2, B_7) != B_gcd(2,7)", "gcd(B_2, B_9) != B_gcd(2,9)",
-      "gcd(B_2, B_12) != B_gcd(2,12)", "gcd(B_2, B_13) != B_gcd(2,13)",
-      "gcd(B_2, B_20) != B_gcd(2,20)"]),
-    ("gcd-lucas", 3600, False,
-     ["gcd(C_1, C_7) != expected", "gcd(C_1, C_9) != expected", "gcd(C_1, C_13) != expected",
-      "gcd(C_1, C_21) != expected", "gcd(C_1, C_30) != expected"]),
-    ("gcd-mixed", 3600, False,
-     ["gcd(B_2, C_7) != expected", "gcd(B_2, C_9) != expected", "gcd(B_2, C_12) != expected",
-      "gcd(B_2, C_13) != expected", "gcd(B_2, C_20) != expected"]),
-    ("pell-coprime", 60, False,
-     ["gcd(P_7, Q_7) != 1", "gcd(P_9, Q_9) != 1", "gcd(P_13, Q_13) != 1",
-      "gcd(P_21, Q_21) != 1"]),
+    ("gcd-balancing", 3600, False, [OFF_WALK]),
+    ("gcd-lucas", 3600, False, [OFF_WALK]),
+    ("gcd-mixed", 3600, False, [OFF_WALK]),
+    ("pell-coprime", 60, False, [OFF_WALK]),
     ("mod9-table", 61, False,
      ["mod-9 table wrong at n=7", "mod-9 table wrong at n=9", "mod-9 table wrong at n=12",
       "mod-9 table wrong at n=13", "mod-9 table wrong at n=20"]),
@@ -277,21 +259,6 @@ def test_unit_norm_reports_a_non_unit(monkeypatch):
     assert result.failures == [f"norm(alpha^{n}) != 1" for n in range(1, 6)]
 
 
-def test_gcd_suite_makes_no_gcd_call_on_sound_sequences(monkeypatch):
-    # B, C, P and Q take their Pell steps from (0, 1), so the Euclid and
-    # determinant arguments of the module docstring settle every case.
-    calls = []
-
-    def counted_gcd(x, y):
-        calls.append((x, y))
-        return gcd(x, y)
-
-    monkeypatch.setattr(ballab.verify, "gcd", counted_gcd)
-    results = gcd_suite(64)
-    assert [(r.checked, r.passed) for r in results] == [(64 * 64, True)] * 3 + [(64, True)]
-    assert calls == []
-
-
 KINDS = (SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING, SequenceKind.PELL,
          SequenceKind.ASSOCIATED_PELL)
 
@@ -316,26 +283,29 @@ def test_each_suite_reads_each_sequence_once_and_walks_them_once(monkeypatch, su
     assert walks == [(b_hi + 1, 41, 41, 41)]
 
 
-# each premise-settled check's sequences, before its walk verdict
-PREMISE_CHECKS = {"check_half_index_sum": "bc", "check_half_index_diff": "bc",
-                  "check_pell_product": "bpq", "check_addition_formula": "bc",
-                  "check_index_doubling": "bc", "check_square_plus_one": "bc",
-                  "check_gcd_balancing": "bc", "check_gcd_lucas": "bc", "check_gcd_mixed": "bc",
-                  "check_pell_coprime": "pq"}
+# each suite's checks that read no term: its walk settles them
+SETTLED = {identity_suite: ("half-index-sum", "half-index-diff", "pell-product", "index-doubling",
+                            "square-plus-one", "addition-formula"),
+           gcd_suite: ("gcd-balancing", "gcd-lucas", "gcd-mixed", "pell-coprime")}
 
 
-@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 70])
-def test_literal_loops_pass_sound_sequences(max_n):
-    # Sound lists with walk=False: each check runs its literal loop, which
-    # must give the settled result and the one-case-at-a-time reference's.
-    terms = dict(zip("bcpq", (values_up_to(kind, hi) for kind, hi
-                              in zip(KINDS, (2 * max_n, max_n, max_n, max_n)))))
-    for name, reads in PREMISE_CHECKS.items():
-        check = getattr(ballab.verify, name)
-        args = [terms[x] for x in reads]
-        literal = check(max_n, *args, False).to_dict()
-        assert literal == check(max_n, *args, True).to_dict(), name
-        assert literal == getattr(refmath, name)(max_n).to_dict(), name
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 70, 200])
+@pytest.mark.parametrize("suite", SETTLED, ids=lambda suite: suite.__name__)
+def test_settled_checks_match_their_references(suite, max_n):
+    # each settled check's bound and arithmetic count, and its pass, against
+    # refmath's sweep of every case on the true terms, one at a time
+    got = {r.name: r.to_dict() for r in suite(max_n)}
+    for name in SETTLED[suite]:
+        want = getattr(refmath, "check_" + name.replace("-", "_"))(max_n).to_dict()
+        assert got[name] == want, name
+
+
+def test_the_walk_holds_at_the_ceiling():
+    # every accepted --max-n reads a prefix of these terms, so no accepted
+    # verify run meets OFF_WALK
+    n = cli.MAX_VERIFY_N
+    b = values_up_to(SequenceKind.BALANCING, 2 * n)
+    assert ballab.verify._pell_steps(b, *(values_up_to(kind, n) for kind in KINDS[1:]))
 
 
 def euclid_end(x, n, y, m):
