@@ -10,8 +10,8 @@ mod mu, the lcm of its orders mod the prime powers p**e of mu, which
 `bigmath.prime_factors` finds by trial division.  The period mod p divides
 p - (32/p), and the period mod p**e divides p**(e-1) times that.  Each
 prime of that multiple is divided out while the sequence still restarts
-there, each test taking O(log mu) steps of fast doubling, and each prime
-power's period is computed once per process.
+there, each test reading (B_k, C_k) mod p**e off `quadring`'s doubling,
+and each prime power's period is computed once per process.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from functools import lru_cache
 
 from .bigmath import prime_factors, prime_flags
+from .quadring import binet_extract
 from .sequences import RECURRENCE, SequenceKind
 
 
@@ -48,26 +49,14 @@ class PeriodResult:
         self.modulus, self.period, self.prefix_checked = modulus, period, prefix_checked
 
 
-def _balancing_pair(k: int, modulus: int) -> tuple[int, int]:
-    """(B_k, B_{k+1}) mod modulus >= 2, by fast doubling in O(log k) steps.
-
-    B_{2j} = B_j*(2*B_{j+1} - 6*B_j) and B_{2j+1} = B_{j+1}**2 - B_j**2.
-    """
-    u, v = 0, 1  # (B_j, B_{j+1}) for j = the bits of k read so far
-    for bit in bin(k)[2:]:
-        u, v = u * (2 * v - 6 * u) % modulus, (v * v - u * u) % modulus
-        if bit == "1":
-            u, v = v, (6 * v - u) % modulus
-    return u, v
-
-
 @lru_cache(maxsize=None)
 def _prime_power_period(p: int, e: int) -> int:
     """The period of B mod p**e, for a prime p and e >= 1, by `period`'s order search."""
     modulus = p ** e
     multiple = 1 << e if p == 2 else p ** (e - 1) * (p - 1 if p % 8 in (1, 7) else p + 1)
-    # modulus >= 2 keeps 1 reduced
-    if _balancing_pair(multiple, modulus) != (0, 1):
+    # B_{k+1} = 3*B_k + C_k, so (B_k, C_k) ≡ (0, 1) exactly when (B_k, B_{k+1})
+    # ≡ (0, 1), a restart; modulus >= 2 keeps 1 reduced
+    if binet_extract(multiple, modulus) != (0, 1):
         raise ArithmeticError(
             f"the sequence does not restart at {multiple} mod {modulus}; "
             "the step map's order must divide it"
@@ -75,7 +64,7 @@ def _prime_power_period(p: int, e: int) -> int:
     t = multiple
     # in any order: once q is done, v_q(t) = v_q(order), and other primes keep it
     for q in set(prime_factors(multiple)):
-        while t % q == 0 and _balancing_pair(t // q, modulus) == (0, 1):
+        while t % q == 0 and binet_extract(t // q, modulus) == (0, 1):
             t //= q
     return t
 

@@ -10,11 +10,11 @@ stated here, next to their checks.
 
 Each suite reads B, C, P and Q once (B to 2N in the identity suite and to
 N in the gcd suite, the others to N).  The laws that relate products or
-gcds of terms (IDENTITY_LAWS and GCD_LAWS: the addition formula, the
-half-index sum and difference, the Pell product, index doubling, square
-plus one, the three gcd laws and Pell coprimality) rest on one premise,
-which the suite tests once on the lists it read, as
-`walk = _pell_steps(b, c, p, q)`: B and C are prefixes of the
+gcds of terms, and C_n odd (IDENTITY_LAWS and GCD_LAWS: the addition
+formula, the half-index sum and difference, the Pell product, index
+doubling, square plus one, C_n odd, the three gcd laws and Pell
+coprimality) rest on one premise, which the suite tests once on the lists
+it read, as `walk = _pell_steps(b, c, p, q)`: B and C are prefixes of the
 walk (B_0, C_0) = (0, 1), (B_{k+1}, C_{k+1}) = (3*B_k + C_k, 8*B_k +
 3*C_k), and P and Q of the walk (P_0, Q_0) = (0, 1), (P_{k+1}, Q_{k+1}) =
 (P_k + Q_k, 2*P_k + Q_k).  Where it holds, (B_k, C_k) is M**k (0, 1) with
@@ -165,13 +165,9 @@ IDENTITY_LAWS = (
     ("square-plus-one", "0 <= n <= {}", lambda n: n + 1),
     # B_{x+y} = B_x*C_y + C_x*B_y
     ("addition-formula", "0 <= x, y <= {}", lambda n: (n + 1) ** 2),
+    # C_n odd, as C_n**2 = 8*B_n**2 + 1
+    ("lucas-odd", "0 <= n <= {}", lambda n: n + 1),
 )
-
-
-def check_lucas_odd(max_n: int, c: list[int]) -> CheckResult:
-    failing = [(n,) for n in range(max_n + 1) if c[n] % 2 != 1]
-    return _result("lucas-odd", f"0 <= n <= {max_n}", max_n + 1, failing,
-                   "C_{0} is even".format)
 
 
 def check_closed_form(max_n: int, b: list[int], c: list[int]) -> CheckResult:
@@ -318,7 +314,6 @@ def identity_suite(max_n: int) -> list[CheckResult]:
     b, c, p, q, walk = _read_and_walk(2 * max_n, max_n)
     return [
         *_settled(IDENTITY_LAWS, max_n, walk),
-        _timed(check_lucas_odd, max_n, c),
         _timed(check_closed_form, max_n, b, c),
         _timed(check_unit_norm, min(max_n, 200)),
     ]

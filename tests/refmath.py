@@ -220,6 +220,16 @@ def check_square_plus_one(max_n: int) -> CheckResult:
     return _run_check("square-plus-one", f"0 <= n <= {max_n}", cases())
 
 
+def check_lucas_odd(max_n: int) -> CheckResult:
+    c = values_up_to(SequenceKind.LUCAS_BALANCING, max_n)
+
+    def cases() -> Iterator[str | None]:
+        for n in range(max_n + 1):
+            yield None if c[n] % 2 == 1 else f"C_{n} is even"
+
+    return _run_check("lucas-odd", f"0 <= n <= {max_n}", cases())
+
+
 def check_gcd_balancing(max_n: int) -> CheckResult:
     b = values_up_to(SequenceKind.BALANCING, max_n)
 

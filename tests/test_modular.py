@@ -156,7 +156,7 @@ class TestPeriodOrderCertificate:
     def test_a_multiple_without_a_restart_is_an_error(self, monkeypatch):
         # a cached period of 7 would answer without testing the multiple
         ballab.modular._prime_power_period.cache_clear()
-        monkeypatch.setattr(ballab.modular, "_balancing_pair", lambda k, mu: (1, 0))
+        monkeypatch.setattr(ballab.modular, "binet_extract", lambda k, mu: (1, 0))
         try:
             with pytest.raises(ArithmeticError):
                 period(7)

@@ -151,3 +151,39 @@ def test_terms_agree_with_fast_doubling_mod_a_prime_up_to_200000():
         assert term(kind, n) % modulus == term_mod(kind, n, modulus)
 
     check()
+
+
+# the reduced doubling's moduli: the least two, a prime near 2**61 whose
+# residues square past a machine word, and random moduli up to period's 10**7
+MODULI = (2, 3, 2 ** 61 - 1, *random.Random(46).sample(range(4, 10 ** 7 + 1), 5))
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_reduced_pairs_are_the_exact_pairs_mod_m(modulus):
+    # qpow(n, m) is reduced at every bit, so it must equal the exact pair
+    # reduced, not only agree with it mod m
+    q, p, b, c = (values_up_to(kind, 3000)
+                  for kind in (SequenceKind.ASSOCIATED_PELL, SequenceKind.PELL,
+                               SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING))
+    for n in range(3001):
+        assert qpow(n, modulus) == (q[n] % modulus, p[n] % modulus), n
+        assert binet_extract(n, modulus) == (b[n] % modulus, c[n] % modulus), n
+
+
+def test_reduced_terms_agree_with_lucas_u_doubling():
+    # refmath.term_mod doubles the Lucas sequence U of each recurrence, an
+    # algorithm independent of the unit's doubling, at indices past any list
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pick = {SequenceKind.ASSOCIATED_PELL: lambda n, m: qpow(n, m)[0],
+            SequenceKind.PELL: lambda n, m: qpow(n, m)[1],
+            SequenceKind.BALANCING: lambda n, m: binet_extract(n, m)[0],
+            SequenceKind.LUCAS_BALANCING: lambda n, m: binet_extract(n, m)[1]}
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(list(SequenceKind)), st.integers(0, 10 ** 8 - 1),
+                      st.sampled_from(MODULI[:3]) | st.integers(2, 10 ** 7))
+    def check(kind, n, modulus):
+        assert pick[kind](n, modulus) == term_mod(kind, n, modulus)
+
+    check()

@@ -206,8 +206,7 @@ CORRUPTED_RESULTS = [
     ("index-doubling", 61, False, [OFF_WALK]),
     ("square-plus-one", 61, False, [OFF_WALK]),
     ("addition-formula", 3721, False, [OFF_WALK]),
-    ("lucas-odd", 61, False,
-     ["C_7 is even", "C_9 is even", "C_12 is even", "C_13 is even", "C_20 is even"]),
+    ("lucas-odd", 61, False, [OFF_WALK]),
     ("closed-form-agreement", 61, False,
      ["closed form disagrees at n=7", "closed form disagrees at n=9",
       "closed form disagrees at n=12", "closed form disagrees at n=13",
@@ -285,7 +284,7 @@ def test_each_suite_reads_each_sequence_once_and_walks_them_once(monkeypatch, su
 
 # each suite's checks that read no term: its walk settles them
 SETTLED = {identity_suite: ("half-index-sum", "half-index-diff", "pell-product", "index-doubling",
-                            "square-plus-one", "addition-formula"),
+                            "square-plus-one", "addition-formula", "lucas-odd"),
            gcd_suite: ("gcd-balancing", "gcd-lucas", "gcd-mixed", "pell-coprime")}
 
 

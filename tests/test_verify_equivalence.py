@@ -2,8 +2,8 @@
 
 ballab.verify's identity and gcd suites each read B, C, P and Q once and
 walk them once: where they are prefixes of the Pell walks (B, C) ->
-(3B + C, 8B + 3C) and (P, Q) -> (P + Q, 2P + Q) from (0, 1), the suite's
-ten premise-settled checks pass, and otherwise each fails with the one
+(3B + C, 8B + 3C) and (P, Q) -> (P + Q, 2P + Q) from (0, 1), the suites'
+eleven premise-settled checks pass, and otherwise each fails with the one
 failure OFF_WALK; none of them reads a term.  Under any corruption of the
 sequences, a check must pass exactly when every term its suite read equals
 the true sequence's, an oracle that takes no Pell walk, and keep the bound
@@ -25,14 +25,14 @@ from ballab.sequences import SequenceKind, values_up_to  # noqa: E402
 from ballab.verify import OFF_WALK  # noqa: E402
 
 CHECKS = ("half-index-sum", "half-index-diff", "pell-product", "addition-formula",
-          "index-doubling", "square-plus-one",
+          "index-doubling", "square-plus-one", "lucas-odd",
           "gcd-balancing", "gcd-lucas", "gcd-mixed", "pell-coprime")
 B, C = SequenceKind.BALANCING, SequenceKind.LUCAS_BALANCING
 P, Q = SequenceKind.PELL, SequenceKind.ASSOCIATED_PELL
 # the pair whose recurrence a kind shares
 PAIRS = {B: (B, C), C: (B, C), P: (P, Q), Q: (P, Q)}
 # each suite: its settled checks, and how far it reads B, C, P and Q, in max_n
-SUITES = {"identity_suite": (CHECKS[:6], (2, 1, 1, 1)), "gcd_suite": (CHECKS[6:], (1, 1, 1, 1))}
+SUITES = {"identity_suite": (CHECKS[:7], (2, 1, 1, 1)), "gcd_suite": (CHECKS[7:], (1, 1, 1, 1))}
 
 # {kind: {index: offset}}; the suites read C, P and Q up to 70 and B up to
 # 70, or up to 2 * 70 in the identity suite
@@ -136,9 +136,9 @@ def test_settled_checks_pass_exactly_on_the_true_terms(max_n, corrupt, mix):
 def test_sound_sequences_multiply_no_given_term(max_n):
     """The identity suite passes and multiplies no B, C, P or Q it read.
 
-    Its walk settles the six laws that relate products of terms, and
-    `_pell_steps`, lucas-odd and closed-form-agreement only compare or reduce
-    the terms they read, so a check that multiplied terms again shows here.
+    Its walk settles the six laws that relate products of terms and
+    lucas-odd, and `_pell_steps` and closed-form-agreement only compare the
+    terms they read, so a check that multiplied terms again shows here.
     """
     products = []
 

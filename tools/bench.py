@@ -1,6 +1,7 @@
 """Time fixed ballab command lines in fresh processes and write the runs as JSON.
 
     python tools/bench.py OUT.json [--against DIR]
+    python tools/bench.py --summary FILE...
 
 Each command line runs as its own ``python -m ballab.cli`` process, from
 this checkout's ``src/`` and, with ``--against``, alternately from the
@@ -32,6 +33,12 @@ provenance and every run, and the exit status is 1 if a run exited nonzero
 or missed its pinned digest (the ``RENDER`` lines have none).  Standard library
 only; the output also names the machine, the Python and each tree's commit
 (``-dirty`` for uncommitted changes) and ``src/ballab`` digest, but no path.
+
+``--summary`` reads run files written so (the committed ``BENCH_*.json``
+among them) and prints a Markdown table with one row per command line: the
+median and the minimum ``wall_s`` of each file's runs of it on each tree,
+and, where a file holds two trees, the ratio of their medians, this over
+against.  Files given oldest first show the trajectory.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -165,11 +173,49 @@ def bench(trees: dict[str, Path], lines: list[list[str]], runs: int) -> dict:
             "runs": records}
 
 
+def summary(paths: list[Path]) -> list[str]:
+    """The rows of --summary's table for these run files, header first."""
+    files = []  # (file name, its trees, (tree, line) -> wall_s of each run)
+    lines: dict[str, None] = {}  # each command line, in the order first met
+    for path in paths:
+        document = json.loads(path.read_text())
+        walls: dict[tuple[str, str], list[float]] = {}
+        for record in document["runs"]:
+            line = " ".join(record["argv"])
+            lines.setdefault(line)
+            walls.setdefault((record["tree"], line), []).append(record["wall_s"])
+        files.append((path.name, list(document["provenance"]["trees"]), walls))
+    header = ["line"]
+    for name, trees, _ in files:
+        header += [f"{name} {tree} median/min (s)" for tree in trees]
+        header += [f"{name} {trees[0]}/{trees[1]}"] if len(trees) == 2 else []
+    rows = [header, ["---"] * len(header)]
+    for line in lines:
+        row = [f"`{line}`"]
+        for _, trees, walls in files:
+            runs = [walls.get((tree, line)) for tree in trees]
+            row += [f"{statistics.median(r):.4f}/{min(r):.4f}" if r else "-" for r in runs]
+            if len(trees) == 2:
+                row.append(f"{statistics.median(runs[0]) / statistics.median(runs[1]):.3f}"
+                           if all(runs) else "-")
+        rows.append(row)
+    return ["| " + " | ".join(row) + " |" for row in rows]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path)
+    parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--against", type=Path, help="a second checkout, run alternately")
+    parser.add_argument("--summary", type=Path, nargs="+", metavar="FILE",
+                        help="print the wall times of run files as a table, and run nothing")
     args = parser.parse_args(argv)
+    if args.summary is not None:
+        if args.out is not None or args.against is not None:
+            parser.error("--summary takes neither OUT nor --against")
+        print("\n".join(summary(args.summary)))
+        return 0
+    if args.out is None:
+        parser.error("OUT is required")
     trees = {"this": ROOT}
     if args.against is not None:
         trees["against"] = args.against.resolve()
